@@ -108,14 +108,12 @@ struct Measured {
   double Seconds = 0;
 };
 
-Measured runOnce(bool Reference, bool Attach, runtime::EngineKind Engine,
-                 int64_t N, int64_t Reps,
-                 runtime::PipelineKind Pipeline = runtime::PipelineKind::Auto) {
+Measured runOnce(bool Reference, bool Attach, int64_t N, int64_t Reps,
+                 bool InlineSimulation = false) {
   runtime::RunConfig Cfg;
-  Cfg.Engine = Engine;
   Cfg.ReferenceInterpreter = Reference;
   Cfg.AttachProfiler = Attach;
-  Cfg.Pipeline = Pipeline;
+  Cfg.InlineSimulation = InlineSimulation;
   runtime::ThreadedRuntime RT(Cfg);
   Built Program = build(RT.machine(), N, Reps);
   analysis::CodeMap Map(*Program.P);
@@ -132,12 +130,11 @@ Measured runOnce(bool Reference, bool Attach, runtime::EngineKind Engine,
 /// Best of \p Trials runs: simulated results are deterministic (and
 /// asserted identical across trials), wall time takes the minimum to
 /// shed scheduler noise.
-Measured runBest(bool Reference, bool Attach, runtime::EngineKind Engine,
-                 int64_t N, int64_t Reps, int Trials = 3,
-                 runtime::PipelineKind Pipeline = runtime::PipelineKind::Auto) {
-  Measured Best = runOnce(Reference, Attach, Engine, N, Reps, Pipeline);
+Measured runBest(bool Reference, bool Attach, int64_t N, int64_t Reps,
+                 int Trials = 3, bool InlineSimulation = false) {
+  Measured Best = runOnce(Reference, Attach, N, Reps, InlineSimulation);
   for (int T = 1; T < Trials; ++T) {
-    Measured M = runOnce(Reference, Attach, Engine, N, Reps, Pipeline);
+    Measured M = runOnce(Reference, Attach, N, Reps, InlineSimulation);
     if (M.Seconds < Best.Seconds)
       Best = M;
   }
@@ -189,28 +186,20 @@ int main(int argc, char **argv) {
             << Reps << " passes)\n\n";
 
   // Detached: the pure-simulation path.
-  Measured RefDet = runBest(/*Reference=*/true, /*Attach=*/false,
-                            runtime::EngineKind::Serial, N, Reps, Trials);
-  Measured PreDet =
-      runBest(false, false, runtime::EngineKind::Serial, N, Reps, Trials);
-  // Attached: sampling + online attribution on top. The serial engine
-  // defaults to the decoupled sample pipeline (PipelineKind::Auto);
-  // the forced-inline run is the checked oracle it must reproduce.
-  Measured RefAtt =
-      runBest(true, true, runtime::EngineKind::Serial, N, Reps, Trials);
-  Measured PreAtt =
-      runBest(false, true, runtime::EngineKind::Serial, N, Reps, Trials);
+  Measured RefDet =
+      runBest(/*Reference=*/true, /*Attach=*/false, N, Reps, Trials);
+  Measured PreDet = runBest(false, false, N, Reps, Trials);
+  // Attached: sampling + online attribution on top. The runtime
+  // defaults to the decoupled sample pipeline; the forced-inline run is
+  // the checked oracle it must reproduce.
+  Measured RefAtt = runBest(true, true, N, Reps, Trials);
+  Measured PreAtt = runBest(false, true, N, Reps, Trials);
   Measured PreAttInline =
-      runBest(false, true, runtime::EngineKind::Serial, N, Reps, Trials,
-              runtime::PipelineKind::Inline);
-  // The predecoded ops also feed the parallel engine's buffered path.
-  Measured ParAtt =
-      runBest(false, true, runtime::EngineKind::Parallel, N, Reps, Trials);
+      runBest(false, true, N, Reps, Trials, /*InlineSimulation=*/true);
 
   bool Identical = identical(RefDet.R, PreDet.R) &&
                    identical(RefAtt.R, PreAtt.R) &&
-                   identical(PreAtt.R, PreAttInline.R) &&
-                   identical(RefAtt.R, ParAtt.R);
+                   identical(PreAtt.R, PreAttInline.R);
 
   double SpeedupDet = ips(RefDet) > 0 ? ips(PreDet) / ips(RefDet) : 0.0;
   double SpeedupAtt = ips(RefAtt) > 0 ? ips(PreAtt) / ips(RefAtt) : 0.0;
@@ -232,8 +221,6 @@ int main(int argc, char **argv) {
   Table.addRow({"  inline-sim oracle", formatDouble(PreAttInline.Seconds, 3),
                 formatDouble(ips(PreAttInline) / 1e6, 1),
                 formatDouble(SpeedupPipe, 2) + "x pipe"});
-  Table.addRow({"predecoded parallel", formatDouble(ParAtt.Seconds, 3),
-                formatDouble(ips(ParAtt) / 1e6, 1), "-"});
   Table.print(std::cout);
 
   std::ofstream Json(JsonPath);

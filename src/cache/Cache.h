@@ -199,46 +199,6 @@ private:
   std::vector<uint32_t> BatchOrder;
 };
 
-/// Per-thread buffer of one quantum round's shared-L3 traffic. The
-/// parallel phase engine routes every L3 operation of a round through
-/// one of these and replays the buffers against the real shared L3 in
-/// thread-id order at the round barrier, reproducing the serial
-/// engine's L3 access order exactly (see runtime/ThreadedRuntime).
-struct L3DeferBuffer {
-  struct Op {
-    uint64_t Line;
-    int32_t Slot; ///< Outcome slot for demand accesses; -1 = prefetch.
-  };
-  std::vector<Op> Ops;
-  std::vector<uint8_t> HitFlags; ///< Per demand slot: 1 = L3 hit.
-
-  /// Records a demand access and returns its outcome slot.
-  int32_t addDemand(uint64_t Line) {
-    int32_t Slot = static_cast<int32_t>(HitFlags.size());
-    Ops.push_back({Line, Slot});
-    HitFlags.push_back(0);
-    return Slot;
-  }
-
-  void addPrefetch(uint64_t Line) { Ops.push_back({Line, -1}); }
-
-  /// Replays the buffered operations against \p L3 in recorded order,
-  /// filling HitFlags for the demand accesses.
-  void replay(SetAssocCache &L3) {
-    for (const Op &O : Ops) {
-      if (O.Slot >= 0)
-        HitFlags[static_cast<size_t>(O.Slot)] = L3.access(O.Line) ? 1 : 0;
-      else
-        L3.installPrefetch(O.Line);
-    }
-  }
-
-  void clear() {
-    Ops.clear();
-    HitFlags.clear();
-  }
-};
-
 } // namespace cache
 } // namespace structslim
 

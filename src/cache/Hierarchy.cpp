@@ -125,53 +125,6 @@ AccessResult MemoryHierarchy::accessSlow(uint64_t Addr, unsigned Size,
   return Result;
 }
 
-void MemoryHierarchy::accessLineDeferred(uint64_t LineAddr,
-                                         L3DeferBuffer &L3Buf,
-                                         unsigned Index,
-                                         DeferredAccess &Out) {
-  if (L1.access(LineAddr)) {
-    Out.Lat[Index] = Config.L1.HitLatency;
-    Out.Served[Index] = MemLevel::L1;
-    return;
-  }
-  if (L2.access(LineAddr)) {
-    Out.Lat[Index] = Config.L2.HitLatency;
-    Out.Served[Index] = MemLevel::L2;
-    return;
-  }
-  Out.Slot[Index] = L3Buf.addDemand(LineAddr);
-}
-
-DeferredAccess MemoryHierarchy::accessDeferred(uint64_t Addr, unsigned Size,
-                                               uint64_t Ip,
-                                               L3DeferBuffer &L3Buf) {
-  uint64_t FirstLine = Addr >> LineShift;
-  uint64_t LastLine = (Addr + Size - 1) >> LineShift;
-
-  DeferredAccess Out;
-  if ((Mode & 1) && !Dtlb.access(Addr)) {
-    Out.TlbMiss = true;
-    Out.TlbLatency = Config.Tlb.WalkLatency;
-  }
-  accessLineDeferred(FirstLine, L3Buf, 0, Out);
-  if (LastLine != FirstLine) {
-    Out.NumLines = 2;
-    accessLineDeferred(LastLine, L3Buf, 1, Out);
-  }
-
-  if (Mode & 2) {
-    uint64_t Candidates[8];
-    unsigned Degree = std::min(Config.PrefetchDegree, 8u);
-    unsigned Count = Prefetcher.observe(Ip, Addr, Config.L1.LineSize,
-                                        Degree, Candidates);
-    for (unsigned I = 0; I != Count; ++I) {
-      L3Buf.addPrefetch(Candidates[I]);
-      L2.installPrefetch(Candidates[I]);
-    }
-  }
-  return Out;
-}
-
 void MemoryHierarchy::simulateLines(const BatchLineOp *Ops, size_t N,
                                     MemLevel *LevelByIndex,
                                     std::vector<PendingL3> &L3Out) {

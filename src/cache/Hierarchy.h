@@ -20,12 +20,12 @@
 /// inlines from this header straight into the interpreter loop.
 ///
 /// Two access paths exist. The direct path (`access`) drives all
-/// levels immediately — the serial engine. The deferred path
-/// (`accessDeferred`) simulates the private L1/L2 immediately but
-/// records shared-L3 traffic into a cache::L3DeferBuffer for ordered
-/// replay at a round barrier — the parallel engine. The L1/L2 contents
-/// never depend on L3 outcomes (fill-on-miss installs regardless of
-/// the serving level), which is what makes the split sound.
+/// levels immediately — inline simulation. The batched path
+/// (`simulateLines`) simulates the private L1/L2 for a batch of lines
+/// and hands the shared-L3 demands back for ordered replay — the
+/// decoupled pipeline consumer. The L1/L2 contents never depend on L3
+/// outcomes (fill-on-miss installs regardless of the serving level),
+/// which is what makes the split sound.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -52,36 +52,6 @@ struct AccessResult {
   unsigned Latency = 0; ///< Includes the page-walk penalty on TLB miss.
   MemLevel Served = MemLevel::L1;
   bool TlbMiss = false;
-};
-
-/// Outcome of one access whose shared-L3 component is still pending.
-/// Per touched line, either the access resolved privately (Slot == -1,
-/// Lat/Served final) or it reached the L3 (Slot >= 0 indexes the
-/// thread's L3DeferBuffer outcome; Lat/Served are filled at replay).
-struct DeferredAccess {
-  unsigned TlbLatency = 0;
-  unsigned Lat[2] = {0, 0};
-  MemLevel Served[2] = {MemLevel::L1, MemLevel::L1};
-  int32_t Slot[2] = {-1, -1};
-  uint8_t NumLines = 1;
-  bool TlbMiss = false;
-
-  bool isResolved() const { return Slot[0] < 0 && Slot[1] < 0; }
-
-  /// Combines the per-line outcomes exactly as the direct path does:
-  /// latency = TLB walk + the slower line; Served = the slower line's
-  /// level (first line on ties).
-  AccessResult combine() const {
-    AccessResult R;
-    R.TlbMiss = TlbMiss;
-    R.Latency = TlbLatency + Lat[0];
-    R.Served = Served[0];
-    if (NumLines == 2 && Lat[1] > Lat[0]) {
-      R.Latency += Lat[1] - Lat[0];
-      R.Served = Served[1];
-    }
-    return R;
-  }
 };
 
 /// Full hierarchy configuration. Defaults model the Xeon E5-4650L of
@@ -139,9 +109,9 @@ private:
 
 /// One core's view of the memory hierarchy. The L3 may be shared: pass
 /// a common SetAssocCache to every core's hierarchy. Sharing is safe
-/// in the serial interleaved runtime (which never runs two cores'
-/// accesses concurrently) and in the parallel engine (which defers all
-/// L3 traffic to the round barrier via accessDeferred).
+/// because the runtime never simulates two cores' accesses
+/// concurrently: one thread (the executor, or the decoupled pipeline's
+/// single consumer) drives every hierarchy of a phase.
 class MemoryHierarchy {
 public:
   explicit MemoryHierarchy(const HierarchyConfig &Config,
@@ -166,13 +136,6 @@ public:
     return accessSlow(Addr, Size, Ip, FirstLine, LastLine);
   }
 
-  /// The deferred-L3 variant of access(): private L1/L2 are simulated
-  /// immediately; L3 demand accesses and prefetch installs are appended
-  /// to \p L3Buf for ordered replay. Returns the (possibly pending)
-  /// per-line outcome; callers combine() it once L3Buf was replayed.
-  DeferredAccess accessDeferred(uint64_t Addr, unsigned Size, uint64_t Ip,
-                                L3DeferBuffer &L3Buf);
-
   /// A shared-L3 demand still pending after simulateLines(): the
   /// pipeline consumer merges the per-thread pending lists back into
   /// original access order (by Index) before replaying the shared L3,
@@ -191,8 +154,7 @@ public:
   /// the op's Index is appended to \p L3Out (the caller resolves the
   /// level after shared-L3 replay). Soundness of splitting the levels
   /// into stages: L1/L2 contents never depend on L3 outcomes
-  /// (fill-on-miss installs regardless of serving level) — the same
-  /// property the parallel engine's deferred path relies on. Requires
+  /// (fill-on-miss installs regardless of serving level). Requires
   /// mode() == 0 (no TLB, no prefetcher: both are sequence-sensitive
   /// and force exact per-access replay).
   void simulateLines(const BatchLineOp *Ops, size_t N, MemLevel *LevelByIndex,
@@ -233,11 +195,6 @@ private:
 
   AccessResult accessSlow(uint64_t Addr, unsigned Size, uint64_t Ip,
                           uint64_t FirstLine, uint64_t LastLine);
-
-  /// L1/L2 for one line in deferred mode; on L1+L2 miss records a
-  /// demand op and reports a pending slot.
-  void accessLineDeferred(uint64_t LineAddr, L3DeferBuffer &L3Buf,
-                          unsigned Index, DeferredAccess &Out);
 
   HierarchyConfig Config;
   SetAssocCache L1;

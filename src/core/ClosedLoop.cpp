@@ -88,11 +88,10 @@ WorkloadVerdict
 structslim::core::verifyWorkload(const workloads::Workload &W,
                                  const ClosedLoopConfig &Config) {
   ClosedLoopConfig Cfg = Config;
-  // The inline serial pipeline is the checked oracle; its counters are
+  // Inline simulation is the checked oracle; its counters are
   // schedule- and host-independent, which the JSON byte-determinism
   // guarantee rests on.
-  Cfg.Driver.Run.Engine = runtime::EngineKind::Serial;
-  Cfg.Driver.Run.Pipeline = runtime::PipelineKind::Inline;
+  Cfg.Driver.Run.InlineSimulation = true;
 
   WorkloadVerdict V;
   V.Name = W.name();

@@ -26,7 +26,7 @@
 /// Every run is forced onto the inline simulation pipeline (the
 /// checked oracle): its counters are schedule- and host-independent,
 /// so before/after deltas — and the JSON rendering — are byte-stable
-/// across engine kinds, pipeline kinds, and --jobs values.
+/// across pipeline modes and --jobs values.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -54,8 +54,8 @@ enum class ApplyMode : uint8_t {
 /// Stable identifier used in text and JSON output.
 const char *applyModeName(ApplyMode Mode);
 
-/// Closed-loop knobs. Driver.Run.Pipeline is forced to Inline and
-/// Driver.Run.Engine to Serial for every run (see file comment).
+/// Closed-loop knobs. Driver.Run.InlineSimulation is forced on for
+/// every run (see file comment).
 struct ClosedLoopConfig {
   workloads::DriverConfig Driver;
   /// Memory share handed to the BenefitModel's Amdahl damping.

@@ -49,7 +49,7 @@ struct ReportStats {
   uint64_t QueueDepthMax = 0;
   uint64_t ProducerStalls = 0;
   uint64_t ConsumerBatches = 0;
-  /// Resolved per-lane queue capacity (records); max across shards.
+  /// Access-queue capacity (records); max across shards.
   uint64_t PipelineCapacity = 0;
   /// Bounded-reservoir sampling counters carried in the merged profile
   /// (all zero when the profiled run kept every sample). Unlike the

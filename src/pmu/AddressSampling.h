@@ -94,8 +94,9 @@ public:
 
   /// Sample delivery with an explicitly captured call path (call-site
   /// IPs, outermost first, excluding the sampled instruction). Used by
-  /// the parallel engine, which resolves samples at the round barrier
-  /// when the interrupted thread's live stack has already moved on.
+  /// the decoupled simulation pipeline, which resolves samples when its
+  /// consumer drains the access queue, after the interrupted thread's
+  /// live stack has already moved on.
   /// Default: ignore the path and deliver through onSample().
   virtual void onSampleAt(const AddressSample &Sample, const uint64_t *Path,
                           size_t PathLen) {
@@ -119,9 +120,9 @@ public:
   /// delivery (deliver()/deliverDeferred()) happens after a
   /// setSink(nullptr) is dropped — not delivered, not counted in
   /// getSamplesDelivered(); getSamplesDroppedDisarmed() counts it. The
-  /// parallel engine hits this path: ticks happen at access time,
-  /// delivery at the round barrier, and the profiler can detach in
-  /// between.
+  /// decoupled pipeline can hit this path: ticks happen at access time,
+  /// delivery when the consumer drains the queue, and the profiler can
+  /// detach in between.
   void setSink(SampleSink *Sink) { this->Sink = Sink; }
 
   /// Observes one memory access; delivers a sample when the period
@@ -138,7 +139,7 @@ public:
   /// Advances the period counter for one access and reports whether it
   /// selects this access for sampling (consuming one jitter draw when
   /// it does). The selection never depends on the access outcome, so
-  /// the parallel engine can tick at access time and deliver the
+  /// the decoupled pipeline can tick at access time and deliver the
   /// completed sample later via deliverDeferred().
   bool tick(bool IsWrite) {
     if (!Sink || (SkipStores && IsWrite))

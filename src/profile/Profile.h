@@ -148,9 +148,8 @@ public:
   uint64_t QueueDepthMax = 0;   ///< Deepest drain batch (records); merge: max.
   uint64_t ProducerStalls = 0;  ///< Ring-full backpressure events; merge: sum.
   uint64_t ConsumerBatches = 0; ///< Drain batches processed; merge: sum.
-  /// Resolved per-lane access-queue capacity in records (RunConfig
-  /// resolution rounds the requested PipelineCapacity to a power of
-  /// two); zero for inline runs and pre-extension files. Merge: max.
+  /// Access-queue capacity in records; zero for inline runs and
+  /// pre-extension files. Merge: max.
   uint64_t PipelineCapacity = 0;
   // Bounded-memory sampling metadata (runtime/SampleReservoir + the PMU
   // overhead governor), all zero/empty for unbounded runs and

@@ -85,38 +85,21 @@ public:
   virtual void drainInline() = 0;
 };
 
-/// Serialization port for the decoupled parallel engine, where "ring
-/// drained" is weaker than "simulated": lane workers move records into
-/// a staging area long before the merge delivers them against the
-/// shared L3 and the sample sink. sync() then must wait for *delivery*
-/// — the hook blocks until every record published so far has been
-/// fully merged (ParallelSimPipeline implements it per lane).
-class AccessSyncHook {
-public:
-  virtual ~AccessSyncHook() = default;
-  /// Called by sync() after publishing everything; returns only once
-  /// every published record of this queue has been delivered.
-  virtual void syncDelivered() = 0;
-};
-
 /// The per-phase access queue: one ring, written by the one OS thread
-/// the serial engine runs on (records carry the logical-thread index),
+/// the phase engine runs on (records carry the logical-thread index),
 /// read by one simulation consumer.
 class AccessQueue {
 public:
   /// \p Capacity in records: must be a power of two, at least 1024
-  /// (multi-slot sampled groups must always fit). RunConfig resolution
-  /// (ThreadedRuntime) produces such values; handing the queue
+  /// (multi-slot sampled groups must always fit). Handing the queue
   /// anything else is a programming error, not a request to round.
   AccessQueue(size_t Capacity, unsigned LineShift, bool CollapseRuns)
       : Ring(Capacity), LineShift(LineShift), Collapse(CollapseRuns) {
     if (Capacity < 1024 || (Capacity & (Capacity - 1)) != 0)
-      fatalError("access queue capacity must be a power of two >= 1024 "
-                 "(resolved at RunConfig time)");
+      fatalError("access queue capacity must be a power of two >= 1024");
   }
 
   void setDrainHook(AccessDrainHook *H) { Hook = H; }
-  void setSyncHook(AccessSyncHook *H) { SyncH = H; }
 
   //===--------------------------------------------------------------===//
   // Producer side.
@@ -175,12 +158,6 @@ public:
   void sync() {
     Last = nullptr;
     Ring.publish();
-    if (SyncH) {
-      // Parallel lanes: a drained ring only means the records reached
-      // staging; the hook waits until the merge has delivered them.
-      SyncH->syncDelivered();
-      return;
-    }
     while (!Ring.drained()) {
       if (Hook)
         Hook->drainInline();
@@ -188,19 +165,6 @@ public:
         std::this_thread::yield();
     }
   }
-
-  /// Publishes everything staged (closing any open run) without
-  /// waiting. The parallel engine's round barrier cuts its merge-order
-  /// segments right after this.
-  void publishAll() {
-    Last = nullptr;
-    Ring.publish();
-  }
-
-  /// Cumulative count of records published so far — the segment
-  /// end-cursor for the parallel merge. Publish boundaries never split
-  /// a sampled group, so any value read here is a whole-record cut.
-  uint64_t publishedEnd() const { return Ring.publishedIndex(); }
 
   /// Publishes everything and marks the stream complete; the consumer
   /// thread exits once it has drained the remainder.
@@ -293,7 +257,6 @@ private:
   unsigned LineShift;
   bool Collapse;
   AccessDrainHook *Hook = nullptr;
-  AccessSyncHook *SyncH = nullptr;
 
   // Producer-local state.
   AccessRec *Last = nullptr; ///< Open run record (unpublished).

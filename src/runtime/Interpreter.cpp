@@ -16,8 +16,8 @@
 // "defuses" — executes only its first half and retires one
 // instruction — and the next step() lands on the intact second op kept
 // at the following slot. Quantum-round composition therefore matches
-// the reference exactly, which the parallel engine's deterministic
-// serial interleaving depends on.
+// the reference exactly, which the deterministic round-robin
+// interleave of multithreaded phases depends on.
 //
 //===----------------------------------------------------------------------===//
 
@@ -96,41 +96,16 @@ void Interpreter::enterBlock(const ir::BasicBlock &BB) {
 
 uint64_t Interpreter::memAccess(uint64_t Ip, uint64_t Ea, uint8_t Size,
                                 bool IsWrite, uint64_t StoreValue) {
-  if (Defer && Defer->RoundMode == DeferredRound::Mode::Buffered) {
-    if (Queue) {
-      // Decoupled parallel engine, concurrent part of the round: the
-      // simulation record goes to this thread's lane ring (the PMU
-      // period counter ticks now — outcome-independent, so the serial
-      // jitter draw order is preserved), while the functional effects
-      // buffer exactly as in the deferred path: stores land in the
-      // private overlay, loads record their shared-memory ranges for
-      // the barrier's cross-thread conflict check.
-      ++Stats.MemoryAccesses;
-      bool Sampled = Pmu && Pmu->tick(IsWrite);
-      Queue->noteAccess(QTid, Ip, Ea, Size, IsWrite, Sampled, CallPath);
-      if (IsWrite) {
-        storeBuffered(Ea, Size, StoreValue);
-        return 0;
-      }
-      return loadBuffered(Ea, Size);
-    }
-    return memAccessBuffered(Ip, Ea, Size, IsWrite, StoreValue);
-  }
-
   if (Queue) {
     // Decoupled pipeline: tick the PMU now (the selection is
-    // outcome-independent, so this preserves the serial jitter draw
-    // order — same argument as the buffered path above), enqueue the
-    // access for deferred simulation, and touch only the functional
-    // memory here.
+    // outcome-independent, so this preserves the inline jitter draw
+    // order), enqueue the access for deferred simulation, and touch
+    // only the functional memory here.
     ++Stats.MemoryAccesses;
     bool Sampled = Pmu && Pmu->tick(IsWrite);
     Queue->noteAccess(QTid, Ip, Ea, Size, IsWrite, Sampled, CallPath);
     if (IsWrite) {
       PageCache.write(Ea, Size, StoreValue);
-      if (Defer) // Committing-mode remainder of a parallel round: later
-                 // threads' conflict checks must see this footprint.
-        Defer->WriteRanges.emplace_back(Ea, Size);
       return 0;
     }
     return PageCache.read(Ea, Size);
@@ -147,51 +122,9 @@ uint64_t Interpreter::memAccess(uint64_t Ip, uint64_t Ea, uint8_t Size,
 
   if (IsWrite) {
     PageCache.write(Ea, Size, StoreValue);
-    if (Defer) // Committing mode: later threads' conflict checks must
-               // still see this round's write footprint.
-      Defer->WriteRanges.emplace_back(Ea, Size);
     return 0;
   }
   return PageCache.read(Ea, Size);
-}
-
-uint64_t Interpreter::memAccessBuffered(uint64_t Ip, uint64_t Ea,
-                                        uint8_t Size, bool IsWrite,
-                                        uint64_t StoreValue) {
-  cache::DeferredAccess Access =
-      Hierarchy.accessDeferred(Ea, Size, Ip, Defer->L3);
-  ++Stats.MemoryAccesses;
-
-  // The sampling decision is outcome-independent, so it is taken now
-  // (preserving the serial jitter draw order); delivery waits until the
-  // latency is known.
-  bool Sampled = Pmu && Pmu->tick(IsWrite);
-  if (Access.isResolved() && !Sampled) {
-    Stats.Cycles += Access.combine().Latency;
-  } else {
-    DeferredAccessRec Rec;
-    Rec.Access = Access;
-    Rec.Ip = Ip;
-    Rec.EffAddr = Ea;
-    Rec.AccessSize = Size;
-    Rec.IsWrite = IsWrite;
-    Rec.Sampled = Sampled;
-    if (Sampled) {
-      Rec.PathBegin = static_cast<uint32_t>(Defer->PathArena.size());
-      Rec.PathLen = static_cast<uint32_t>(CallPath.size());
-      Defer->PathArena.insert(Defer->PathArena.end(), CallPath.begin(),
-                              CallPath.end());
-    }
-    Defer->Recs.push_back(Rec);
-  }
-  // No Tracer here: the runtime forces the serial engine (and with it
-  // the reference core) whenever an instrumentation sink is attached.
-
-  if (IsWrite) {
-    storeBuffered(Ea, Size, StoreValue);
-    return 0;
-  }
-  return loadBuffered(Ea, Size);
 }
 
 void Interpreter::doMemoryOp(const Instr &I) {
@@ -203,43 +136,6 @@ void Interpreter::doMemoryOp(const Instr &I) {
     memAccess(I.Ip, Ea, I.Size, true, Fr.Regs[I.C]);
   else
     Fr.Regs[I.Dst] = memAccess(I.Ip, Ea, I.Size, false, 0);
-}
-
-uint64_t Interpreter::loadBuffered(uint64_t Ea, unsigned Size) {
-  DeferredRound &D = *Defer;
-  if (!D.StoreBytes.empty()) {
-    uint64_t FirstPage = Ea >> mem::SimMemory::PageBits;
-    uint64_t LastPage = (Ea + Size - 1) >> mem::SimMemory::PageBits;
-    if (D.StorePages.count(FirstPage) ||
-        (LastPage != FirstPage && D.StorePages.count(LastPage))) {
-      // Merge own buffered bytes over shared memory; only the bytes
-      // actually served from shared memory matter for conflicts.
-      uint64_t Value = 0;
-      for (unsigned B = 0; B != Size; ++B) {
-        uint64_t Byte;
-        auto It = D.StoreBytes.find(Ea + B);
-        if (It != D.StoreBytes.end()) {
-          Byte = It->second;
-        } else {
-          Byte = M.Memory.read(Ea + B, 1);
-          D.ReadRanges.emplace_back(Ea + B, 1);
-        }
-        Value |= Byte << (8 * B);
-      }
-      return Value;
-    }
-  }
-  D.ReadRanges.emplace_back(Ea, Size);
-  return PageCache.read(Ea, Size);
-}
-
-void Interpreter::storeBuffered(uint64_t Ea, unsigned Size, uint64_t Value) {
-  DeferredRound &D = *Defer;
-  for (unsigned B = 0; B != Size; ++B)
-    D.StoreBytes[Ea + B] = static_cast<uint8_t>(Value >> (8 * B));
-  D.StorePages.insert(Ea >> mem::SimMemory::PageBits);
-  D.StorePages.insert((Ea + Size - 1) >> mem::SimMemory::PageBits);
-  D.WriteRanges.emplace_back(Ea, Size);
 }
 
 uint64_t Interpreter::doAlloc(uint64_t Ip, uint64_t Size,
@@ -260,34 +156,6 @@ void Interpreter::doFree(uint64_t Ip, uint64_t Addr) {
   if (!M.Allocator.deallocate(Addr))
     fatalError("invalid free at ip " + std::to_string(Ip));
   M.Objects.release(Addr);
-}
-
-void Interpreter::resolveDeferredRound() {
-  DeferredRound &D = *Defer;
-  const cache::HierarchyConfig &HCfg = Hierarchy.getConfig();
-  for (DeferredAccessRec &R : D.Recs) {
-    for (unsigned L = 0; L != R.Access.NumLines; ++L) {
-      int32_t Slot = R.Access.Slot[L];
-      if (Slot < 0)
-        continue;
-      bool Hit = D.L3.HitFlags[static_cast<size_t>(Slot)] != 0;
-      R.Access.Lat[L] = Hit ? HCfg.L3.HitLatency : HCfg.DramLatency;
-      R.Access.Served[L] = Hit ? cache::MemLevel::L3 : cache::MemLevel::Dram;
-    }
-    cache::AccessResult Res = R.Access.combine();
-    Stats.Cycles += Res.Latency;
-    if (R.Sampled) {
-      pmu::AddressSample S;
-      S.Ip = R.Ip;
-      S.EffAddr = R.EffAddr;
-      S.AccessSize = R.AccessSize;
-      S.Latency = Res.Latency;
-      S.Served = Res.Served;
-      S.IsWrite = R.IsWrite;
-      S.TlbMiss = Res.TlbMiss;
-      Pmu->deliverDeferred(S, D.PathArena.data() + R.PathBegin, R.PathLen);
-    }
-  }
 }
 
 void Interpreter::executeOne(const Instr &I) {
@@ -418,15 +286,6 @@ bool Interpreter::stepReference(uint64_t MaxInstructions) {
     assert(Fr.InstrIndex < Fr.BB->Instrs.size() &&
            "fell off the end of a block without a terminator");
     const Instr &I = Fr.BB->Instrs[Fr.InstrIndex];
-    if (Defer && Defer->RoundMode == DeferredRound::Mode::Buffered &&
-        (I.Op == Opcode::Alloc || I.Op == Opcode::Free)) {
-      // Serializing instruction: allocator and object-table mutations
-      // must happen in the global thread-id order. Pause without
-      // consuming the instruction; the barrier finishes this quantum in
-      // Committing mode.
-      Defer->Paused = true;
-      return true;
-    }
     Advanced = false;
     ++Stats.Instructions;
     ++Stats.Cycles;
@@ -484,9 +343,6 @@ bool Interpreter::stepPredecoded(uint64_t MaxInstructions) {
   if (PFrames.empty())
     return false;
   uint64_t Budget = MaxInstructions;
-  // The round mode cannot change within one step() call.
-  const bool Buffered =
-      Defer && Defer->RoundMode == DeferredRound::Mode::Buffered;
 
   // Hot state cached in locals; refreshed on call/return and saved back
   // on every exit path.
@@ -699,8 +555,6 @@ L_StoreX: {
 }
 L_Alloc: {
   const POp &O = Ops[PC];
-  if (Buffered)
-    goto out_paused;
   SS_RETIRE1();
   R[O.Dst] = doAlloc(O.Ip, R[O.A], PP->anchor(O.Aux).Sym);
   ++PC;
@@ -708,8 +562,6 @@ L_Alloc: {
 }
 L_Free: {
   const POp &O = Ops[PC];
-  if (Buffered)
-    goto out_paused;
   SS_RETIRE1();
   doFree(O.Ip, R[O.A]);
   ++PC;
@@ -941,14 +793,6 @@ L_FusedXorAdd: {
 out_budget:
   Fr->PC = PC;
   SS_FOLD_RETIRED();
-  return true;
-
-out_paused:
-  // Serializing instruction in a buffered round: pause without
-  // consuming it; the barrier finishes this quantum in Committing mode.
-  Fr->PC = PC;
-  SS_FOLD_RETIRED();
-  Defer->Paused = true;
   return true;
 }
 

@@ -37,7 +37,6 @@
 #include "mem/SimMemory.h"
 #include "pmu/AddressSampling.h"
 #include "runtime/AccessQueue.h"
-#include "runtime/DeferredRound.h"
 #include "runtime/Machine.h"
 #include "runtime/Predecode.h"
 #include "runtime/ProfileBuilder.h"
@@ -106,12 +105,6 @@ public:
   const RunStats &getStats() const { return Stats; }
   uint32_t getThreadId() const { return ThreadId; }
 
-  /// Attaches (or, with null, detaches) the per-round buffers of the
-  /// parallel engine. While attached in Buffered mode, stores go to the
-  /// overlay, shared-L3 traffic is deferred, and the thread pauses in
-  /// front of the serializing Alloc/Free opcodes.
-  void setDeferredRound(DeferredRound *D) { Defer = D; }
-
   /// Attaches (or, with null, detaches) the decoupled sample pipeline:
   /// memory accesses append records tagged with phase-local index
   /// \p Tid to \p Q instead of driving the hierarchy and PMU delivery
@@ -119,24 +112,10 @@ public:
   /// jitter draw order). The serializing Alloc/Free opcodes sync the
   /// queue first, so delivery-time DataObjectTable lookups observe the
   /// serial schedule's state. Mutually exclusive with a TraceSink.
-  /// Combined with a DeferredRound (the decoupled parallel engine),
-  /// records stream to the queue while functional effects still buffer
-  /// in the round: overlay stores, conflict-check read/write ranges,
-  /// and the Alloc/Free pause all behave as in the deferred path.
   void setAccessQueue(AccessQueue *Q, uint8_t Tid) {
     Queue = Q;
     QTid = Tid;
   }
-
-  /// True when the last step() stopped in front of a serializing
-  /// instruction rather than exhausting its budget or returning.
-  bool isPaused() const { return Defer && Defer->Paused; }
-
-  /// Completes the round at the barrier: fills in the L3-dependent
-  /// latencies from the replayed shared cache, accounts their cycles,
-  /// and delivers the parked PMU samples — in program order, exactly as
-  /// the serial engine would have.
-  void resolveDeferredRound();
 
   /// Call-site IPs of the active frames, outermost first (the stack
   /// walk a PMU interrupt handler performs).
@@ -168,14 +147,10 @@ private:
   void doMemoryOp(const ir::Instr &I);
 
   /// Shared memory-access path of both cores: hierarchy + PMU + tracer
-  /// + simulated memory, or the buffered round when attached. Returns
+  /// + simulated memory, or the access queue when attached. Returns
   /// the loaded value (0 for writes).
   uint64_t memAccess(uint64_t Ip, uint64_t Ea, uint8_t Size, bool IsWrite,
                      uint64_t StoreValue);
-  uint64_t memAccessBuffered(uint64_t Ip, uint64_t Ea, uint8_t Size,
-                             bool IsWrite, uint64_t StoreValue);
-  uint64_t loadBuffered(uint64_t Ea, unsigned Size);
-  void storeBuffered(uint64_t Ea, unsigned Size, uint64_t Value);
   uint64_t doAlloc(uint64_t Ip, uint64_t Size, const std::string &Sym);
   void doFree(uint64_t Ip, uint64_t Addr);
   void enterBlock(const ir::BasicBlock &BB);
@@ -187,7 +162,6 @@ private:
   cache::MemoryHierarchy &Hierarchy;
   pmu::PmuModel *Pmu;
   TraceSink *Tracer = nullptr;
-  DeferredRound *Defer = nullptr;
   AccessQueue *Queue = nullptr;
   uint8_t QTid = 0;
   uint32_t ThreadId;

@@ -61,8 +61,8 @@ public:
 
   void onSample(const pmu::AddressSample &Sample) override;
 
-  /// Delivery with a captured call path (the parallel engine resolves
-  /// samples at the round barrier, after the live stack moved on).
+  /// Delivery with a captured call path (the decoupled pipeline
+  /// resolves samples after the live stack moved on).
   void onSampleAt(const pmu::AddressSample &Sample, const uint64_t *Path,
                   size_t PathLen) override;
 

@@ -22,8 +22,8 @@
 ///
 /// Every property the analyzer depends on is preserved deterministically:
 ///  - the RNG is seeded from (sampling seed, thread id), so a run is
-///    reproducible and engine-independent — all engines deliver each
-///    thread's samples in the thread's own access order;
+///    reproducible and pipeline-independent — inline and decoupled
+///    simulation deliver each thread's samples in its own access order;
 ///  - flush() releases survivors to the inner sink in arrival order, so
 ///    the builder's incremental stride GCD and representative-address
 ///    logic see a subsequence of exactly what an unbounded run shows;
@@ -61,8 +61,8 @@ public:
   /// when SamplingConfig::ReservoirCapacity is nonzero).
   SampleReservoir(pmu::SampleSink &Inner, uint64_t Capacity, uint64_t Seed);
 
-  /// Captures the live call path at offer time (serial inline engine;
-  /// the decoupled/parallel pipelines pass explicit paths instead).
+  /// Captures the live call path at offer time (inline simulation; the
+  /// decoupled pipeline passes explicit paths instead).
   void setCallPathProvider(const CallPathProvider *Provider) {
     this->Provider = Provider;
   }

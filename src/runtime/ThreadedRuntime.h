@@ -46,43 +46,10 @@ struct ThreadSpec {
   std::vector<uint64_t> Args;
 };
 
-/// Which phase engine executes multithreaded phases.
-///
-/// Serial is the reference: a deterministic round-robin interleave at
-/// Quantum-instruction granularity on the calling thread. Parallel
-/// runs each logical thread's quantum on its own OS thread (via the
-/// shared support::ThreadPool) and commits all process-shared effects
-/// — memory stores, shared-L3 traffic, PMU sample delivery, allocator
-/// mutations — at a round barrier in thread-id order, reproducing the
-/// serial schedule bit for bit. Auto picks Parallel when the host has
-/// more than one core, the phase has more than one thread, and no
-/// instrumentation TraceSink is attached (tracers observe accesses in
-/// schedule order and therefore force the serial engine; so does
-/// Parallel when a tracer is present).
-enum class EngineKind : uint8_t { Auto, Serial, Parallel };
-
-/// Whether serial-engine phases run the cache/PMU simulation inline on
-/// the execution thread or decoupled behind a lock-free access queue.
-///
-/// Inline is the original engine and the checked oracle: every access
-/// drives the hierarchy and sample delivery before the next
-/// instruction executes. Decoupled turns the interpreter into a pure
-/// producer of compact access records (runtime/AccessQueue) drained by
-/// a simulation consumer (runtime/SimPipeline) — on multi-core hosts a
-/// dedicated consumer thread, on single-core hosts a batched inline
-/// drain. Results are bit-identical either way (the differential
-/// pipeline tests assert it). Auto picks Decoupled for every
-/// serial-engine phase without an instrumentation TraceSink (tracers
-/// need the per-access outcome at access time, forcing Inline).
-///
-/// Parallel-engine phases in hierarchy mode 0 get the per-lane variant
-/// (runtime/ParallelSimPipeline): one ring per phase thread, private
-/// L1/L2 simulated by parallel lane workers, shared-L3 traffic merged
-/// back into serial segment order at the round barriers — also
-/// bit-identical. Auto engages it when the host has more than one
-/// core; Decoupled forces it (inline drain on one core). With a TLB or
-/// prefetcher the parallel engine keeps its deferred-round machinery.
-enum class PipelineKind : uint8_t { Auto, Inline, Decoupled };
+/// Access-queue capacity in records for the decoupled simulation
+/// pipeline: a power of two, at least the 1024-record floor that
+/// multi-slot sampled groups need. Small enough to stay L2-resident.
+inline constexpr size_t PipelineQueueCapacity = 1 << 13;
 
 /// Runtime configuration.
 struct RunConfig {
@@ -90,8 +57,6 @@ struct RunConfig {
   pmu::SamplingConfig Sampling;
   /// Attach the StructSlim profiler (PMU sampling + online handler)?
   bool AttachProfiler = true;
-  /// Phase engine selection; results are identical either way.
-  EngineKind Engine = EngineKind::Auto;
   /// Instructions per round-robin slice in multithreaded phases.
   uint64_t Quantum = 64;
   /// Per-thread runaway guard.
@@ -103,13 +68,18 @@ struct RunConfig {
   /// instead of the predecoded engine. Results are bit-identical; the
   /// differential tests and benchmarks flip this to compare the two.
   bool ReferenceInterpreter = false;
-  /// Simulation placement for serial-engine phases; see PipelineKind.
-  PipelineKind Pipeline = PipelineKind::Auto;
-  /// Access-queue capacity in records (decoupled pipeline). Resolved
-  /// at ThreadedRuntime construction: rounded up to a power of two, at
-  /// least 1024 (multi-slot sampled groups must always fit); zero is a
-  /// configuration error. The default keeps the ring L2-resident.
-  size_t PipelineCapacity = 1 << 13;
+  /// Run the cache/PMU simulation inline on the execution thread
+  /// instead of decoupled behind a lock-free access queue. Inline is
+  /// the checked oracle: every access drives the hierarchy and sample
+  /// delivery before the next instruction executes. The default
+  /// decoupled mode turns the interpreter into a producer of compact
+  /// access records (runtime/AccessQueue) drained by a simulation
+  /// consumer (runtime/SimPipeline) — a dedicated consumer thread on
+  /// multi-core hosts, a batched inline drain on single-core hosts.
+  /// Results are bit-identical either way (the differential pipeline
+  /// tests assert it). An instrumentation TraceSink forces inline
+  /// simulation: tracers need each access's outcome at access time.
+  bool InlineSimulation = false;
 };
 
 /// Aggregated outcome of a full run.
@@ -122,10 +92,6 @@ struct RunResult {
   uint64_t MemoryAccesses = 0;
   uint64_t Samples = 0;
   double WallSeconds = 0;     ///< Host time spent interpreting.
-  // Which phase engine actually ran (EngineKind::Auto resolves per
-  // phase; satellite checks assert the single-core serial fallback).
-  uint64_t SerialPhases = 0;
-  uint64_t ParallelPhases = 0;
   // Aggregated cache event counters (EBS role; Table 4 inputs).
   uint64_t Accesses[3] = {0, 0, 0}; ///< L1, L2, L3 demand accesses.
   uint64_t Misses[3] = {0, 0, 0};   ///< L1, L2, L3 demand misses.
@@ -135,8 +101,8 @@ struct RunResult {
   uint64_t QueueDepthMax = 0;   ///< Deepest drain batch seen (records).
   uint64_t ProducerStalls = 0;  ///< Ring-full backpressure events.
   uint64_t ConsumerBatches = 0; ///< Non-empty drain batches processed.
-  /// Resolved per-lane queue capacity (records); zero when every phase
-  /// simulated inline.
+  /// Access-queue capacity (records); zero when every phase simulated
+  /// inline.
   uint64_t PipelineCapacity = 0;
   // Bounded-memory sampling counters (zero when no reservoir was
   // configured). Deterministic — reservoir behavior depends only on the

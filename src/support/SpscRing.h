@@ -80,13 +80,6 @@ public:
     return Tail - PubTail.load(std::memory_order_relaxed);
   }
 
-  /// Cumulative count of slots ever published (the ring indices are
-  /// monotonic 64-bit counters, never wrapped). The decoupled parallel
-  /// engine cuts its merge-order segments at these values.
-  uint64_t publishedIndex() const {
-    return PubTail.load(std::memory_order_acquire);
-  }
-
   /// True when every published slot has been consumed (producer view).
   bool drained() {
     return Head.load(std::memory_order_acquire) ==

@@ -61,12 +61,6 @@ void ThreadPool::spawnLocked(unsigned Count) {
   }
 }
 
-void ThreadPool::ensureWorkers(unsigned Count) {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  if (Workers.size() < Count)
-    spawnLocked(Count - static_cast<unsigned>(Workers.size()));
-}
-
 bool ThreadPool::trySteal(size_t Self, std::function<void()> &Out) {
   // Caller holds Mutex. Own back first, then other deques' fronts.
   Worker &Own = *Workers[Self];

@@ -6,16 +6,12 @@
 ///
 /// \file
 /// A reusable work-stealing thread pool shared by every parallel
-/// component: the parallel phase engine runs each logical thread of a
-/// simulated phase on its own pool worker, MergeTree reduces profile
-/// pairs on it, and the workload Driver sizes its merge from it.
+/// component: MergeTree reduces profile pairs on it, the analyzer
+/// fans objects out over it, and the workload Driver sizes its merge
+/// from it.
 ///
 /// Each worker owns a deque; it pops work from the back and steals from
-/// the front of other workers' deques when its own runs dry. The pool
-/// can grow on demand (`ensureWorkers`) so a phase with N logical
-/// threads always gets N concurrent OS threads, even on hosts with
-/// fewer cores (the OS time-slices them; determinism never depends on
-/// the schedule).
+/// the front of other workers' deques when its own runs dry.
 ///
 /// The default worker count comes from the STRUCTSLIM_THREADS
 /// environment variable when set, otherwise from
@@ -48,9 +44,6 @@ public:
   ThreadPool &operator=(const ThreadPool &) = delete;
 
   unsigned getWorkerCount() const;
-
-  /// Grows the pool to at least \p Workers OS threads (never shrinks).
-  void ensureWorkers(unsigned Workers);
 
   /// Runs every task and blocks until all of them have finished. Tasks
   /// are distributed one per worker deque, so with getWorkerCount() >=

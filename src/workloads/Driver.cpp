@@ -5,7 +5,6 @@
 #include "ir/Verifier.h"
 #include "profile/MergeTree.h"
 #include "support/Error.h"
-#include "support/ThreadPool.h"
 
 using namespace structslim;
 using namespace structslim::workloads;
@@ -28,17 +27,6 @@ WorkloadRun structslim::workloads::runWorkload(const Workload &W,
   for (const auto &Phase : Built.Phases)
     Runtime.runPhase(*Built.Program, Out.CodeMap.get(), Phase, Tracer);
   Out.Result = Runtime.finish();
-
-  // EngineKind::Auto must honor the measured reality (BENCH_engine.json):
-  // on a single-core host the parallel engine is a pure slowdown, so the
-  // serial fallback has to have engaged for every phase.
-  if (RunCfg.Engine == runtime::EngineKind::Auto &&
-      support::ThreadPool::defaultThreadCount() <= 1 &&
-      Out.Result.ParallelPhases != 0)
-    fatalError("EngineKind::Auto selected the parallel engine on a "
-               "single-core host (" +
-               std::to_string(Out.Result.ParallelPhases) +
-               " parallel phase(s)); the serial fallback should have run");
 
   if (Attach)
     Out.Merged = profile::mergeProfiles(std::move(Out.Result.Profiles),

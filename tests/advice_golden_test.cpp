@@ -50,8 +50,7 @@ std::string goldenPath(const std::string &WorkloadName) {
 workloads::DriverConfig pinnedConfig() {
   workloads::DriverConfig Config;
   Config.Scale = 0.1;
-  Config.Run.Engine = runtime::EngineKind::Serial;
-  Config.Run.Pipeline = runtime::PipelineKind::Inline;
+  Config.Run.InlineSimulation = true;
   Config.WorkerThreads = 1;
   Config.Analysis.Jobs = 1;
   return Config;

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 using namespace structslim;
 using namespace structslim::cache;
@@ -275,4 +276,113 @@ TEST(Prefetcher, NonUnitStrideRecognized) {
   for (uint64_t I = 0; I != 8; ++I)
     H.access(I * 256, 8, false, 9);
   EXPECT_GT(H.getPrefetcher().getIssued(), 0u);
+}
+
+// --- SoA cache vs the reference shift-based LRU model. -----------------
+
+namespace {
+
+/// The pre-SoA cache: per set a physically ordered way array, front =
+/// most recent; hits move to front, misses evict the back.
+class ShiftLruReference {
+public:
+  explicit ShiftLruReference(const CacheConfig &Config)
+      : Assoc(Config.Assoc),
+        NumSets(Config.SizeBytes / Config.LineSize / Config.Assoc),
+        Sets(NumSets, std::vector<Way>(Config.Assoc)) {}
+
+  bool access(uint64_t LineAddr) {
+    std::vector<Way> &S = Sets[LineAddr % NumSets];
+    for (size_t W = 0; W != S.size(); ++W) {
+      if (S[W].Valid && S[W].Tag == LineAddr) {
+        Way Hit = S[W];
+        S.erase(S.begin() + W);
+        S.insert(S.begin(), Hit);
+        ++Hits;
+        return true;
+      }
+    }
+    S.pop_back();
+    S.insert(S.begin(), Way{LineAddr, true});
+    ++Misses;
+    return false;
+  }
+
+  void installPrefetch(uint64_t LineAddr) {
+    std::vector<Way> &S = Sets[LineAddr % NumSets];
+    for (size_t W = 0; W != S.size(); ++W) {
+      if (S[W].Valid && S[W].Tag == LineAddr) {
+        Way Hit = S[W];
+        S.erase(S.begin() + W);
+        S.insert(S.begin(), Hit);
+        return;
+      }
+    }
+    S.pop_back();
+    S.insert(S.begin(), Way{LineAddr, true});
+  }
+
+  uint64_t getHits() const { return Hits; }
+  uint64_t getMisses() const { return Misses; }
+
+private:
+  struct Way {
+    uint64_t Tag = 0;
+    bool Valid = false;
+  };
+  unsigned Assoc;
+  uint64_t NumSets;
+  std::vector<std::vector<Way>> Sets;
+  uint64_t Hits = 0;
+  uint64_t Misses = 0;
+};
+
+void compareOnRandomTrace(const CacheConfig &Config, uint64_t Seed,
+                          size_t Accesses, uint64_t AddressSpaceLines) {
+  SetAssocCache Soa(Config);
+  ShiftLruReference Ref(Config);
+  Rng R(Seed);
+  for (size_t I = 0; I != Accesses; ++I) {
+    uint64_t Line = R.nextBelow(AddressSpaceLines);
+    if (R.nextBelow(10) == 0) {
+      // ~10% prefetch installs interleaved with demand traffic.
+      Soa.installPrefetch(Line);
+      Ref.installPrefetch(Line);
+    } else {
+      bool SoaHit = Soa.access(Line);
+      bool RefHit = Ref.access(Line);
+      ASSERT_EQ(SoaHit, RefHit)
+          << Config.Name << ": access " << I << " line " << Line;
+    }
+  }
+  EXPECT_EQ(Soa.getHits(), Ref.getHits());
+  EXPECT_EQ(Soa.getMisses(), Ref.getMisses());
+}
+
+} // namespace
+
+TEST(SoaCacheEquivalence, L1GeometryRandomTraces) {
+  CacheConfig C{"L1d", 32 * 1024, 8, 64, 4};
+  // Working sets below, around, and far above capacity.
+  compareOnRandomTrace(C, 1, 200000, 256);
+  compareOnRandomTrace(C, 2, 200000, 4096);
+  compareOnRandomTrace(C, 3, 200000, 1 << 20);
+}
+
+TEST(SoaCacheEquivalence, TinyCacheMaximalEvictionPressure) {
+  CacheConfig C{"tiny", 4 * 2 * 64, 2, 64, 1};
+  compareOnRandomTrace(C, 4, 100000, 64);
+}
+
+TEST(SoaCacheEquivalence, NonPowerOfTwoSets) {
+  // 5 sets of 4 ways: exercises the modulo set indexing.
+  CacheConfig C{"npot", 5 * 4 * 64, 4, 64, 1};
+  compareOnRandomTrace(C, 5, 100000, 160);
+}
+
+TEST(SoaCacheEquivalence, DirectMappedAndHighAssoc) {
+  CacheConfig Direct{"direct", 64 * 64, 1, 64, 1};
+  compareOnRandomTrace(Direct, 6, 50000, 512);
+  CacheConfig Wide{"wide", 16 * 64, 16, 64, 1};
+  compareOnRandomTrace(Wide, 7, 50000, 64);
 }

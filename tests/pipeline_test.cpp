@@ -1,15 +1,19 @@
 //===- tests/pipeline_test.cpp - Decoupled pipeline identity ---*- C++ -*-===//
 //
-// The decoupled sample pipeline's contract is the same as the parallel
-// engine's: bit-identical results. These tests stress the threaded
-// producer/consumer pair under TSan against a serial replay oracle,
-// then sweep every paper workload under both interpreter cores,
-// diffing the decoupled runs against the inline-simulation oracle —
-// every counter and every serialized profile byte.
+// The decoupled sample pipeline's contract is bit-identical results to
+// inline simulation, the checked oracle. These tests stress the
+// threaded producer/consumer pair under TSan against a serial replay
+// oracle, run multithreaded phases (read-only workers, partitioned
+// writers, odd thread counts, Alloc/Free churn, quantum variations, a
+// {1,2,4,8}-thread sweep) under both consumer placements, then sweep
+// every paper workload under both interpreter cores — diffing every
+// counter and every serialized profile byte against the oracle.
 //
 //===----------------------------------------------------------------------===//
 
+#include "analysis/CodeMap.h"
 #include "cache/Hierarchy.h"
+#include "ir/ProgramBuilder.h"
 #include "profile/MergeTree.h"
 #include "profile/ProfileIO.h"
 #include "runtime/AccessQueue.h"
@@ -22,14 +26,18 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <vector>
 
 using namespace structslim;
 using namespace structslim::runtime;
+using structslim::ir::NoReg;
+using structslim::ir::Reg;
 
 namespace {
 
@@ -172,22 +180,337 @@ TEST(SimPipelineStress, SyncHeavyStreamStaysIdentical) {
 }
 
 //===----------------------------------------------------------------------===//
+// Multithreaded phases: one ring carries every thread's records in the
+// round-robin schedule order.
+//===----------------------------------------------------------------------===//
+
+/// Scoped STRUCTSLIM_THREADS override: ThreadPool::defaultThreadCount()
+/// consults it on every call, so this flips the consumer placement
+/// (inline drains on one core vs a dedicated consumer thread) at will
+/// on any host.
+class ThreadsEnv {
+public:
+  explicit ThreadsEnv(const char *Value) {
+    const char *Old = std::getenv("STRUCTSLIM_THREADS");
+    Had = Old != nullptr;
+    Saved = Old ? Old : "";
+    setenv("STRUCTSLIM_THREADS", Value, 1);
+  }
+  ~ThreadsEnv() {
+    if (Had)
+      setenv("STRUCTSLIM_THREADS", Saved.c_str(), 1);
+    else
+      unsetenv("STRUCTSLIM_THREADS");
+  }
+
+private:
+  std::string Saved;
+  bool Had = false;
+};
+
+/// CLOMP-style phase: read-only workers scanning partitions of a
+/// shared array published through a static mailbox.
+struct ReaderProgram {
+  ir::Program P;
+  uint32_t MainId = 0;
+  uint32_t WorkerId = 0;
+
+  ReaderProgram(Machine &M, int64_t N, unsigned Threads) {
+    uint64_t Mailbox = M.defineStatic("mailbox", 64);
+    int64_t Part = N / Threads;
+    ir::Function &Main = P.addFunction("main", 0);
+    MainId = Main.Id;
+    {
+      ir::ProgramBuilder B(P, Main);
+      Reg Bytes = B.constI(N * 8);
+      Reg Base = B.alloc(Bytes, "shared");
+      B.forLoopI(0, N, 1, [&](Reg I) { B.store(I, Base, I, 8, 0, 8); });
+      Reg Mb = B.constI(static_cast<int64_t>(Mailbox));
+      B.store(Base, Mb, NoReg, 1, 0, 8);
+      B.ret();
+    }
+    ir::Function &Worker = P.addFunction("reader", 1);
+    WorkerId = Worker.Id;
+    {
+      ir::ProgramBuilder B(P, Worker);
+      Reg Tid = 0;
+      Reg Mb = B.constI(static_cast<int64_t>(Mailbox));
+      Reg Base = B.load(Mb, NoReg, 1, 0, 8);
+      Reg Lo = B.mul(Tid, B.constI(Part));
+      Reg Hi = B.add(Lo, B.constI(Part));
+      Reg Acc = B.constI(0);
+      B.setLine(10);
+      B.forLoop(Lo, Hi, 1, [&](Reg I) {
+        B.setLine(11);
+        Reg V = B.load(Base, I, 8, 0, 8);
+        B.accumulate(Acc, V);
+        B.setLine(10);
+      });
+      B.ret(Acc);
+    }
+  }
+};
+
+/// Health-style phase: each worker increments then re-reads its own
+/// disjoint partition of a shared array published through a static
+/// mailbox. Reads, writes, read-own-writes across quanta, shared L3.
+struct WriterProgram {
+  ir::Program P;
+  uint32_t MainId = 0;
+  uint32_t WorkerId = 0;
+
+  WriterProgram(Machine &M, int64_t N, unsigned Threads) {
+    uint64_t Mailbox = M.defineStatic("mailbox", 64);
+    int64_t Part = N / Threads;
+    ir::Function &Main = P.addFunction("main", 0);
+    MainId = Main.Id;
+    {
+      ir::ProgramBuilder B(P, Main);
+      Reg Bytes = B.constI(N * 8);
+      Reg Base = B.alloc(Bytes, "field");
+      B.forLoopI(0, N, 1, [&](Reg I) { B.store(I, Base, I, 8, 0, 8); });
+      Reg Mb = B.constI(static_cast<int64_t>(Mailbox));
+      B.store(Base, Mb, NoReg, 1, 0, 8);
+      B.ret();
+    }
+    ir::Function &Worker = P.addFunction("writer", 1);
+    WorkerId = Worker.Id;
+    {
+      ir::ProgramBuilder B(P, Worker);
+      Reg Tid = 0;
+      Reg Mb = B.constI(static_cast<int64_t>(Mailbox));
+      Reg Base = B.load(Mb, NoReg, 1, 0, 8);
+      Reg Lo = B.mul(Tid, B.constI(Part));
+      Reg Hi = B.add(Lo, B.constI(Part));
+      B.setLine(20);
+      // Pass 1: increment every element of the own partition.
+      B.forLoop(Lo, Hi, 1, [&](Reg I) {
+        B.setLine(21);
+        Reg V = B.load(Base, I, 8, 0, 8);
+        Reg W = B.add(V, B.constI(3));
+        B.store(W, Base, I, 8, 0, 8);
+        B.setLine(20);
+      });
+      // Pass 2: sum it back (reads own writes from earlier quanta).
+      Reg Acc = B.constI(0);
+      B.setLine(22);
+      B.forLoop(Lo, Hi, 1, [&](Reg I) {
+        B.setLine(23);
+        Reg V = B.load(Base, I, 8, 0, 8);
+        B.accumulate(Acc, V);
+        B.setLine(22);
+      });
+      B.ret(Acc);
+    }
+  }
+};
+
+/// Workers that allocate, fill, sum, and free private heap buffers in a
+/// loop — every Alloc/Free crosses AccessQueue::sync(), which must wait
+/// until the consumer has delivered every prior record before the
+/// DataObjectTable mutates.
+struct AllocProgram {
+  ir::Program P;
+  uint32_t WorkerId = 0;
+
+  AllocProgram(int64_t Elems, int64_t Iters) {
+    ir::Function &Worker = P.addFunction("churn", 1);
+    WorkerId = Worker.Id;
+    ir::ProgramBuilder B(P, Worker);
+    Reg Tid = 0;
+    Reg Acc = B.constI(0);
+    B.forLoopI(0, Iters, 1, [&](Reg R) {
+      Reg Bytes = B.constI(Elems * 8);
+      Reg Buf = B.alloc(Bytes, "scratch");
+      B.setLine(30);
+      B.forLoop(B.constI(0), B.constI(Elems), 1, [&](Reg I) {
+        B.setLine(31);
+        Reg V = B.add(B.add(I, Tid), R);
+        B.store(V, Buf, I, 8, 0, 8);
+        B.setLine(30);
+      });
+      B.setLine(32);
+      B.forLoop(B.constI(0), B.constI(Elems), 1, [&](Reg I) {
+        B.setLine(33);
+        Reg V = B.load(Buf, I, 8, 0, 8);
+        B.accumulate(Acc, V);
+        B.setLine(32);
+      });
+      B.free(Buf);
+    });
+    B.ret(Acc);
+  }
+};
+
+/// Dense, jittered sampling so deferred delivery carries real traffic
+/// even in small tests.
+RunConfig denseConfig(bool InlineSimulation) {
+  RunConfig Cfg;
+  Cfg.InlineSimulation = InlineSimulation;
+  Cfg.Sampling.Period = 64;
+  return Cfg;
+}
+
+/// A one-thread setup phase followed by \p Threads workers.
+template <typename Prog>
+RunResult runMainThenWorkers(RunConfig Cfg, unsigned Threads, int64_t N) {
+  ThreadedRuntime RT(Cfg);
+  Prog Program(RT.machine(), N, Threads);
+  analysis::CodeMap Map(Program.P);
+  RT.runPhase(Program.P, &Map, {ThreadSpec{Program.MainId, {}}});
+  std::vector<ThreadSpec> Workers;
+  for (uint64_t T = 0; T != Threads; ++T)
+    Workers.push_back(ThreadSpec{Program.WorkerId, {T}});
+  RT.runPhase(Program.P, &Map, Workers);
+  return RT.finish();
+}
+
+/// Runs \p Prog inline and decoupled and diffs the two; returns the
+/// decoupled run for path checks.
+template <typename Prog>
+RunResult expectDecoupledMatchesInline(unsigned Threads, int64_t N,
+                                       uint64_t Quantum = 64) {
+  RunConfig Inline = denseConfig(/*InlineSimulation=*/true);
+  RunConfig Decoupled = denseConfig(/*InlineSimulation=*/false);
+  Inline.Quantum = Decoupled.Quantum = Quantum;
+  RunResult Oracle = runMainThenWorkers<Prog>(Inline, Threads, N);
+  RunResult Run = runMainThenWorkers<Prog>(Decoupled, Threads, N);
+  expectIdenticalRuns(Oracle, Run);
+  EXPECT_GT(Oracle.Samples, 0u);
+  // The two runs really took different paths: the oracle simulated
+  // inline (no drain batches), the decoupled run drained the ring.
+  EXPECT_EQ(Oracle.ConsumerBatches, 0u);
+  EXPECT_GT(Run.ConsumerBatches, 0u);
+  return Run;
+}
+
+RunResult runChurn(bool InlineSimulation, unsigned Threads) {
+  ThreadedRuntime RT(denseConfig(InlineSimulation));
+  AllocProgram Program(/*Elems=*/96, /*Iters=*/5);
+  analysis::CodeMap Map(Program.P);
+  std::vector<ThreadSpec> Workers;
+  for (uint64_t T = 0; T != Threads; ++T)
+    Workers.push_back(ThreadSpec{Program.WorkerId, {T}});
+  RT.runPhase(Program.P, &Map, Workers);
+  return RT.finish();
+}
+
+void sweepThreadCounts() {
+  for (unsigned Threads : {1u, 2u, 4u, 8u}) {
+    SCOPED_TRACE(std::to_string(Threads) + " threads");
+    RunResult Run = expectDecoupledMatchesInline<WriterProgram>(
+        Threads, static_cast<int64_t>(Threads) * 512);
+    EXPECT_EQ(Run.PipelineCapacity, PipelineQueueCapacity);
+  }
+}
+
+TEST(ParallelDecoupled, ReadOnlyWorkersBitIdentical) {
+  expectDecoupledMatchesInline<ReaderProgram>(4, 4096);
+}
+
+TEST(ParallelDecoupled, PartitionedWritersBitIdentical) {
+  expectDecoupledMatchesInline<WriterProgram>(4, 4096);
+}
+
+TEST(ParallelDecoupled, ManyThreadsOddCountBitIdentical) {
+  expectDecoupledMatchesInline<WriterProgram>(7, 7 * 700);
+}
+
+TEST(ParallelDecoupled, QuantumVariationsStayIdentical) {
+  for (uint64_t Quantum : {1ull, 17ull, 64ull, 1024ull}) {
+    SCOPED_TRACE("quantum " + std::to_string(Quantum));
+    expectDecoupledMatchesInline<WriterProgram>(3, 1024, Quantum);
+  }
+}
+
+// Single-core placement: the producer drains the ring inline whenever
+// it fills and at sync points.
+TEST(ParallelDecoupled, ThreadSweepInlineDrainsBitIdentical) {
+  ThreadsEnv SingleCore("1");
+  sweepThreadCounts();
+}
+
+// Multi-core placement: a dedicated consumer thread drains the ring —
+// the TSan target for multithreaded phases.
+TEST(ParallelDecoupled, ThreadSweepThreadedConsumerBitIdentical) {
+  ThreadsEnv FourCores("4");
+  sweepThreadCounts();
+}
+
+// Alloc/Free churn serializes through AccessQueue::sync(): the
+// producing thread must observe every prior record delivered before
+// the DataObjectTable mutates. Sweep both placements and widths.
+TEST(ParallelDecoupled, AllocFreeChurnThroughDeliverySync) {
+  for (const char *Cores : {"1", "4"}) {
+    ThreadsEnv Env(Cores);
+    for (unsigned Threads : {2u, 4u, 8u}) {
+      SCOPED_TRACE(std::string("host-threads=") + Cores + " workers=" +
+                   std::to_string(Threads));
+      RunResult Oracle = runChurn(/*InlineSimulation=*/true, Threads);
+      RunResult Run = runChurn(/*InlineSimulation=*/false, Threads);
+      expectIdenticalRuns(Oracle, Run);
+      EXPECT_GT(Run.ConsumerBatches, 0u);
+      EXPECT_GT(Oracle.Samples, 0u);
+    }
+  }
+}
+
+// The four-worker churn case at the host's own consumer placement.
+TEST(ParallelEngine, AllocFreeChurnBitIdentical) {
+  RunResult Oracle = runChurn(/*InlineSimulation=*/true, 4);
+  RunResult Run = runChurn(/*InlineSimulation=*/false, 4);
+  expectIdenticalRuns(Oracle, Run);
+  EXPECT_GT(Run.ConsumerBatches, 0u);
+  EXPECT_GT(Oracle.Samples, 0u);
+}
+
+// A hierarchy with a TLB (mode != 0) disables run-length collapse and
+// replays every record exactly, in ring order; multithreaded phases
+// must stay bit-identical on that path too.
+TEST(ParallelDecoupled, NonZeroHierarchyModeReplaysExactly) {
+  for (const char *Cores : {"1", "4"}) {
+    ThreadsEnv Env(Cores);
+    SCOPED_TRACE(std::string("host-threads=") + Cores);
+    RunConfig Inline = denseConfig(/*InlineSimulation=*/true);
+    RunConfig Decoupled = denseConfig(/*InlineSimulation=*/false);
+    Inline.Hierarchy.EnableTlb = Decoupled.Hierarchy.EnableTlb = true;
+    RunResult Oracle = runMainThenWorkers<WriterProgram>(Inline, 4, 2048);
+    RunResult Run = runMainThenWorkers<WriterProgram>(Decoupled, 4, 2048);
+    expectIdenticalRuns(Oracle, Run);
+    EXPECT_GT(Run.ConsumerBatches, 0u);
+  }
+}
+
+// Three-way identity: the reference interpreter (direct ir::Instr
+// walk), the predecoded core, and the predecoded core with inline
+// simulation must agree bit for bit on a multithreaded program.
+TEST(PredecodedEngine, ThreeWayBitIdenticalWithReferenceCore) {
+  auto Execute = [](bool Reference, bool InlineSimulation) {
+    RunConfig Cfg = denseConfig(InlineSimulation);
+    Cfg.ReferenceInterpreter = Reference;
+    return runMainThenWorkers<WriterProgram>(Cfg, 4, 4096);
+  };
+  RunResult Ref = Execute(/*Reference=*/true, /*InlineSimulation=*/false);
+  RunResult Pre = Execute(/*Reference=*/false, /*InlineSimulation=*/false);
+  RunResult PreInline =
+      Execute(/*Reference=*/false, /*InlineSimulation=*/true);
+  expectIdenticalRuns(Ref, Pre);
+  expectIdenticalRuns(Ref, PreInline);
+  EXPECT_GT(Ref.Samples, 0u);
+}
+
+//===----------------------------------------------------------------------===//
 // Differential sweep: every paper workload, both interpreter cores.
 //===----------------------------------------------------------------------===//
 
 workloads::WorkloadRun runWith(const workloads::Workload &W,
-                               PipelineKind Pipeline, bool Reference) {
+                               bool InlineSimulation, bool Reference,
+                               double Scale = 0.08) {
   workloads::DriverConfig Cfg;
-  Cfg.Scale = 0.08;
+  Cfg.Scale = Scale;
   Cfg.Run.Sampling.Period = 2000;
-  // Force the serial phase engine: the pipeline only applies there
-  // (the parallel engine has its own deferred-round machinery, covered
-  // by parallel_runtime_test).
-  Cfg.Run.Engine = EngineKind::Serial;
-  Cfg.Run.Pipeline = Pipeline;
+  Cfg.Run.InlineSimulation = InlineSimulation;
   Cfg.Run.ReferenceInterpreter = Reference;
-  // A small ring guarantees backpressure engages on every workload.
-  Cfg.Run.PipelineCapacity = 1 << 10;
   transform::FieldMap Map(W.hotLayout());
   return workloads::runWorkload(W, Map, Cfg, /*Attach=*/true);
 }
@@ -198,9 +521,9 @@ TEST(PipelineDifferential, PaperWorkloadsDecoupledMatchesInlineOracle) {
       SCOPED_TRACE(W->name() +
                    (Reference ? " [reference core]" : " [predecoded core]"));
       workloads::WorkloadRun Oracle =
-          runWith(*W, PipelineKind::Inline, Reference);
+          runWith(*W, /*InlineSimulation=*/true, Reference);
       workloads::WorkloadRun Decoupled =
-          runWith(*W, PipelineKind::Decoupled, Reference);
+          runWith(*W, /*InlineSimulation=*/false, Reference);
       expectIdenticalRuns(Oracle.Result, Decoupled.Result);
       EXPECT_EQ(profileText(Oracle.Merged), profileText(Decoupled.Merged));
       // The two runs really took different paths: the oracle simulated
@@ -212,15 +535,45 @@ TEST(PipelineDifferential, PaperWorkloadsDecoupledMatchesInlineOracle) {
   }
 }
 
-// PipelineKind::Auto must resolve to the decoupled pipeline for
-// profiled serial phases and stay bit-identical to the inline oracle.
-TEST(PipelineDifferential, AutoResolvesToDecoupledAndStaysIdentical) {
-  auto W = workloads::makeTsp();
-  workloads::WorkloadRun Oracle = runWith(*W, PipelineKind::Inline, false);
-  workloads::WorkloadRun Auto = runWith(*W, PipelineKind::Auto, false);
-  expectIdenticalRuns(Oracle.Result, Auto.Result);
-  EXPECT_EQ(profileText(Oracle.Merged), profileText(Auto.Merged));
-  EXPECT_GT(Auto.Result.ConsumerBatches, 0u);
+// All seven paper workloads under the threaded consumer placement: the
+// parallel workloads run their native four-thread phases round-robin
+// through one ring drained by the dedicated consumer thread.
+TEST(ParallelDecoupled, PaperWorkloadsMatchSerialInlineOracle) {
+  ThreadsEnv FourCores("4");
+  for (const auto &W : workloads::makePaperWorkloads()) {
+    SCOPED_TRACE(W->name());
+    workloads::WorkloadRun Oracle =
+        runWith(*W, /*InlineSimulation=*/true, /*Reference=*/false);
+    workloads::WorkloadRun Decoupled =
+        runWith(*W, /*InlineSimulation=*/false, /*Reference=*/false);
+    expectIdenticalRuns(Oracle.Result, Decoupled.Result);
+    EXPECT_EQ(profileText(Oracle.Merged), profileText(Decoupled.Merged));
+    EXPECT_EQ(Oracle.Result.ConsumerBatches, 0u);
+    EXPECT_GT(Decoupled.Result.ConsumerBatches, 0u);
+    EXPECT_GT(Oracle.Result.Samples, 0u);
+  }
+}
+
+// The full pipeline on the paper's two multithreaded workloads at a
+// larger scale: the merged profile a user sees must not depend on
+// whether simulation runs inline or decoupled.
+void expectMultithreadedWorkloadIdentical(const workloads::Workload &W) {
+  workloads::WorkloadRun Oracle = runWith(W, /*InlineSimulation=*/true,
+                                          /*Reference=*/false, /*Scale=*/0.1);
+  workloads::WorkloadRun Decoupled = runWith(W, /*InlineSimulation=*/false,
+                                             /*Reference=*/false, /*Scale=*/0.1);
+  ASSERT_TRUE(W.isParallel());
+  expectIdenticalRuns(Oracle.Result, Decoupled.Result);
+  EXPECT_EQ(profileText(Oracle.Merged), profileText(Decoupled.Merged));
+  EXPECT_GT(Decoupled.Result.ConsumerBatches, 0u);
+}
+
+TEST(ParallelEngine, ClompWorkloadBitIdentical) {
+  expectMultithreadedWorkloadIdentical(*workloads::makeClomp());
+}
+
+TEST(ParallelEngine, HealthWorkloadBitIdentical) {
+  expectMultithreadedWorkloadIdentical(*workloads::makeHealth());
 }
 
 // The counter reporting path end to end: dumpProfiles stamps the run's
@@ -233,8 +586,6 @@ TEST(PipelineCounters, StampedShardMergeReproducesRunTotals) {
   auto W = workloads::makeTsp();
   RunConfig Cfg;
   Cfg.Sampling.Period = 2000;
-  Cfg.Pipeline = PipelineKind::Decoupled;
-  Cfg.PipelineCapacity = 1 << 10;
   ThreadedRuntime RT(Cfg);
   transform::FieldMap Map(W->hotLayout());
   workloads::BuiltWorkload Built = W->build(RT.machine(), Map, /*Scale=*/0.08);

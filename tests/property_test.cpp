@@ -273,8 +273,7 @@ namespace {
 std::pair<std::vector<uint64_t>, std::vector<std::string>>
 runProfiled(const ir::Program &P) {
   runtime::RunConfig Cfg;
-  Cfg.Engine = runtime::EngineKind::Serial;
-  Cfg.Pipeline = runtime::PipelineKind::Inline;
+  Cfg.InlineSimulation = true;
   Cfg.Sampling.Period = 128;
   runtime::ThreadedRuntime RT(Cfg);
   analysis::CodeMap CM(P);
@@ -425,10 +424,10 @@ INSTANTIATE_TEST_SUITE_P(Random, MemorySemanticsProperty,
 // Random programs hitting the predecoder's interesting corners — the
 // fusable adjacent pairs (AddI+Load, ConstI+Store, Cmp*+CondBr), mixed
 // access sizes, page-straddling accesses, calls, div/rem — run three
-// ways: reference interpreter (serial), predecoded core (serial), and
-// predecoded core (parallel OS-thread engine). Every counter, every
-// return value, every byte of every serialized profile, and the final
-// memory image must match the reference exactly.
+// ways: reference interpreter, predecoded core, and predecoded core with
+// inline simulation. Every counter, every return value, every byte of
+// every serialized profile, and the final memory image must match the
+// reference exactly.
 
 namespace {
 
@@ -442,13 +441,13 @@ constexpr unsigned SweepThreads = 2;
 
 /// Builds the random program for \p R and runs it. The program and all
 /// addresses are fully determined by the seed, so two invocations with
-/// the same seed differ only in the engine under test.
-SweepOutcome runSweep(uint64_t Seed, bool Reference,
-                      runtime::EngineKind Engine, uint64_t Quantum) {
+/// the same seed differ only in the configuration under test.
+SweepOutcome runSweep(uint64_t Seed, bool Reference, bool InlineSimulation,
+                      uint64_t Quantum) {
   Rng R(Seed);
   runtime::RunConfig Cfg;
-  Cfg.Engine = Engine;
   Cfg.ReferenceInterpreter = Reference;
+  Cfg.InlineSimulation = InlineSimulation;
   Cfg.Quantum = Quantum;
   Cfg.Sampling.Period = 64; // dense sampling: profile bytes carry signal
   runtime::ThreadedRuntime RT(Cfg);
@@ -513,8 +512,7 @@ SweepOutcome runSweep(uint64_t Seed, bool Reference,
         }
         case 1: { // AddI+Load fusion candidate
           // Idx*8 stays under 256 bytes; keep the whole access inside
-          // the partition so the parallel engine sees no cross-thread
-          // same-round sharing.
+          // the partition so workers never share bytes.
           int64_t IdxDisp =
               static_cast<int64_t>(R.nextBelow(SweepPartBytes - 8 - 256)) &
               ~7ll;
@@ -595,17 +593,15 @@ TEST_P(PredecodeProperty, RandomProgramsBitIdenticalAcrossCores) {
   // slice; 3 lands mid-pair; 64 is the production default.
   const uint64_t Quanta[] = {1, 3, 64};
   uint64_t Quantum = Quanta[GetParam() % 3];
-  SweepOutcome Ref =
-      runSweep(Seed, /*Reference=*/true, runtime::EngineKind::Serial, Quantum);
+  SweepOutcome Ref = runSweep(Seed, /*Reference=*/true,
+                              /*InlineSimulation=*/false, Quantum);
   SweepOutcome Pre = runSweep(Seed, /*Reference=*/false,
-                              runtime::EngineKind::Serial, Quantum);
-  SweepOutcome Par = runSweep(Seed, /*Reference=*/false,
-                              runtime::EngineKind::Parallel, Quantum);
-  expectSweepIdentical(Ref, Pre, "predecoded-serial");
-  expectSweepIdentical(Ref, Par, "predecoded-parallel");
+                              /*InlineSimulation=*/false, Quantum);
+  SweepOutcome PreInline = runSweep(Seed, /*Reference=*/false,
+                                    /*InlineSimulation=*/true, Quantum);
+  expectSweepIdentical(Ref, Pre, "predecoded");
+  expectSweepIdentical(Ref, PreInline, "predecoded-inline");
   EXPECT_GT(Ref.Result.Samples, 0u);
-  EXPECT_EQ(Pre.Result.ParallelPhases, 0u);
-  EXPECT_GT(Par.Result.ParallelPhases, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Random, PredecodeProperty, ::testing::Range(0, 9));

@@ -241,8 +241,9 @@ TEST(SimdDispatch, ForceScalarDemotesBothKernels) {
 
 TEST(SimdDispatch, HostFeatureQueriesAreCoherent) {
   // AVX2 hosts are SSE2 hosts; the names render for every tier.
-  if (simd::hostAvx2())
+  if (simd::hostAvx2()) {
     EXPECT_TRUE(simd::hostSse2());
+  }
   for (simd::Level L :
        {simd::Level::Scalar, simd::Level::Sse2, simd::Level::Avx2}) {
     ASSERT_NE(simd::levelName(L), nullptr);

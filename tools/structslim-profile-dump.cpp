@@ -110,11 +110,10 @@ int main(int argc, char **argv) {
   }
 
   // The pinned deterministic configuration the golden tests use:
-  // serial engine, inline pipeline, one worker — byte-stable output.
+  // inline simulation, one worker — byte-stable output.
   workloads::DriverConfig Config;
   Config.Scale = Scale;
-  Config.Run.Engine = runtime::EngineKind::Serial;
-  Config.Run.Pipeline = runtime::PipelineKind::Inline;
+  Config.Run.InlineSimulation = true;
   Config.WorkerThreads = 1;
   Config.Analysis.Jobs = 1;
 
