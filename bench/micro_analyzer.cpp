@@ -4,21 +4,27 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Host-side throughput of the parallel offline analyzer: a synthetic
-// merged profile with many hot objects (each with many streams over
-// many loops and fields) is analyzed at jobs=1/2/4/8. Output must be
-// byte-identical across job counts — this bench asserts it by
-// comparing the full JSON renderings — and the interesting numbers are
-// wall-clock analysis time and speedup. On a single-core host the
-// parallel path can only add overhead, which the JSON records honestly
-// alongside the host's hardware_concurrency.
+// Host-side time of the offline analyzer (StructSlimAnalyzer::analyze,
+// serial) on two synthetic merged profiles, each analyzed with every
+// object selected:
+//
+//  - dense: many hot objects, each with many well-sampled streams over
+//    many loops and fields, so the per-object affinity pass dominates;
+//  - sparse: the same shape from a lossy bounded-reservoir run, with
+//    half of every object's strided streams below the Eq. 4 bar, so
+//    each of them pays for its Eq. 4 size-confidence discount.
+//
+// Each case reports the median and quartiles over repeated runs, and
+// every repeat must render the same JSON document (exit 1 otherwise).
+// The sparse case also checks that it exercised the sparse path.
 //
 // Writes BENCH_analyzer.json (override the path with argv[1]).
-// --smoke shrinks the profile and rep count for CI.
+// --smoke shrinks the profiles for CI.
 //
 //===----------------------------------------------------------------------===//
 
 #include "HostFeatures.h"
+#include "Spread.h"
 #include "core/Report.h"
 #include "support/Format.h"
 #include "support/Random.h"
@@ -40,12 +46,19 @@ namespace {
 /// Builds a merged-profile shape that stresses the analyzer's hot
 /// paths: \p Objects data objects, each with \p Streams streams spread
 /// over \p Loops loops and \p Fields distinct field offsets, so the
-/// per-object affinity pass sees dense loop/field interaction.
+/// per-object affinity pass sees dense loop/field interaction. With
+/// \p Sparse, every other stream keeps only 2-9 unique addresses (below
+/// the default MinUniqueAddrs of 10) and the profile records reservoir
+/// evictions.
 Profile makeProfile(unsigned Objects, unsigned Streams, unsigned Loops,
-                    unsigned Fields) {
+                    unsigned Fields, bool Sparse) {
   Rng R(0xbe9c4);
   Profile Prof;
   Prof.SamplePeriod = 10000;
+  if (Sparse) {
+    Prof.ReservoirCapacity = 4096;
+    Prof.ReservoirEvictions = 1;
+  }
   for (unsigned Obj = 0; Obj != Objects; ++Obj) {
     std::string Name = "obj" + std::to_string(Obj);
     uint32_t Idx = Prof.getOrCreateObject(Name);
@@ -66,7 +79,7 @@ Profile makeProfile(unsigned Objects, unsigned Streams, unsigned Loops,
       Rec.AccessSize = 8;
       Rec.SampleCount += 1;
       Rec.LatencySum += Latency;
-      Rec.UniqueAddrCount = 16;
+      Rec.UniqueAddrCount = Sparse && S % 2 ? 2 + R.nextBelow(8) : 16;
       Rec.StrideGcd = 8ull * Fields;
       Rec.ObjectStart = Start;
       Rec.RepAddr = Start + 8 * R.nextBelow(Fields) +
@@ -76,23 +89,35 @@ Profile makeProfile(unsigned Objects, unsigned Streams, unsigned Loops,
   return Prof;
 }
 
-struct Measured {
-  AnalysisResult Result;
-  double Seconds = 0;
+struct CaseResult {
+  Spread Seconds;
+  AnalysisStats Stats;
+  bool Identical = true; ///< Every repeat rendered the same document.
 };
 
-Measured runOnce(const Profile &Prof, unsigned Jobs, unsigned Reps) {
+CaseResult runCase(const Profile &Prof, unsigned Reps) {
   AnalysisConfig Config;
-  Config.TopObjects = ~0u; // Analyze everything: the fan-out is the point.
+  Config.TopObjects = ~0u; // Analyze everything.
   Config.MinObjectShare = 0.0;
-  Config.Jobs = Jobs;
-  StructSlimAnalyzer Analyzer(Config);
-  Measured Out;
-  auto Begin = std::chrono::steady_clock::now();
-  for (unsigned Rep = 0; Rep != Reps; ++Rep)
-    Out.Result = Analyzer.analyze(Prof);
-  auto End = std::chrono::steady_clock::now();
-  Out.Seconds = std::chrono::duration<double>(End - Begin).count() / Reps;
+  CaseResult Out;
+  std::vector<double> Times;
+  std::string First;
+  for (unsigned Rep = 0; Rep != Reps; ++Rep) {
+    auto Begin = std::chrono::steady_clock::now();
+    AnalysisResult Result = StructSlimAnalyzer(Config).analyze(Prof);
+    Times.push_back(std::chrono::duration<double>(
+                        std::chrono::steady_clock::now() - Begin)
+                        .count());
+    // Fixed stats: timings are the one legitimately varying part.
+    std::string Json =
+        renderJsonReport(Result, Prof, Config, ReportStats(), {});
+    if (Rep == 0)
+      First = std::move(Json);
+    else
+      Out.Identical = Out.Identical && Json == First;
+    Out.Stats = Result.Stats;
+  }
+  Out.Seconds = spreadOf(Times);
   return Out;
 }
 
@@ -112,30 +137,17 @@ int main(int argc, char **argv) {
   const unsigned Streams = Smoke ? 64 : 512;
   const unsigned Loops = 24;
   const unsigned Fields = 32;
-  const unsigned Reps = Smoke ? 2 : 5;
+  const unsigned Reps = Smoke ? 5 : 9;
   const unsigned HostCores = std::thread::hardware_concurrency();
 
-  std::cout << "Offline analyzer scaling (host hardware_concurrency="
-            << HostCores << ", " << Objects << " objects x " << Streams
-            << " streams, " << Loops << " loops, " << Fields
-            << " fields)\n\n";
-
-  Profile Prof = makeProfile(Objects, Streams, Loops, Fields);
-
-  AnalysisConfig RenderConfig;
-  auto JsonOf = [&](const AnalysisResult &R) {
-    // Fixed stats: timings are the one legitimately varying part.
-    return renderJsonReport(R, Prof, RenderConfig, ReportStats(), {});
-  };
-
-  Measured Serial = runOnce(Prof, 1, Reps);
-  std::string SerialJson = JsonOf(Serial.Result);
+  std::cout << "Offline analyzer (host hardware_concurrency=" << HostCores
+            << ", " << Objects << " objects x " << Streams << " streams, "
+            << Loops << " loops, " << Fields << " fields, " << Reps
+            << " repeats)\n\n";
 
   TablePrinter Table;
-  Table.setHeader({"jobs", "analyze s", "speedup", "objects/s", "identical"});
-  Table.addRow({"1", formatDouble(Serial.Seconds, 4), "1.00x",
-                formatDouble(Objects / Serial.Seconds, 0), "yes"});
-
+  Table.setHeader({"case", "sparse streams", "median s", "q1 s", "q3 s",
+                   "objects/s", "identical"});
   std::ofstream Json(JsonPath);
   Json << "{\n  \"bench\": \"micro_analyzer\",\n"
        << hostFeatureJsonFields()
@@ -143,37 +155,43 @@ int main(int argc, char **argv) {
        << "  \"objects\": " << Objects << ",\n"
        << "  \"streams_per_object\": " << Streams << ",\n"
        << "  \"loops\": " << Loops << ",\n"
-       << "  \"fields\": " << Fields << ",\n  \"points\": [\n"
-       << "    {\"jobs\": 1, \"analyze_seconds\": " << Serial.Seconds
-       << ", \"speedup\": 1.0, \"identical\": true},\n";
+       << "  \"fields\": " << Fields << ",\n"
+       << "  \"repeats\": " << Reps << ",\n  \"cases\": [\n";
 
-  bool AllIdentical = true;
-  const unsigned Widths[] = {2, 4, 8};
-  for (size_t W = 0; W != sizeof(Widths) / sizeof(*Widths); ++W) {
-    unsigned Jobs = Widths[W];
-    Measured Parallel = runOnce(Prof, Jobs, Reps);
-    bool Identical = JsonOf(Parallel.Result) == SerialJson;
-    AllIdentical = AllIdentical && Identical;
-    double Speedup =
-        Parallel.Seconds > 0 ? Serial.Seconds / Parallel.Seconds : 0.0;
-    Table.addRow({std::to_string(Jobs), formatDouble(Parallel.Seconds, 4),
-                  formatDouble(Speedup, 2) + "x",
-                  formatDouble(Objects / Parallel.Seconds, 0),
-                  Identical ? "yes" : "NO"});
-    Json << "    {\"jobs\": " << Jobs
-         << ", \"analyze_seconds\": " << Parallel.Seconds
-         << ", \"speedup\": " << Speedup
-         << ", \"identical\": " << (Identical ? "true" : "false") << "}"
-         << (W + 1 != sizeof(Widths) / sizeof(*Widths) ? "," : "") << "\n";
+  bool Ok = true;
+  for (bool Sparse : {false, true}) {
+    const char *Name = Sparse ? "sparse" : "dense";
+    Profile Prof = makeProfile(Objects, Streams, Loops, Fields, Sparse);
+    CaseResult C = runCase(Prof, Reps);
+    if (!C.Identical) {
+      std::cerr << "FAIL: repeats of the " << Name
+                << " analysis rendered different documents\n";
+      Ok = false;
+    }
+    if (Sparse && (C.Stats.SparseStreams < 100 ||
+                   C.Stats.TruncatedStreams != C.Stats.SparseStreams)) {
+      std::cerr << "FAIL: the sparse case flagged " << C.Stats.SparseStreams
+                << " sparse / " << C.Stats.TruncatedStreams
+                << " truncated streams\n";
+      Ok = false;
+    }
+    Table.addRow({Name, std::to_string(C.Stats.SparseStreams),
+                  formatDouble(C.Seconds.Median, 5),
+                  formatDouble(C.Seconds.Q1, 5), formatDouble(C.Seconds.Q3, 5),
+                  formatDouble(Objects / C.Seconds.Median, 0),
+                  C.Identical ? "yes" : "NO"});
+    Json << "    {\"case\": \"" << Name
+         << "\", \"sparse_streams\": " << C.Stats.SparseStreams << ", "
+         << C.Seconds.jsonFields("analyze_seconds")
+         << ", \"identical\": " << (C.Identical ? "true" : "false") << "}"
+         << (Sparse ? "" : ",") << "\n";
   }
   Json << "  ]\n}\n";
   Table.print(std::cout);
 
-  if (!AllIdentical) {
-    std::cerr << "\nFAIL: parallel analysis diverged from serial results\n";
+  if (!Ok)
     return 1;
-  }
-  std::cout << "\nAll job counts byte-identical to serial. JSON: " << JsonPath
+  std::cout << "\nEvery repeat rendered the same document. JSON: " << JsonPath
             << "\n";
   return 0;
 }

@@ -12,7 +12,8 @@
 //    tree merge, single-threaded;
 //  - the current pipeline (loadAndMergeProfiles): v3 decode + interned
 //    allocation-free merge, streamed, at jobs=1/2/4;
-//  - raw decode throughput of v2 vs v3 for the same profiles.
+//  - raw decode throughput of v2 vs v3 for the same profiles;
+//  - cold analysis of the full merged profile (median and quartiles).
 //
 // Every configuration must produce byte-identical merged profiles —
 // the bench asserts it by comparing serialized results — and the
@@ -27,6 +28,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "HostFeatures.h"
+#include "Spread.h"
 #include "core/Analyzer.h"
 #include "core/Report.h"
 #include "profile/MergeTree.h"
@@ -162,6 +164,7 @@ int main(int argc, char **argv) {
   const unsigned StreamsPerObject = Smoke ? 16 : 48;
   const unsigned CctNodes = Smoke ? 32 : 256;
   const unsigned Reps = Smoke ? 1 : 3;
+  const unsigned AnalyzeReps = Smoke ? 3 : 9;
   const unsigned HostCores = std::thread::hardware_concurrency();
 
   std::cout << "Profile ingest + merge throughput (host hardware_concurrency="
@@ -396,13 +399,10 @@ int main(int argc, char **argv) {
   }
   Json += "\n  ],\n";
 
-  // Warm vs cold analysis on the full merged profile: the incremental
-  // result cache re-serves unchanged objects, so a rolling re-report
-  // after an epoch that changed nothing skips analyzeObject entirely.
-  // The warm rendering must be byte-identical to the cold one.
-  double AnalyzeColdSeconds = 0, AnalyzeWarmSeconds = 0;
-  uint64_t ObjectsReused = 0;
-  bool WarmIdentical = false;
+  // Cold analysis of the full merged profile, every object selected:
+  // the offline stage that follows ingest in structslim-report. Each
+  // repeat runs a fresh analyzer and must render the same table.
+  Spread AnalyzeSeconds;
   {
     profile::MergeOptions Opts;
     Opts.WorkerThreads = 1;
@@ -410,38 +410,29 @@ int main(int argc, char **argv) {
     core::AnalysisConfig Config;
     Config.TopObjects = 1000;
     Config.MinObjectShare = 0;
-    Config.Jobs = 1;
-    core::StructSlimAnalyzer Analyzer(Config);
-    auto TCold = std::chrono::steady_clock::now();
-    core::AnalysisResult Cold = Analyzer.analyze(Merged);
-    AnalyzeColdSeconds = secondsSince(TCold);
-    auto TWarm = std::chrono::steady_clock::now();
-    core::AnalysisResult Warm = Analyzer.analyze(Merged);
-    AnalyzeWarmSeconds = secondsSince(TWarm);
-    ObjectsReused = Warm.Stats.ObjectsReused;
-    WarmIdentical = core::renderHotObjects(Warm) ==
-                        core::renderHotObjects(Cold) &&
-                    ObjectsReused == Cold.Objects.size();
-    AllIdentical = AllIdentical && WarmIdentical;
-    std::cout << "Warm re-analysis: cold "
-              << formatDouble(AnalyzeColdSeconds, 4) << "s, warm "
-              << formatDouble(AnalyzeWarmSeconds, 4) << "s ("
-              << formatDouble(AnalyzeWarmSeconds > 0
-                                  ? AnalyzeColdSeconds / AnalyzeWarmSeconds
-                                  : 0.0,
-                              2)
-              << "x), " << ObjectsReused << " objects reused, identical: "
-              << (WarmIdentical ? "yes" : "NO") << "\n\n";
+    std::vector<double> Times;
+    std::string First;
+    for (unsigned R = 0; R != AnalyzeReps; ++R) {
+      auto T0 = std::chrono::steady_clock::now();
+      core::AnalysisResult Result =
+          core::StructSlimAnalyzer(Config).analyze(Merged);
+      Times.push_back(secondsSince(T0));
+      std::string Table = core::renderHotObjects(Result);
+      if (R == 0)
+        First = std::move(Table);
+      else
+        AllIdentical = AllIdentical && Table == First;
+    }
+    AnalyzeSeconds = spreadOf(Times);
+    std::cout << "Cold analysis of the " << MaxShards
+              << "-shard merged profile: median "
+              << formatDouble(AnalyzeSeconds.Median, 4) << "s (IQR "
+              << formatDouble(AnalyzeSeconds.Q1, 4) << "-"
+              << formatDouble(AnalyzeSeconds.Q3, 4) << "s, " << AnalyzeReps
+              << " repeats)\n\n";
   }
-  Json += "  \"analysis\": {\"cold_seconds\": " +
-          std::to_string(AnalyzeColdSeconds) +
-          ", \"warm_seconds\": " + std::to_string(AnalyzeWarmSeconds) +
-          ", \"warm_speedup\": " +
-          std::to_string(AnalyzeWarmSeconds > 0
-                             ? AnalyzeColdSeconds / AnalyzeWarmSeconds
-                             : 0.0) +
-          ", \"objects_reused\": " + std::to_string(ObjectsReused) +
-          ", \"identical\": " + (WarmIdentical ? "true" : "false") + "},\n";
+  Json += "  \"analysis\": {\"repeats\": " + std::to_string(AnalyzeReps) +
+          ", " + AnalyzeSeconds.jsonFields("analysis_seconds") + "},\n";
   Json += "  \"headline_single_core_speedup\": " +
           std::to_string(HeadlineSpeedup) + ",\n";
   Json += "  \"all_identical\": " + std::string(AllIdentical ? "true"

@@ -6,6 +6,7 @@
 #include "support/MathUtil.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
 #include <numeric>
@@ -26,16 +27,37 @@ double structslim::core::eq4Accuracy(uint64_t N, uint64_t K) {
   return 1.0 - Loss;
 }
 
-double structslim::core::eq4LowerBound(uint64_t K) {
-  assert(K >= 2 && "need at least two samples");
+namespace {
+
+/// The closed-form bound summed over the primes below 10^5 in ascending
+/// order, stopping after the first term below 1e-18.
+double sumLowerBound(uint64_t K) {
+  static const std::vector<uint64_t> Primes = primesUpTo(100000);
   double Loss = 0.0;
-  for (uint64_t P : primesUpTo(100000)) {
+  for (uint64_t P : Primes) {
     double Term = std::pow(static_cast<double>(P), -static_cast<double>(K));
     Loss += Term;
     if (Term < 1e-18)
       break;
   }
   return 1.0 - Loss;
+}
+
+} // namespace
+
+double structslim::core::eq4LowerBound(uint64_t K) {
+  assert(K >= 2 && "need at least two samples");
+  // The analyzer asks once per sparse stream, almost always for a small
+  // K, whose sum runs over thousands of primes: serve [2, 64) from a
+  // table the same loop fills once. Static initialization is race-free.
+  constexpr uint64_t TableEnd = 64;
+  static const std::array<double, TableEnd> Table = [] {
+    std::array<double, TableEnd> T{};
+    for (uint64_t I = 2; I != TableEnd; ++I)
+      T[I] = sumLowerBound(I);
+    return T;
+  }();
+  return K < TableEnd ? Table[K] : sumLowerBound(K);
 }
 
 double structslim::core::exactAccuracy(uint64_t N, uint64_t K) {

@@ -391,7 +391,7 @@ std::string structslim::core::renderStatsText(const AnalysisResult &Result,
   OS << "=== Pipeline stats ===\n";
   OS << "merge:   " << formatDouble(Stats.MergeSeconds, 6) << "s  ("
      << Stats.ShardsMerged << " shard(s) merged, " << Stats.ShardsSkipped
-     << " skipped)\n";
+     << " skipped, jobs=" << Stats.Jobs << ")\n";
   OS << "  load:   " << formatDouble(Stats.MergeLoadSeconds, 6)
      << "s  (decode, summed across workers)\n";
   OS << "  reduce: " << formatDouble(Stats.MergeReduceSeconds, 6)
@@ -399,8 +399,7 @@ std::string structslim::core::renderStatsText(const AnalysisResult &Result,
      << ")\n";
   OS << "analyze: " << formatDouble(Stats.AnalyzeSeconds, 6) << "s  ("
      << Result.Stats.ObjectsAnalyzed << "/" << Result.Stats.ObjectsConsidered
-     << " object(s), " << Result.Stats.StreamsAnalyzed << " stream(s), jobs="
-     << Stats.Jobs << ")\n";
+     << " object(s), " << Result.Stats.StreamsAnalyzed << " stream(s))\n";
   OS << "render:  " << formatDouble(Stats.RenderSeconds, 6) << "s\n";
   // Only decoupled-pipeline runs record these; keep inline-run output
   // byte-for-byte what it was before the counters existed.

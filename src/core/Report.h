@@ -27,7 +27,7 @@ namespace core {
 /// Per-stage wall-clock timings and shard counters of one report run,
 /// printed under `structslim-report --stats` and embedded in the JSON
 /// document. Purely informational: never part of the byte-identity
-/// contract between serial and parallel runs (timings vary), which is
+/// contract between runs (timings vary), which is
 /// why renderJsonReport embeds exactly what the caller passes instead
 /// of measuring anything itself.
 struct ReportStats {
@@ -38,7 +38,7 @@ struct ReportStats {
   double MergeReduceSeconds = 0; ///< Coordinator time folding shards.
   double AnalyzeSeconds = 0; ///< StructSlimAnalyzer::analyze.
   double RenderSeconds = 0;  ///< Report rendering (text or JSON).
-  unsigned Jobs = 0;         ///< Effective worker count used.
+  unsigned Jobs = 0;         ///< Effective merge worker count.
   uint64_t ShardsMerged = 0;
   uint64_t ShardsSkipped = 0;
   /// High-water mark of decoded profiles resident during the merge.

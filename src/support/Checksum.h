@@ -22,9 +22,9 @@
 namespace structslim {
 namespace support {
 
-/// Computes the CRC-32 of \p Size bytes at \p Data. Incremental use:
-/// pass the previous return value as \p Crc to continue a running
-/// checksum (the pre/post inversion is handled internally).
+/// Computes the CRC-32 of \p Size bytes at \p Data. To continue a
+/// running checksum, pass the previous return value as \p Crc (the
+/// pre/post inversion is handled internally).
 uint32_t crc32(const void *Data, size_t Size, uint32_t Crc = 0);
 
 /// Convenience overload over a byte string.

@@ -96,39 +96,6 @@ void ThreadPool::workerLoop(size_t Index) {
   }
 }
 
-void ThreadPool::run(const std::vector<std::function<void()>> &Tasks) {
-  if (Tasks.empty())
-    return;
-  if (Tasks.size() == 1) {
-    Tasks.front()();
-    return;
-  }
-
-  struct Latch {
-    std::mutex M;
-    std::condition_variable Done;
-    size_t Remaining;
-  } L;
-  L.Remaining = Tasks.size();
-
-  {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    for (const auto &Task : Tasks) {
-      Workers[NextDeque]->Deque.push_back([&L, &Task] {
-        Task();
-        std::lock_guard<std::mutex> Lock(L.M);
-        if (--L.Remaining == 0)
-          L.Done.notify_one();
-      });
-      NextDeque = (NextDeque + 1) % Workers.size();
-    }
-  }
-  WorkAvailable.notify_all();
-
-  std::unique_lock<std::mutex> Lock(L.M);
-  L.Done.wait(Lock, [&L] { return L.Remaining == 0; });
-}
-
 void ThreadPool::submit(std::function<void()> Task) {
   {
     std::lock_guard<std::mutex> Lock(Mutex);

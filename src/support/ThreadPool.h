@@ -6,9 +6,8 @@
 ///
 /// \file
 /// A reusable work-stealing thread pool shared by every parallel
-/// component: MergeTree reduces profile pairs on it, the analyzer
-/// fans objects out over it, and the workload Driver sizes its merge
-/// from it.
+/// component: MergeTree reduces profile pairs and decodes shards on
+/// it, and the workload Driver sizes its merge from it.
 ///
 /// Each worker owns a deque; it pops work from the back and steals from
 /// the front of other workers' deques when its own runs dry.
@@ -44,11 +43,6 @@ public:
   ThreadPool &operator=(const ThreadPool &) = delete;
 
   unsigned getWorkerCount() const;
-
-  /// Runs every task and blocks until all of them have finished. Tasks
-  /// are distributed one per worker deque, so with getWorkerCount() >=
-  /// Tasks.size() each task runs on its own OS thread.
-  void run(const std::vector<std::function<void()>> &Tasks);
 
   /// Calls Body(I) for every I in [Begin, End), distributing indices
   /// over the workers; blocks until all calls returned. The calling

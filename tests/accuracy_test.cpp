@@ -5,10 +5,80 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <thread>
+#include <vector>
 
 using namespace structslim;
 using namespace structslim::core;
+
+namespace {
+
+/// The closed-form bound written out independently: the primes below
+/// 10^5 from a plain sieve, p^-k summed in ascending order up to and
+/// including the first term below 1e-18.
+double referenceLowerBound(uint64_t K) {
+  static const std::vector<uint64_t> Primes = [] {
+    const uint64_t Limit = 100000;
+    std::vector<bool> Composite(Limit + 1, false);
+    std::vector<uint64_t> Out;
+    for (uint64_t P = 2; P <= Limit; ++P) {
+      if (Composite[P])
+        continue;
+      Out.push_back(P);
+      for (uint64_t M = P * P; M <= Limit; M += P)
+        Composite[M] = true;
+    }
+    return Out;
+  }();
+  double Loss = 0.0;
+  for (uint64_t P : Primes) {
+    double Term = std::pow(static_cast<double>(P), -static_cast<double>(K));
+    Loss += Term;
+    if (Term < 1e-18)
+      break;
+  }
+  return 1.0 - Loss;
+}
+
+} // namespace
+
+TEST(Accuracy, Eq4LowerBoundEqualsReferenceSumBitForBit) {
+  // Covers both the tabulated range [2, 64) and the loop beyond it.
+  for (uint64_t K = 2; K <= 100; ++K)
+    EXPECT_EQ(eq4LowerBound(K), referenceLowerBound(K)) << "k = " << K;
+}
+
+// ctest runs every case in its own process, so these are the bound's
+// first calls: four threads race to build its table and prime list.
+// Labeled tsan (see tests/CMakeLists.txt).
+TEST(Eq4Concurrent, FirstCallFromFourThreadsIsRaceFree) {
+  constexpr unsigned Threads = 4;
+  constexpr uint64_t KEnd = 80;
+  std::vector<std::vector<double>> Seen(Threads,
+                                        std::vector<double>(KEnd, 0.0));
+  std::atomic<bool> Go{false};
+  std::vector<std::thread> Pool;
+  for (unsigned T = 0; T != Threads; ++T)
+    Pool.emplace_back([&, T] {
+      while (!Go.load())
+        std::this_thread::yield();
+      // Each thread starts at a different K and wraps around, so every
+      // thread asks for tabulated and untabulated K alike.
+      for (uint64_t I = 0; I != KEnd - 2; ++I) {
+        uint64_t K = 2 + (I + T * 20) % (KEnd - 2);
+        Seen[T][K] = eq4LowerBound(K);
+      }
+    });
+  Go.store(true);
+  for (std::thread &Th : Pool)
+    Th.join();
+  for (unsigned T = 0; T != Threads; ++T)
+    for (uint64_t K = 2; K != KEnd; ++K)
+      EXPECT_EQ(Seen[T][K], referenceLowerBound(K))
+          << "thread " << T << ", k = " << K;
+}
 
 TEST(Accuracy, PaperClaimKTenExceeds99Percent) {
   // "if k is larger than 10, the accuracy can be higher than 99%."

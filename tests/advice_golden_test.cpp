@@ -52,7 +52,6 @@ workloads::DriverConfig pinnedConfig() {
   Config.Scale = 0.1;
   Config.Run.InlineSimulation = true;
   Config.WorkerThreads = 1;
-  Config.Analysis.Jobs = 1;
   return Config;
 }
 

@@ -7,7 +7,7 @@
 //    pointer) and falls back to the FieldMap rebuild, with the
 //    splitter's diagnostic preserved,
 //  - verdicts and their JSON rendering are byte-identical for any
-//    merge/analyzer job count,
+//    merge job count,
 //  - the BenefitModel's prediction and the measured speedup agree in
 //    direction (both > 1 when the split helps).
 //
@@ -27,7 +27,6 @@ ClosedLoopConfig testConfig(unsigned Jobs = 0) {
   ClosedLoopConfig Config;
   Config.Driver.Scale = 0.1;
   Config.Driver.WorkerThreads = Jobs;
-  Config.Driver.Analysis.Jobs = Jobs;
   return Config;
 }
 

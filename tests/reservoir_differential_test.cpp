@@ -35,7 +35,6 @@ workloads::DriverConfig boundedConfig(uint64_t Capacity, uint64_t Budget) {
   Config.Scale = 0.1;
   Config.Run.InlineSimulation = true;
   Config.WorkerThreads = 1;
-  Config.Analysis.Jobs = 1;
   Config.Run.Sampling.ReservoirCapacity = Capacity;
   Config.Run.Sampling.SampleBudgetPerMAccess = Budget;
   return Config;

@@ -1,8 +1,7 @@
 //===- tests/threadpool_test.cpp - Work-stealing pool tests ----*- C++ -*-===//
 //
 // Basic contracts of support::ThreadPool, the pool behind the parallel
-// merge and analyzer. Labeled "tsan" so the ThreadSanitizer build runs
-// them.
+// merge. Labeled "tsan" so the ThreadSanitizer build runs them.
 //
 //===----------------------------------------------------------------------===//
 
@@ -11,19 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <functional>
 #include <vector>
 
 using namespace structslim;
-
-TEST(ThreadPool, RunExecutesEveryTaskOnce) {
-  support::ThreadPool Pool(4);
-  std::atomic<int> Count{0};
-  std::vector<std::function<void()>> Tasks(
-      64, [&Count] { Count.fetch_add(1); });
-  Pool.run(Tasks);
-  EXPECT_EQ(Count.load(), 64);
-}
 
 TEST(ThreadPool, ParallelForCoversRangeExactly) {
   support::ThreadPool Pool(3);

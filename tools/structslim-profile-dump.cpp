@@ -7,8 +7,7 @@
 // Runs paper workloads under the StructSlim profiler and writes each
 // one's merged profile to disk in the v3 binary format — the fixture
 // generator for ingestion checks that need real workload profiles as
-// files (CI byte-compares the mmap and buffered loaders over them, and
-// warm vs cold reports).
+// files (CI byte-compares the mmap and buffered loaders over them).
 //
 // Usage:
 //   structslim-profile-dump [options] <dir> [workloads...]
@@ -28,6 +27,7 @@
 #include "workloads/Registry.h"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <iostream>
@@ -44,13 +44,16 @@ int usage() {
   return 2;
 }
 
+/// Strict full-string double parse; rejects "", "abc", "0.5x", "nan",
+/// "inf".
 bool parseDouble(const std::string &Text, double &Out) {
   if (Text.empty())
     return false;
   errno = 0;
   char *End = nullptr;
   double Value = std::strtod(Text.c_str(), &End);
-  if (errno != 0 || End != Text.c_str() + Text.size())
+  if (errno != 0 || End != Text.c_str() + Text.size() ||
+      !std::isfinite(Value))
     return false;
   Out = Value;
   return true;
@@ -115,7 +118,6 @@ int main(int argc, char **argv) {
   Config.Scale = Scale;
   Config.Run.InlineSimulation = true;
   Config.WorkerThreads = 1;
-  Config.Analysis.Jobs = 1;
 
   for (const auto &W : Selected) {
     transform::FieldMap Identity(W->hotLayout());

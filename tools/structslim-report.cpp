@@ -6,8 +6,8 @@
 //
 // The offline analyzer as a command-line tool (the paper's Sec. 5.2
 // component): reads the per-thread profile files the online profiler
-// wrote, merges them with the reduction tree, analyzes the top objects
-// in parallel, and prints the hot-data ranking, per-object field/loop
+// wrote, merges them with the reduction tree, analyzes the top objects,
+// and prints the hot-data ranking, per-object field/loop
 // decompositions, affinity matrices and splitting advice. Optionally
 // emits the affinity graph as Graphviz dot, the array-regrouping
 // extension's advice, or the whole analysis as stable-schema JSON.
@@ -30,23 +30,15 @@
 //                      after the report; JSON mode: they are embedded
 //                      in the document anyway, --stats adds the table
 //                      on stderr)
-//     --jobs=N         merge and analyzer worker threads (default 0 =
-//                      auto: STRUCTSLIM_THREADS env var, else all host
+//     --jobs=N         merge worker threads (default 0 = auto:
+//                      STRUCTSLIM_THREADS env var, else all host
 //                      cores); output is identical for every setting
 //     --strict         fail on the first unreadable profile instead of
 //                      skipping it with a warning
-//     --no-incremental disable the analyzer's content-hash result
-//                      cache (the always-recompute oracle; output is
-//                      byte-identical either way)
-//     --warm-repeat    analyze twice on one analyzer and render from
-//                      the second, warm-cache run — demonstrates (and
-//                      lets CI byte-compare) the O(changed-objects)
-//                      warm re-report path; --stats then reports the
-//                      warm run's analyze time
 //
-// Malformed option values (e.g. --top=abc) exit 2 with a usage message
-// naming the offending flag; they never abort with an uncaught
-// exception.
+// Malformed option values (e.g. --top=abc, --threshold=nan) exit 2
+// with a usage message naming the offending flag; they never abort
+// with an uncaught exception.
 //
 // Per-thread shards are written without synchronization, so truncated
 // or corrupted files are expected at scale: by default each bad shard
@@ -65,6 +57,7 @@
 
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <iostream>
 #include <string>
@@ -82,7 +75,6 @@ struct Options {
   bool Strict = false;
   bool Json = false;
   bool Stats = false;
-  bool WarmRepeat = false;
   unsigned Jobs = 0; // 0 = auto (see support::ThreadPool).
   std::vector<std::string> Files;
 };
@@ -90,8 +82,7 @@ struct Options {
 int usage() {
   std::cerr << "usage: structslim-report [--top=N] [--threshold=T] "
                "[--min-unique=N] [--dot=<object>] [--regroup] [--contexts] "
-               "[--json] [--stats] [--jobs=N] [--strict] [--no-incremental] "
-               "[--warm-repeat] <profile files...>\n";
+               "[--json] [--stats] [--jobs=N] [--strict] <profile files...>\n";
   return 2;
 }
 
@@ -109,15 +100,16 @@ bool parseUnsigned(const std::string &Text, unsigned &Out) {
   return true;
 }
 
-/// Strict full-string double parse; rejects "", "abc", "0.5x", nan/inf
-/// spellings are fine to reject too.
+/// Strict full-string double parse; rejects "", "abc", "0.5x", "nan",
+/// "inf".
 bool parseDouble(const std::string &Text, double &Out) {
   if (Text.empty())
     return false;
   errno = 0;
   char *End = nullptr;
   double Value = std::strtod(Text.c_str(), &End);
-  if (errno != 0 || End != Text.c_str() + Text.size())
+  if (errno != 0 || End != Text.c_str() + Text.size() ||
+      !std::isfinite(Value))
     return false;
   Out = Value;
   return true;
@@ -154,10 +146,6 @@ bool parseArgs(int argc, char **argv, Options &Opts) {
       Opts.Json = true;
     } else if (Arg == "--stats") {
       Opts.Stats = true;
-    } else if (Arg == "--no-incremental") {
-      Opts.Analysis.Incremental = false;
-    } else if (Arg == "--warm-repeat") {
-      Opts.WarmRepeat = true;
     } else if (Arg.rfind("--jobs=", 0) == 0) {
       if (!parseUnsigned(Arg.substr(7), Opts.Jobs))
         return badValue("--jobs", Arg.substr(7));
@@ -232,20 +220,10 @@ int main(int argc, char **argv) {
   Stats.SampleBudget = Merged.SampleBudget;
   Stats.EffectivePeriods = Merged.EffectivePeriods;
 
-  Opts.Analysis.Jobs = Opts.Jobs;
-  core::StructSlimAnalyzer Analyzer(Opts.Analysis);
   auto AnalyzeBegin = std::chrono::steady_clock::now();
-  core::AnalysisResult Result = Analyzer.analyze(Merged);
+  core::AnalysisResult Result =
+      core::StructSlimAnalyzer(Opts.Analysis).analyze(Merged);
   Stats.AnalyzeSeconds = secondsSince(AnalyzeBegin);
-  if (Opts.WarmRepeat) {
-    // Second run on the same analyzer: every unchanged object comes
-    // from the incremental cache (all of them here — same profile), so
-    // the measured time is the warm re-report floor. The rendered
-    // document must be byte-identical to the cold run's.
-    auto WarmBegin = std::chrono::steady_clock::now();
-    Result = Analyzer.analyze(Merged);
-    Stats.AnalyzeSeconds = secondsSince(WarmBegin);
-  }
 
   if (!Opts.DotObject.empty()) {
     const core::ObjectAnalysis *Hot = Result.findObject(Opts.DotObject);

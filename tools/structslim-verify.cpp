@@ -21,7 +21,7 @@
 //                    overhead-governor target in samples per million
 //                    accesses (default 0 = governor off)
 //     --epoch=N      governor epoch length in accesses (default 2^20)
-//     --jobs=N       merge/analyzer worker threads (default 0 = auto);
+//     --jobs=N       merge worker threads (default 0 = auto);
 //                    output is byte-identical for every setting
 //     --json         emit the machine-readable document (schema_version
 //                    1) on stdout instead of the text table
@@ -39,6 +39,7 @@
 #include "workloads/Registry.h"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <iostream>
 #include <string>
@@ -81,14 +82,16 @@ bool parseUnsigned(const std::string &Text, uint64_t &Out) {
   return true;
 }
 
-/// Strict full-string double parse; rejects "", "abc", "0.5x".
+/// Strict full-string double parse; rejects "", "abc", "0.5x", "nan",
+/// "inf".
 bool parseDouble(const std::string &Text, double &Out) {
   if (Text.empty())
     return false;
   errno = 0;
   char *End = nullptr;
   double Value = std::strtod(Text.c_str(), &End);
-  if (errno != 0 || End != Text.c_str() + Text.size())
+  if (errno != 0 || End != Text.c_str() + Text.size() ||
+      !std::isfinite(Value))
     return false;
   Out = Value;
   return true;
@@ -181,7 +184,6 @@ int main(int argc, char **argv) {
   Config.Driver.Run.Sampling.SampleBudgetPerMAccess = Opts.SampleBudget;
   Config.Driver.Run.Sampling.EpochAccesses = Opts.Epoch;
   Config.Driver.WorkerThreads = Opts.Jobs;
-  Config.Driver.Analysis.Jobs = Opts.Jobs;
 
   core::VerifyReport Report = core::verifyWorkloads(Selected, Config);
   if (Opts.Json)
