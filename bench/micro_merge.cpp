@@ -5,22 +5,23 @@
 //===----------------------------------------------------------------------===//
 //
 // Throughput of the shard ingestion pipeline (paper Sec. 5.2): a
-// synthetic many-thread run writes N profile shards to disk in both
-// the v2 text format and the v3 binary format, then measures
+// synthetic many-thread run writes N v3 profile shards to disk, then
+// measures
 //
-//  - the pre-PR baseline: v2 text decode + string-keyed adjacent-pair
-//    tree merge, single-threaded;
+//  - the baseline: v3 decode of every shard into memory, then the
+//    string-keyed adjacent-pair tree merge, single-threaded;
 //  - the current pipeline (loadAndMergeProfiles): v3 decode + interned
-//    allocation-free merge, streamed, at jobs=1/2/4;
-//  - raw decode throughput of v2 vs v3 for the same profiles;
-//  - cold analysis of the full merged profile (median and quartiles).
+//    allocation-free merge, streamed, at jobs=1/2/4, plus its buffered
+//    (no-mmap) and epoch-wise variants;
+//  - cold analysis of the full merged profile.
 //
-// Every configuration must produce byte-identical merged profiles —
-// the bench asserts it by comparing serialized results — and the
-// headline number is the single-core (jobs=1) speedup over the
-// baseline at the largest shard count. Peak resident decoded profiles
-// are reported as the memory proxy: the streaming loader holds O(jobs)
-// shards, the baseline holds all N.
+// Every row is the median and quartiles of repeated runs. Every
+// configuration must produce byte-identical merged profiles — the
+// bench asserts it by comparing serialized results — and the headline
+// number is the single-core (jobs=1) median speedup of the interned
+// merge over the string-keyed baseline at the largest shard count.
+// Peak resident decoded profiles are reported as the memory proxy: the
+// streaming loader holds O(jobs) shards, the baseline holds all N.
 //
 // Writes BENCH_merge.json (override the path with argv[1]).
 // --smoke shrinks shard count and sizes for CI.
@@ -44,6 +45,8 @@
 #include <fstream>
 #include <iostream>
 #include <thread>
+#include <tuple>
+#include <utility>
 
 using namespace structslim;
 using structslim::profile::Profile;
@@ -109,10 +112,10 @@ Profile makeShard(unsigned Shard, unsigned Objects, unsigned StreamsPerObject,
   return P;
 }
 
-/// The pre-PR pipeline: decode a text shard per file, then reduce with
-/// the string-keyed merge over the same adjacent-pair tree shape the
-/// current code uses — so the result is byte-comparable and the
-/// measured delta is decode + merge mechanics, not tree shape.
+/// The baseline: decode every shard, then reduce with the string-keyed
+/// merge over the same adjacent-pair tree shape the current code uses —
+/// so the result is byte-comparable and the measured delta is the
+/// merge mechanics and residency, not tree shape.
 Profile baselineMerge(const std::vector<std::string> &Files) {
   std::vector<Profile> Profiles;
   Profiles.reserve(Files.size());
@@ -147,6 +150,20 @@ double secondsSince(std::chrono::steady_clock::time_point Start) {
       .count();
 }
 
+/// Times \p Reps calls of \p Run and keeps the last result in \p Last
+/// (replacing the previous one outside the timed region).
+template <typename T, typename Fn>
+Spread timeRepeats(unsigned Reps, T &Last, Fn Run) {
+  std::vector<double> Times;
+  for (unsigned R = 0; R != Reps; ++R) {
+    auto T0 = std::chrono::steady_clock::now();
+    T Result = Run();
+    Times.push_back(secondsSince(T0));
+    Last = std::move(Result);
+  }
+  return spreadOf(Times);
+}
+
 } // namespace
 
 int main(int argc, char **argv) {
@@ -163,66 +180,31 @@ int main(int argc, char **argv) {
   const unsigned Objects = Smoke ? 16 : 48;
   const unsigned StreamsPerObject = Smoke ? 16 : 48;
   const unsigned CctNodes = Smoke ? 32 : 256;
-  const unsigned Reps = Smoke ? 1 : 3;
+  const unsigned Reps = Smoke ? 1 : 5;
   const unsigned AnalyzeReps = Smoke ? 3 : 9;
   const unsigned HostCores = std::thread::hardware_concurrency();
 
   std::cout << "Profile ingest + merge throughput (host hardware_concurrency="
             << HostCores << ", " << MaxShards << " shards x " << Objects
-            << " objects x " << StreamsPerObject << " streams)\n\n";
+            << " objects x " << StreamsPerObject << " streams, median of "
+            << Reps << ")\n\n";
 
   namespace fs = std::filesystem;
   fs::path Dir = fs::temp_directory_path() /
                  ("structslim_micro_merge_" + std::to_string(::getpid()));
   fs::create_directories(Dir);
 
-  // Write every shard in both formats.
-  std::vector<std::string> FilesV2, FilesV3;
-  uint64_t BytesV2 = 0, BytesV3 = 0;
+  std::vector<std::string> Files;
   for (unsigned I = 0; I != MaxShards; ++I) {
-    Profile Shard = makeShard(I, Objects, StreamsPerObject, CctNodes);
-    std::string V2 = profile::profileToString(Shard, 2);
-    std::string V3 = profile::profileToString(Shard, 3);
-    BytesV2 += V2.size();
-    BytesV3 += V3.size();
-    fs::path P2 = Dir / ("shard" + std::to_string(I) + ".v2.structslim");
-    fs::path P3 = Dir / ("shard" + std::to_string(I) + ".v3.structslim");
-    std::ofstream(P2, std::ios::binary) << V2;
-    std::ofstream(P3, std::ios::binary) << V3;
-    FilesV2.push_back(P2.string());
-    FilesV3.push_back(P3.string());
-  }
-
-  // Raw decode throughput, v2 text vs v3 binary, same profiles.
-  double DecodeV2 = 0, DecodeV3 = 0;
-  {
-    std::vector<std::string> BufV2, BufV3;
-    for (unsigned I = 0; I != MaxShards; ++I) {
-      std::ifstream In2(FilesV2[I], std::ios::binary);
-      BufV2.emplace_back((std::istreambuf_iterator<char>(In2)),
-                         std::istreambuf_iterator<char>());
-      std::ifstream In3(FilesV3[I], std::ios::binary);
-      BufV3.emplace_back((std::istreambuf_iterator<char>(In3)),
-                         std::istreambuf_iterator<char>());
-    }
-    unsigned DecodeReps = Smoke ? 1 : 3;
-    auto T2 = std::chrono::steady_clock::now();
-    for (unsigned R = 0; R != DecodeReps; ++R)
-      for (const std::string &B : BufV2)
-        if (!profile::profileFromBytes(B))
-          return 1;
-    DecodeV2 = secondsSince(T2) / DecodeReps;
-    auto T3 = std::chrono::steady_clock::now();
-    for (unsigned R = 0; R != DecodeReps; ++R)
-      for (const std::string &B : BufV3)
-        if (!profile::profileFromBytes(B))
-          return 1;
-    DecodeV3 = secondsSince(T3) / DecodeReps;
+    fs::path Path = Dir / ("shard" + std::to_string(I) + ".structslim");
+    std::ofstream(Path, std::ios::binary) << profile::profileToString(
+        makeShard(I, Objects, StreamsPerObject, CctNodes));
+    Files.push_back(Path.string());
   }
 
   TablePrinter Table;
-  Table.setHeader({"shards", "pipeline", "jobs", "ingest+merge s", "speedup",
-                   "peak resident", "identical"});
+  Table.setHeader({"shards", "pipeline", "jobs", "median s", "IQR s",
+                   "speedup", "peak resident", "identical"});
 
   std::vector<unsigned> ShardCounts;
   if (MaxShards >= 8)
@@ -238,13 +220,7 @@ int main(int argc, char **argv) {
   Json += "  \"objects_per_shard\": " + std::to_string(Objects) + ",\n";
   Json += "  \"streams_per_object\": " + std::to_string(StreamsPerObject) +
           ",\n";
-  Json += "  \"decode\": {\"shards\": " + std::to_string(MaxShards) +
-          ", \"v2_bytes\": " + std::to_string(BytesV2) +
-          ", \"v3_bytes\": " + std::to_string(BytesV3) +
-          ", \"v2_seconds\": " + std::to_string(DecodeV2) +
-          ", \"v3_seconds\": " + std::to_string(DecodeV3) +
-          ", \"v3_decode_speedup\": " +
-          std::to_string(DecodeV3 > 0 ? DecodeV2 / DecodeV3 : 0.0) + "},\n";
+  Json += "  \"repeats\": " + std::to_string(Reps) + ",\n";
   Json += "  \"points\": [\n";
 
   bool AllIdentical = true;
@@ -252,105 +228,71 @@ int main(int argc, char **argv) {
   bool FirstPoint = true;
 
   for (unsigned Shards : ShardCounts) {
-    std::vector<std::string> SubV2(FilesV2.begin(), FilesV2.begin() + Shards);
-    std::vector<std::string> SubV3(FilesV3.begin(), FilesV3.begin() + Shards);
+    std::vector<std::string> Sub(Files.begin(), Files.begin() + Shards);
 
-    // Baseline: best of Reps.
-    double BaselineSeconds = 0;
-    std::string Expected;
-    for (unsigned R = 0; R != Reps; ++R) {
-      auto T0 = std::chrono::steady_clock::now();
-      Profile Merged = baselineMerge(SubV2);
-      double S = secondsSince(T0);
-      if (R == 0 || S < BaselineSeconds)
-        BaselineSeconds = S;
-      if (R == 0)
-        Expected = profile::profileToString(Merged);
-    }
-    Table.addRow({std::to_string(Shards), "v2+string-merge", "1",
-                  formatDouble(BaselineSeconds, 4), "1.00x",
-                  std::to_string(Shards), "yes"});
-    if (!FirstPoint)
-      Json += ",\n";
-    FirstPoint = false;
-    Json += "    {\"shards\": " + std::to_string(Shards) +
-            ", \"pipeline\": \"baseline_v2_string_merge\", \"jobs\": 1"
-            ", \"ingest_merge_seconds\": " + std::to_string(BaselineSeconds) +
-            ", \"speedup\": 1.0, \"peak_resident_profiles\": " +
-            std::to_string(Shards) + ", \"identical\": true}";
+    Profile BaselineMerged;
+    Spread Baseline = timeRepeats(Reps, BaselineMerged,
+                                  [&] { return baselineMerge(Sub); });
+    std::string Expected = profile::profileToString(BaselineMerged);
 
-    for (unsigned Jobs : JobCounts) {
-      double BestSeconds = 0;
-      profile::MergeLoadResult Load;
-      for (unsigned R = 0; R != Reps; ++R) {
-        profile::MergeOptions Opts;
-        Opts.WorkerThreads = Jobs;
-        auto T0 = std::chrono::steady_clock::now();
-        profile::MergeLoadResult ThisLoad =
-            profile::loadAndMergeProfiles(SubV3, Opts);
-        double S = secondsSince(T0);
-        if (R == 0 || S < BestSeconds) {
-          BestSeconds = S;
-          Load = std::move(ThisLoad);
-        }
-      }
-      bool Identical = profile::profileToString(Load.Merged) == Expected &&
-                       Load.Loaded.size() == Shards;
+    // One table row and JSON point; speedup is against the baseline
+    // median.
+    auto AddPoint = [&](const char *Label, const char *Pipeline,
+                        unsigned Jobs, const Spread &Seconds,
+                        size_t PeakResident, bool Identical) {
       AllIdentical = AllIdentical && Identical;
-      double Speedup = BestSeconds > 0 ? BaselineSeconds / BestSeconds : 0.0;
-      if (Shards == MaxShards && Jobs == 1)
-        HeadlineSpeedup = Speedup;
-      Table.addRow({std::to_string(Shards), "v3+streaming", std::to_string(Jobs),
-                    formatDouble(BestSeconds, 4),
+      double Speedup =
+          Seconds.Median > 0 ? Baseline.Median / Seconds.Median : 0.0;
+      Table.addRow({std::to_string(Shards), Label, std::to_string(Jobs),
+                    formatDouble(Seconds.Median, 4),
+                    formatDouble(Seconds.Q1, 4) + "-" +
+                        formatDouble(Seconds.Q3, 4),
                     formatDouble(Speedup, 2) + "x",
-                    std::to_string(Load.PeakResidentProfiles),
-                    Identical ? "yes" : "NO"});
-      Json += ",\n    {\"shards\": " + std::to_string(Shards) +
-              ", \"pipeline\": \"v3_streaming\", \"jobs\": " +
-              std::to_string(Jobs) +
-              ", \"ingest_merge_seconds\": " + std::to_string(BestSeconds) +
+                    std::to_string(PeakResident), Identical ? "yes" : "NO"});
+      if (!FirstPoint)
+        Json += ",\n";
+      FirstPoint = false;
+      Json += "    {\"shards\": " + std::to_string(Shards) +
+              ", \"pipeline\": \"" + Pipeline +
+              "\", \"jobs\": " + std::to_string(Jobs) + ", " +
+              Seconds.jsonFields("ingest_merge_seconds") +
               ", \"speedup\": " + std::to_string(Speedup) +
               ", \"peak_resident_profiles\": " +
-              std::to_string(Load.PeakResidentProfiles) +
+              std::to_string(PeakResident) +
               ", \"identical\": " + (Identical ? "true" : "false") + "}";
+      return Speedup;
+    };
+    AddPoint("v3+string-merge", "baseline_string_merge", 1, Baseline, Shards,
+             true);
+
+    auto LoadAndMerge = [&](unsigned Jobs) {
+      profile::MergeOptions Opts;
+      Opts.WorkerThreads = Jobs;
+      profile::MergeLoadResult Load;
+      Spread Seconds = timeRepeats(
+          Reps, Load, [&] { return profile::loadAndMergeProfiles(Sub, Opts); });
+      bool Identical = profile::profileToString(Load.Merged) == Expected &&
+                       Load.Loaded.size() == Shards;
+      return std::make_tuple(Seconds, Load.PeakResidentProfiles, Identical);
+    };
+
+    for (unsigned Jobs : JobCounts) {
+      auto [Seconds, Peak, Identical] = LoadAndMerge(Jobs);
+      double Speedup = AddPoint("v3+streaming", "v3_streaming", Jobs, Seconds,
+                                Peak, Identical);
+      if (Shards == MaxShards && Jobs == 1)
+        HeadlineSpeedup = Speedup;
     }
 
 #if defined(__unix__) || defined(__APPLE__)
     // The same jobs=1 pipeline with mmap disabled: isolates what the
     // zero-copy mapped decode buys over buffered whole-file reads.
     {
-      double BestSeconds = 0;
-      profile::MergeLoadResult Load;
       ::setenv("STRUCTSLIM_NO_MMAP", "1", 1);
-      for (unsigned R = 0; R != Reps; ++R) {
-        profile::MergeOptions Opts;
-        Opts.WorkerThreads = 1;
-        auto T0 = std::chrono::steady_clock::now();
-        profile::MergeLoadResult ThisLoad =
-            profile::loadAndMergeProfiles(SubV3, Opts);
-        double S = secondsSince(T0);
-        if (R == 0 || S < BestSeconds) {
-          BestSeconds = S;
-          Load = std::move(ThisLoad);
-        }
-      }
+      auto [Seconds, Peak, Identical] = LoadAndMerge(1);
       ::unsetenv("STRUCTSLIM_NO_MMAP");
-      bool Identical = profile::profileToString(Load.Merged) == Expected &&
-                       Load.Loaded.size() == Shards;
-      AllIdentical = AllIdentical && Identical;
-      double Speedup = BestSeconds > 0 ? BaselineSeconds / BestSeconds : 0.0;
-      Table.addRow({std::to_string(Shards), "v3+buffered(no-mmap)", "1",
-                    formatDouble(BestSeconds, 4),
-                    formatDouble(Speedup, 2) + "x",
-                    std::to_string(Load.PeakResidentProfiles),
-                    Identical ? "yes" : "NO"});
-      Json += ",\n    {\"shards\": " + std::to_string(Shards) +
-              ", \"pipeline\": \"v3_buffered\", \"jobs\": 1"
-              ", \"ingest_merge_seconds\": " + std::to_string(BestSeconds) +
-              ", \"speedup\": " + std::to_string(Speedup) +
-              ", \"peak_resident_profiles\": " +
-              std::to_string(Load.PeakResidentProfiles) +
-              ", \"identical\": " + (Identical ? "true" : "false") + "}";
+      AddPoint("v3+buffered(no-mmap)", "v3_buffered", 1, Seconds, Peak,
+               Identical);
     }
 #endif
 
@@ -360,41 +302,20 @@ int main(int argc, char **argv) {
     // tree's frontier.
     {
       const size_t Batch = 8;
-      double BestSeconds = 0;
-      size_t PeakResident = 0;
-      Profile Merged;
-      for (unsigned R = 0; R != Reps; ++R) {
+      std::pair<Profile, size_t> Last;
+      Spread Seconds = timeRepeats(Reps, Last, [&] {
         profile::MergeOptions Opts;
         Opts.WorkerThreads = 1;
-        auto T0 = std::chrono::steady_clock::now();
         profile::EpochAccumulator Acc(Opts);
-        for (size_t I = 0; I < SubV3.size(); I += Batch) {
-          size_t End = std::min(I + Batch, SubV3.size());
-          Acc.addShards({SubV3.begin() + I, SubV3.begin() + End});
+        for (size_t I = 0; I < Sub.size(); I += Batch) {
+          size_t End = std::min(I + Batch, Sub.size());
+          Acc.addShards({Sub.begin() + I, Sub.begin() + End});
         }
-        Profile ThisMerged = Acc.take();
-        double S = secondsSince(T0);
-        if (R == 0 || S < BestSeconds) {
-          BestSeconds = S;
-          PeakResident = Acc.peakResidentProfiles();
-          Merged = std::move(ThisMerged);
-        }
-      }
-      bool Identical = profile::profileToString(Merged) == Expected;
-      AllIdentical = AllIdentical && Identical;
-      double Speedup = BestSeconds > 0 ? BaselineSeconds / BestSeconds : 0.0;
-      Table.addRow({std::to_string(Shards), "v3+epoch(8)", "1",
-                    formatDouble(BestSeconds, 4),
-                    formatDouble(Speedup, 2) + "x",
-                    std::to_string(PeakResident),
-                    Identical ? "yes" : "NO"});
-      Json += ",\n    {\"shards\": " + std::to_string(Shards) +
-              ", \"pipeline\": \"v3_epoch8\", \"jobs\": 1"
-              ", \"ingest_merge_seconds\": " + std::to_string(BestSeconds) +
-              ", \"speedup\": " + std::to_string(Speedup) +
-              ", \"peak_resident_profiles\": " +
-              std::to_string(PeakResident) +
-              ", \"identical\": " + (Identical ? "true" : "false") + "}";
+        Profile Merged = Acc.take();
+        return std::make_pair(std::move(Merged), Acc.peakResidentProfiles());
+      });
+      AddPoint("v3+epoch(8)", "v3_epoch8", 1, Seconds, Last.second,
+               profile::profileToString(Last.first) == Expected);
     }
   }
   Json += "\n  ],\n";
@@ -406,7 +327,7 @@ int main(int argc, char **argv) {
   {
     profile::MergeOptions Opts;
     Opts.WorkerThreads = 1;
-    Profile Merged = profile::loadAndMergeProfiles(FilesV3, Opts).Merged;
+    Profile Merged = profile::loadAndMergeProfiles(Files, Opts).Merged;
     core::AnalysisConfig Config;
     Config.TopObjects = 1000;
     Config.MinObjectShare = 0;
@@ -441,12 +362,7 @@ int main(int argc, char **argv) {
 
   std::ofstream(JsonPath) << Json;
   Table.print(std::cout);
-  std::cout << "\nv2 decode: " << formatDouble(DecodeV2, 4) << "s, v3 decode: "
-            << formatDouble(DecodeV3, 4) << "s ("
-            << formatDouble(DecodeV2 / (DecodeV3 > 0 ? DecodeV3 : 1), 2)
-            << "x), v3 size: " << BytesV3 * 100 / (BytesV2 ? BytesV2 : 1)
-            << "% of v2\n";
-  std::cout << "Headline single-core speedup at " << MaxShards
+  std::cout << "\nHeadline single-core speedup at " << MaxShards
             << " shards: " << formatDouble(HeadlineSpeedup, 2) << "x. JSON: "
             << JsonPath << "\n";
 

@@ -4,9 +4,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <charconv>
 #include <numeric>
-#include <ostream>
 
 using namespace structslim;
 using namespace structslim::profile;
@@ -98,32 +96,6 @@ void CallContextTree::merge(const CallContextTree &Other) {
   }
   Nodes[Root].LatencySum += Other.Nodes[Root].LatencySum;
   Nodes[Root].SampleCount += Other.Nodes[Root].SampleCount;
-}
-
-void CallContextTree::write(std::ostream &OS) const {
-  std::string Out;
-  append(Out);
-  OS.write(Out.data(), static_cast<std::streamsize>(Out.size()));
-}
-
-void CallContextTree::append(std::string &Out) const {
-  Out.reserve(Out.size() + 64 * (Nodes.size() - 1));
-  char Buf[20];
-  auto Dec = [&](uint64_t V) {
-    char *End = std::to_chars(Buf, Buf + sizeof(Buf), V).ptr;
-    Out.append(Buf, End);
-  };
-  for (uint32_t I = 1; I < Nodes.size(); ++I) {
-    Out += "cctnode ";
-    Dec(Nodes[I].Parent);
-    Out += ' ';
-    Dec(Nodes[I].Ip);
-    Out += ' ';
-    Dec(Nodes[I].LatencySum);
-    Out += ' ';
-    Dec(Nodes[I].SampleCount);
-    Out += '\n';
-  }
 }
 
 bool CallContextTree::addSerializedNode(uint32_t Parent, uint64_t Ip,

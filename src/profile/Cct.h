@@ -20,8 +20,6 @@
 #include "support/FlatHash.h"
 
 #include <cstdint>
-#include <iosfwd>
-#include <string>
 #include <vector>
 
 namespace structslim {
@@ -65,13 +63,8 @@ public:
   /// Merges \p Other into this tree (paths align by IP).
   void merge(const CallContextTree &Other);
 
-  /// Line-oriented (de)serialization, one "cctnode" line per non-root
-  /// node; parents precede children. append() produces the same bytes
-  /// into a caller-owned buffer (the allocation-lean profile-dump path).
-  void write(std::ostream &OS) const;
-  void append(std::string &Out) const;
-  /// Consumes one parsed record (from ProfileIO). Returns false on a
-  /// malformed record (bad parent).
+  /// Consumes one decoded node record (from ProfileIO; parents precede
+  /// children). Returns false on a malformed record (bad parent).
   bool addSerializedNode(uint32_t Parent, uint64_t Ip, uint64_t Latency,
                          uint64_t Samples);
 

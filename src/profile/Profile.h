@@ -141,10 +141,11 @@ public:
   uint64_t MemoryAccesses = 0;
   uint64_t Cycles = 0;             ///< Simulated execution cycles.
   // Decoupled-pipeline health counters (runtime/SimPipeline), zero for
-  // inline-simulation runs. Carried on one profile per phase so the
-  // merge reproduces run totals. Host-timing dependent: serialized in
-  // the binary format (schema-additive v3 extension) but excluded from
-  // the canonical text form, which the bit-identity tests compare.
+  // inline-simulation runs. Host-timing dependent: serialized as a
+  // schema-additive v3 meta extension, but stamped only onto one dumped
+  // shard per run (runtime::dumpProfiles; the merge then reproduces run
+  // totals), so in-memory profiles keep them zero and their v3 bytes
+  // stay comparable in the bit-identity tests.
   uint64_t QueueDepthMax = 0;   ///< Deepest drain batch (records); merge: max.
   uint64_t ProducerStalls = 0;  ///< Ring-full backpressure events; merge: sum.
   uint64_t ConsumerBatches = 0; ///< Drain batches processed; merge: sum.
@@ -155,7 +156,7 @@ public:
   // overhead governor), all zero/empty for unbounded runs and
   // pre-extension files. Serialized as an optional sixth v3 section —
   // schema-additive: older readers never see it on reservoir-free
-  // profiles, and v1/v2 text forms omit it entirely.
+  // profiles.
   uint64_t ReservoirCapacity = 0;   ///< Per-thread slots; merge: max.
   uint64_t ReservoirSeen = 0;       ///< Samples offered; merge: sum.
   uint64_t ReservoirEvictions = 0;  ///< Samples dropped; merge: sum.

@@ -8,8 +8,6 @@
 #include "support/MappedFile.h"
 #include "support/VarInt.h"
 
-#include <cassert>
-#include <charconv>
 #include <fstream>
 #include <sstream>
 #include <unordered_map>
@@ -18,18 +16,9 @@
 using namespace structslim;
 using namespace structslim::profile;
 
-static constexpr const char *MagicV1 = "structslim-profile v1";
-static constexpr const char *MagicV2 = "structslim-profile v2";
-static constexpr const char *MagicV3 = "structslim-profile v3";
-static constexpr const char *EndMarker = "end v2";
-static constexpr const char *EndMarkerV3 = "end v3\n";
-
-// The four checksummed sections of the text formats, in file order.
-namespace {
-enum Section : unsigned { SecMeta = 0, SecObject, SecStream, SecCct, NumSections };
-} // namespace
-static constexpr const char *SectionNames[NumSections] = {"meta", "object",
-                                                          "stream", "cct"};
+static constexpr std::string_view MagicV3 = "structslim-profile v3\n";
+static constexpr std::string_view VersionPrefix = "structslim-profile v";
+static constexpr std::string_view EndMarkerV3 = "end v3\n";
 
 // The sections of the binary v3 layout, in payload order. The first
 // five are always present; "rsvr" (bounded-memory sampling metadata) is
@@ -62,165 +51,8 @@ static constexpr size_t v3HeaderBytes(unsigned Sections) {
   return 4 + Sections * V3SectionEntryBytes + 4;
 }
 
-// Whitespace-delimited fields cannot hold empty strings; "-" stands in
-// for an empty name/key on disk (text formats only — v3's
-// length-prefixed string table needs no such hack).
-static std::string encodeName(const std::string &Name) {
-  return Name.empty() ? "-" : Name;
-}
-static std::string decodeName(const std::string &Name) {
-  return Name == "-" ? "" : Name;
-}
-
 //===----------------------------------------------------------------------===//
-// Writing: shared text sections (v1 records, v2 adds the trailer)
-//===----------------------------------------------------------------------===//
-// One reserve+append pass into a single buffer. The dump cost lands in
-// the paper's Fig. 4/5 overhead numbers, so no per-section
-// ostringstream churn; the byte stream is identical to the streaming
-// writer's (the fuzz test's re-serialization contract enforces that).
-
-namespace {
-/// Decimal appenders over std::to_chars (all record fields are
-/// integers; LoopId is signed, -1 meaning "not in a loop").
-inline void appendDec(std::string &Out, uint64_t V) {
-  char Buf[20];
-  char *End = std::to_chars(Buf, Buf + sizeof(Buf), V).ptr;
-  Out.append(Buf, End);
-}
-inline void appendDecSigned(std::string &Out, int64_t V) {
-  char Buf[20];
-  char *End = std::to_chars(Buf, Buf + sizeof(Buf), V).ptr;
-  Out.append(Buf, End);
-}
-} // namespace
-
-static void appendMeta(std::string &Out, const Profile &P) {
-  Out += "meta ";
-  appendDec(Out, P.ThreadId);
-  Out += ' ';
-  appendDec(Out, P.SamplePeriod);
-  Out += ' ';
-  appendDec(Out, P.TotalSamples);
-  Out += ' ';
-  appendDec(Out, P.TotalLatency);
-  Out += ' ';
-  appendDec(Out, P.UnattributedLatency);
-  Out += ' ';
-  appendDec(Out, P.Instructions);
-  Out += ' ';
-  appendDec(Out, P.MemoryAccesses);
-  Out += ' ';
-  appendDec(Out, P.Cycles);
-  Out += '\n';
-}
-
-static void appendObjects(std::string &Out, const Profile &P) {
-  for (const ObjectAgg &O : P.Objects) {
-    Out += "object ";
-    Out += encodeName(O.Key);
-    Out += ' ';
-    Out += encodeName(O.Name);
-    Out += ' ';
-    appendDec(Out, O.Start);
-    Out += ' ';
-    appendDec(Out, O.Size);
-    Out += ' ';
-    appendDec(Out, O.SampleCount);
-    Out += ' ';
-    appendDec(Out, O.LatencySum);
-    Out += '\n';
-  }
-}
-
-static void appendStreams(std::string &Out, const Profile &P) {
-  for (const StreamRecord &S : P.Streams) {
-    Out += "stream ";
-    appendDec(Out, S.Ip);
-    Out += ' ';
-    appendDec(Out, S.ObjectIndex);
-    Out += ' ';
-    appendDecSigned(Out, S.LoopId);
-    Out += ' ';
-    appendDec(Out, S.Line);
-    Out += ' ';
-    appendDec(Out, S.AccessSize);
-    Out += ' ';
-    appendDec(Out, S.SampleCount);
-    Out += ' ';
-    appendDec(Out, S.LatencySum);
-    Out += ' ';
-    appendDec(Out, S.UniqueAddrCount);
-    Out += ' ';
-    appendDec(Out, S.StrideGcd);
-    Out += ' ';
-    appendDec(Out, S.RepAddr);
-    Out += ' ';
-    appendDec(Out, S.LastAddr);
-    Out += ' ';
-    appendDec(Out, S.ObjectStart);
-    for (uint64_t L : S.LevelSamples) {
-      Out += ' ';
-      appendDec(Out, L);
-    }
-    Out += ' ';
-    appendDec(Out, S.TlbMissSamples);
-    Out += '\n';
-  }
-}
-
-static std::string profileToStringV1(const Profile &P) {
-  std::string Out;
-  Out.reserve(128 + 96 * (1 + P.Objects.size() + P.Streams.size() +
-                          P.Contexts.size()));
-  Out += MagicV1;
-  Out += '\n';
-  appendMeta(Out, P);
-  appendObjects(Out, P);
-  appendStreams(Out, P);
-  P.Contexts.append(Out);
-  return Out;
-}
-
-static std::string profileToStringV2(const Profile &P) {
-  std::string Out;
-  Out.reserve(128 + 96 * (1 + P.Objects.size() + P.Streams.size() +
-                          P.Contexts.size()));
-  Out += MagicV2;
-  Out += '\n';
-
-  // Section bodies back to back, with their boundaries recorded so the
-  // trailer can CRC each body in place.
-  size_t Bounds[NumSections + 1];
-  Bounds[0] = Out.size();
-  appendMeta(Out, P);
-  Bounds[1] = Out.size();
-  appendObjects(Out, P);
-  Bounds[2] = Out.size();
-  appendStreams(Out, P);
-  Bounds[3] = Out.size();
-  P.Contexts.append(Out);
-  Bounds[4] = Out.size();
-
-  const size_t Counts[NumSections] = {1, P.Objects.size(), P.Streams.size(),
-                                      P.Contexts.size() - 1};
-  for (unsigned S = 0; S != NumSections; ++S) {
-    Out += "crc ";
-    Out += SectionNames[S];
-    Out += ' ';
-    appendDec(Out, Counts[S]);
-    Out += ' ';
-    Out += support::crc32Hex(
-        support::crc32(Out.data() + Bounds[S], Bounds[S + 1] - Bounds[S]));
-    Out += '\n';
-  }
-  Out += EndMarker;
-  Out += '\n';
-  return Out;
-}
-
-//===----------------------------------------------------------------------===//
-// Writing: binary v3
+// Writing
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -253,7 +85,7 @@ inline int64_t wrapDelta(uint64_t A, uint64_t B) {
 }
 } // namespace
 
-static std::string profileToStringV3(const Profile &P) {
+std::string structslim::profile::profileToString(const Profile &P) {
   using support::appendSVarint;
   using support::appendVarint;
 
@@ -412,7 +244,6 @@ static std::string profileToStringV3(const Profile &P) {
   std::string Out;
   Out.reserve(32 + v3HeaderBytes(SectionsOut) + PayloadBytes + 8);
   Out += MagicV3;
-  Out += '\n';
   size_t HeaderStart = Out.size();
   appendLE32(Out, SectionsOut);
   for (unsigned S = 0; S != SectionsOut; ++S) {
@@ -428,32 +259,13 @@ static std::string profileToStringV3(const Profile &P) {
   return Out;
 }
 
-std::string structslim::profile::profileToString(const Profile &P,
-                                                 unsigned Version) {
-  switch (Version) {
-  case 1:
-    return profileToStringV1(P);
-  case 2:
-    return profileToStringV2(P);
-  case 3:
-    return profileToStringV3(P);
-  default:
-    assert(false && "unsupported profile format version");
-    return profileToStringV3(P);
-  }
-}
-
-std::string structslim::profile::profileToString(const Profile &P) {
-  return profileToString(P, ProfileFormatVersion);
-}
-
 void structslim::profile::writeProfile(const Profile &P, std::ostream &OS) {
   std::string Out = profileToString(P);
   OS.write(Out.data(), static_cast<std::streamsize>(Out.size()));
 }
 
 //===----------------------------------------------------------------------===//
-// Reading: shared text-record parser (v1 and v2)
+// Reading
 //===----------------------------------------------------------------------===//
 
 static std::optional<Profile> failParse(std::string *Error,
@@ -462,187 +274,6 @@ static std::optional<Profile> failParse(std::string *Error,
     *Error = Message;
   return std::nullopt;
 }
-
-/// Parses one record line whose kind token was already extracted.
-/// Returns false with \p Message set on malformed content; \p Section
-/// reports which checksummed section the record belongs to.
-static bool parseRecord(const std::string &Kind, std::istringstream &LS,
-                        Profile &P, bool &SawMeta, unsigned &Section,
-                        std::string &Message) {
-  if (Kind == "meta") {
-    Section = SecMeta;
-    LS >> P.ThreadId >> P.SamplePeriod >> P.TotalSamples >> P.TotalLatency >>
-        P.UnattributedLatency >> P.Instructions >> P.MemoryAccesses >>
-        P.Cycles;
-    if (!LS) {
-      Message = "malformed meta line";
-      return false;
-    }
-    SawMeta = true;
-  } else if (Kind == "object") {
-    Section = SecObject;
-    ObjectAgg O;
-    LS >> O.Key >> O.Name >> O.Start >> O.Size >> O.SampleCount >>
-        O.LatencySum;
-    if (!LS) {
-      Message = "malformed object line";
-      return false;
-    }
-    O.Key = decodeName(O.Key);
-    O.Name = decodeName(O.Name);
-    P.Objects.push_back(std::move(O));
-  } else if (Kind == "stream") {
-    Section = SecStream;
-    StreamRecord S;
-    unsigned AccessSize = 0;
-    LS >> S.Ip >> S.ObjectIndex >> S.LoopId >> S.Line >> AccessSize >>
-        S.SampleCount >> S.LatencySum >> S.UniqueAddrCount >> S.StrideGcd >>
-        S.RepAddr >> S.LastAddr >> S.ObjectStart;
-    for (uint64_t &L : S.LevelSamples)
-      LS >> L;
-    LS >> S.TlbMissSamples;
-    if (!LS) {
-      Message = "malformed stream line";
-      return false;
-    }
-    S.AccessSize = static_cast<uint8_t>(AccessSize);
-    if (S.ObjectIndex >= P.Objects.size()) {
-      Message = "stream references unknown object";
-      return false;
-    }
-    P.Streams.push_back(std::move(S));
-  } else if (Kind == "cctnode") {
-    Section = SecCct;
-    uint32_t Parent = 0;
-    uint64_t Ip = 0, Latency = 0, Samples = 0;
-    LS >> Parent >> Ip >> Latency >> Samples;
-    if (!LS) {
-      Message = "malformed cctnode line";
-      return false;
-    }
-    if (!P.Contexts.addSerializedNode(Parent, Ip, Latency, Samples)) {
-      Message = "cctnode references unknown parent";
-      return false;
-    }
-  } else {
-    Message = "unknown record kind '" + Kind + "'";
-    return false;
-  }
-  return true;
-}
-
-/// The legacy unversioned reader: records until EOF, no integrity
-/// trailer. Kept so profiles recorded before the versioned format
-/// still load (BOLT-style backward compatibility).
-static std::optional<Profile> readProfileV1(std::istream &IS,
-                                            std::string *Error) {
-  Profile P;
-  bool SawMeta = false;
-  std::string Line;
-  size_t LineNo = 1;
-  while (std::getline(IS, Line)) {
-    ++LineNo;
-    if (Line.empty())
-      continue;
-    std::istringstream LS(Line);
-    std::string Kind;
-    LS >> Kind;
-    unsigned Section = 0;
-    std::string Message;
-    if (!parseRecord(Kind, LS, P, SawMeta, Section, Message))
-      return failParse(Error,
-                       "line " + std::to_string(LineNo) + ": " + Message);
-  }
-  if (!SawMeta)
-    return failParse(Error, "profile has no meta record");
-  P.markUnindexed();
-  return P;
-}
-
-/// The versioned text reader: records, then one "crc <section> <count>
-/// <crc32hex>" line per section, then the end marker. Content after a
-/// clean trailer, a checksum/count mismatch, or a missing end marker
-/// (truncation) all reject the shard.
-static std::optional<Profile> readProfileV2(std::istream &IS,
-                                            std::string *Error) {
-  Profile P;
-  bool SawMeta = false;
-  uint32_t SectionCrc[NumSections] = {};
-  uint64_t SectionCount[NumSections] = {};
-  bool SectionVerified[NumSections] = {};
-  bool InTrailer = false;
-  bool SawEnd = false;
-  std::string Line;
-  size_t LineNo = 1;
-
-  auto Fail = [&](const std::string &Message) {
-    return failParse(Error, "line " + std::to_string(LineNo) + ": " + Message);
-  };
-
-  while (std::getline(IS, Line)) {
-    ++LineNo;
-    if (Line.empty())
-      continue;
-    if (SawEnd)
-      return Fail("trailing data after end marker");
-    std::istringstream LS(Line);
-    std::string Kind;
-    LS >> Kind;
-    if (Kind == "crc") {
-      InTrailer = true;
-      std::string Name, Hex;
-      uint64_t Count = 0;
-      LS >> Name >> Count >> Hex;
-      if (!LS)
-        return Fail("malformed crc line");
-      unsigned Section = NumSections;
-      for (unsigned S = 0; S != NumSections; ++S)
-        if (Name == SectionNames[S])
-          Section = S;
-      if (Section == NumSections)
-        return Fail("crc line names unknown section '" + Name + "'");
-      if (SectionVerified[Section])
-        return Fail("duplicate crc line for section '" + Name + "'");
-      uint32_t Expected = 0;
-      if (!support::parseCrc32Hex(Hex, Expected))
-        return Fail("malformed crc value '" + Hex + "'");
-      if (Count != SectionCount[Section])
-        return Fail("section '" + Name + "' record count mismatch (header " +
-                    std::to_string(Count) + ", found " +
-                    std::to_string(SectionCount[Section]) + ")");
-      if (Expected != SectionCrc[Section])
-        return Fail("section '" + Name + "' checksum mismatch");
-      SectionVerified[Section] = true;
-    } else if (Line == EndMarker) {
-      for (unsigned S = 0; S != NumSections; ++S)
-        if (!SectionVerified[S])
-          return Fail("incomplete checksum trailer (section '" +
-                      std::string(SectionNames[S]) + "' unverified)");
-      SawEnd = true;
-    } else {
-      if (InTrailer)
-        return Fail("record after checksum trailer");
-      unsigned Section = 0;
-      std::string Message;
-      if (!parseRecord(Kind, LS, P, SawMeta, Section, Message))
-        return Fail(Message);
-      SectionCrc[Section] =
-          support::crc32(Line.data(), Line.size(), SectionCrc[Section]);
-      SectionCrc[Section] = support::crc32("\n", 1, SectionCrc[Section]);
-      ++SectionCount[Section];
-    }
-  }
-  if (!SawEnd)
-    return failParse(Error, "truncated profile (missing end marker)");
-  if (!SawMeta)
-    return failParse(Error, "profile has no meta record");
-  P.markUnindexed();
-  return P;
-}
-
-//===----------------------------------------------------------------------===//
-// Reading: binary v3
-//===----------------------------------------------------------------------===//
 
 namespace {
 /// The decoded fixed header: a byte-size/record-count/CRC triple per
@@ -661,7 +292,7 @@ static std::optional<Profile> readProfileV3(std::string_view Data,
   // (it fixes the header size: five base sections, optionally the
   // reservoir section); then the header's own CRC gates every size
   // field, so all later arithmetic works on trusted values.
-  size_t EndLen = sizeof(EndMarkerV3) - 1;
+  size_t EndLen = EndMarkerV3.size();
   if (Data.size() < 4)
     return failParse(Error, "truncated profile (missing end marker)");
   const char *H = Data.data();
@@ -900,40 +531,23 @@ static std::optional<Profile> readProfileV3(std::string_view Data,
   return P;
 }
 
-//===----------------------------------------------------------------------===//
-// Version dispatch
-//===----------------------------------------------------------------------===//
-
 std::optional<Profile>
 structslim::profile::profileFromBytes(std::string_view Data,
                                       std::string *Error,
                                       ObjectKeyInterner *Interner) {
-  // v3 is framed by its magic line and decoded in place.
-  std::string_view MagicLineV3("structslim-profile v3\n");
-  if (Data.substr(0, MagicLineV3.size()) == MagicLineV3)
-    return readProfileV3(Data.substr(MagicLineV3.size()), Error, Interner);
-  if (Data == MagicV3) // Cut off right after the magic, newline lost.
+  // The magic line frames the binary payload, which decodes in place.
+  if (Data.starts_with(MagicV3))
+    return readProfileV3(Data.substr(MagicV3.size()), Error, Interner);
+  if (Data == MagicV3.substr(0, MagicV3.size() - 1)) // Newline lost.
     return failParse(Error, "truncated profile (missing end marker)");
-  // The text formats run through the line-oriented readers.
-  std::istringstream IS{std::string(Data)};
-  std::string Line;
-  if (!std::getline(IS, Line))
-    return failParse(Error, "missing profile magic header");
-  std::optional<Profile> P;
-  if (Line == MagicV2)
-    P = readProfileV2(IS, Error);
-  else if (Line == MagicV1)
-    P = readProfileV1(IS, Error);
-  else if (Line.rfind("structslim-profile v", 0) == 0)
+  // Any other version line names a format this reader does not decode,
+  // the retired v1/v2 text formats included.
+  std::string_view Line = Data.substr(0, Data.find('\n'));
+  if (Line.starts_with(VersionPrefix))
     return failParse(Error, "unsupported profile format version '" +
-                                Line.substr(20) + "'");
-  else
-    return failParse(Error, "missing profile magic header");
-  // The text decoders have no string table to intern from; a separate
-  // pass keeps the interner contract uniform across versions.
-  if (P && Interner)
-    P->internObjectKeys(*Interner);
-  return P;
+                                std::string(Line.substr(VersionPrefix.size())) +
+                                "'");
+  return failParse(Error, "missing profile magic header");
 }
 
 std::optional<Profile>
@@ -964,12 +578,13 @@ structslim::profile::readProfileFile(const std::string &Path,
   // mapping (every slice is length-checked against the declared
   // section sizes, so a truncated file rejects cleanly instead of
   // faulting). MappedFile degrades to one buffered read when mapping
-  // is unavailable.
+  // is unavailable. Its error names no path: the caller's diagnostic
+  // already leads with it.
   std::string MapError;
   std::optional<support::MappedFile> File =
       support::MappedFile::open(Path, &MapError);
   if (!File)
-    return failParse(Error, "cannot open file");
+    return failParse(Error, MapError);
   return profileFromBytes(File->bytes(), Error, Interner);
 }
 

@@ -7,35 +7,28 @@
 /// \file
 /// Profile (de)serialization. The online profiler writes one profile
 /// file per thread (paper Sec. 5.1); the offline analyzer reads them
-/// back and merges. Three format versions coexist:
+/// back and merges. There is one on-disk format, binary v3:
 ///
-///  - v1: legacy line-oriented text, EOF-terminated, no integrity
-///    trailer (read-only compatibility).
-///  - v2: the same text records framed by a magic+version header, one
-///    CRC-32 + record-count trailer line per section, and an end
-///    marker (read and write on request).
-///  - v3 (default writer): the same framing idea in a compact binary
-///    section layout built for ingest throughput:
+///   structslim-profile v3\n
+///   u32 section-count (5, or 6 with "rsvr")    \  fixed-size binary
+///   N x { u64 bytes, u64 records, u32 crc32 }   } header, little
+///   u32 header-crc32                           /  endian
+///   payload: meta | strtab | object | stream | cct [| rsvr]
+///   end v3\n
 ///
-///      structslim-profile v3\n
-///      u32 section-count (5)                      \  fixed-size binary
-///      5 x { u64 bytes, u64 records, u32 crc32 }   } header, little
-///      u32 header-crc32                           /  endian
-///      payload: meta | strtab | object | stream | cct
-///      end v3\n
+/// The string table deduplicates object keys/names (length-prefixed,
+/// first-use order); object and stream records are varint-encoded with
+/// delta compression for the near-sorted fields (IPs and object bases
+/// delta against the previous record, addresses against the record's
+/// own object base); CCT nodes delta their parent ids and IPs. Because
+/// every section's byte size is in the header, a reader slices one
+/// contiguous buffer without scanning — single read, zero-copy section
+/// views, CRC-checked before decode.
 ///
-///    The string table deduplicates object keys/names (length-prefixed,
-///    first-use order); object and stream records are varint-encoded
-///    with delta compression for the near-sorted fields (IPs and
-///    object bases delta against the previous record, addresses
-///    against the record's own object base); CCT nodes delta their
-///    parent ids and IPs. Because every section's byte size is in the
-///    header, a reader slices one contiguous buffer without scanning —
-///    single read, zero-copy section views, CRC-checked before decode.
-///
-/// Readers accept all three versions, dispatching on the magic line.
 /// Torn, truncated, or bit-flipped shards are rejected with a
-/// descriptive error rather than merged as silently wrong data.
+/// descriptive error rather than merged as silently wrong data. Any
+/// other "structslim-profile vN" header (the retired v1/v2 text
+/// formats included) fails as an unsupported version.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -53,25 +46,15 @@ namespace profile {
 class Profile;
 class ObjectKeyInterner;
 
-/// The profile format version writeProfile emits. readProfile accepts
-/// this and every older version.
-inline constexpr unsigned ProfileFormatVersion = 3;
-
-/// Writes \p P to \p OS in the current (checksummed binary) format.
+/// Writes \p P to \p OS in the v3 format.
 void writeProfile(const Profile &P, std::ostream &OS);
 
-/// Serializes to a string in the current format.
+/// Serializes to a string in the v3 format.
 std::string profileToString(const Profile &P);
 
-/// Serializes to a string in an explicit format version (1, 2 or 3):
-/// the cross-version tests, the fuzzer, and the format-migration bench
-/// need to produce older shards on demand.
-std::string profileToString(const Profile &P, unsigned Version);
-
-/// Parses a profile from an in-memory buffer (any supported version,
-/// selected by the magic line); std::nullopt on malformed input (the
-/// error is described in \p Error when non-null). For v3 this is the
-/// fast path: section slices decode in place from \p Data.
+/// Parses a profile from an in-memory buffer; std::nullopt on malformed
+/// input (the error is described in \p Error when non-null). Section
+/// slices decode in place from \p Data.
 ///
 /// When \p Interner is non-null the decoder interns every object key
 /// into it as the keys stream out of the buffer and installs the ids
@@ -82,9 +65,8 @@ std::optional<Profile> profileFromBytes(std::string_view Data,
                                         std::string *Error = nullptr,
                                         ObjectKeyInterner *Interner = nullptr);
 
-/// Parses a profile (current or legacy format, selected by the header
-/// line); std::nullopt on malformed input (the error is described in
-/// \p Error when non-null).
+/// Parses a profile from a stream; std::nullopt on malformed input (the
+/// error is described in \p Error when non-null).
 std::optional<Profile> readProfile(std::istream &IS,
                                    std::string *Error = nullptr);
 
@@ -95,8 +77,9 @@ std::optional<Profile> profileFromString(const std::string &Text,
 /// Reads a profile shard from \p Path and decodes it zero-copy from a
 /// read-only memory mapping (support::MappedFile; buffered fallback
 /// when mapping is unavailable or STRUCTSLIM_NO_MMAP is set). Failures
-/// to open, injected faults (support::FaultSite::ProfileOpenRead), and
-/// parse errors all report through \p Error. \p Interner as in
+/// to open (a directory included), injected faults
+/// (support::FaultSite::ProfileOpenRead), and parse errors all report
+/// through \p Error, which does not repeat \p Path. \p Interner as in
 /// profileFromBytes.
 std::optional<Profile> readProfileFile(const std::string &Path,
                                        std::string *Error = nullptr,

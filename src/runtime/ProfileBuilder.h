@@ -56,7 +56,8 @@ public:
   /// attributed sample then also counts toward the stream's
   /// OfferedSamples/OfferedWeight (the reservoir adds the evicted
   /// remainder at flush time). Off by default so unbounded profiles
-  /// keep all reservoir fields zero — the v1/v2 round-trip contract.
+  /// keep all reservoir fields zero, and with them the five-section v3
+  /// layout.
   void setReservoirActive(bool Active) { ReservoirActive = Active; }
 
   void onSample(const pmu::AddressSample &Sample) override;

@@ -57,31 +57,3 @@ uint32_t support::crc32(const void *Data, size_t Size, uint32_t Crc) {
 uint32_t support::crc32(const std::string &Bytes, uint32_t Crc) {
   return crc32(Bytes.data(), Bytes.size(), Crc);
 }
-
-std::string support::crc32Hex(uint32_t Crc) {
-  static const char Digits[] = "0123456789abcdef";
-  std::string Out(8, '0');
-  for (int I = 7; I >= 0; --I) {
-    Out[I] = Digits[Crc & 0xF];
-    Crc >>= 4;
-  }
-  return Out;
-}
-
-bool support::parseCrc32Hex(const std::string &Text, uint32_t &Crc) {
-  if (Text.size() != 8)
-    return false;
-  uint32_t Value = 0;
-  for (char C : Text) {
-    uint32_t Digit;
-    if (C >= '0' && C <= '9')
-      Digit = static_cast<uint32_t>(C - '0');
-    else if (C >= 'a' && C <= 'f')
-      Digit = static_cast<uint32_t>(C - 'a') + 10;
-    else
-      return false;
-    Value = (Value << 4) | Digit;
-  }
-  Crc = Value;
-  return true;
-}

@@ -6,7 +6,7 @@
 ///
 /// \file
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) for the
-/// versioned profile format: each on-disk section carries a checksum so
+/// profile format: each on-disk section carries a checksum so
 /// the offline analyzer can tell a torn or bit-flipped shard from a
 /// well-formed one instead of silently merging garbage.
 ///
@@ -29,12 +29,6 @@ uint32_t crc32(const void *Data, size_t Size, uint32_t Crc = 0);
 
 /// Convenience overload over a byte string.
 uint32_t crc32(const std::string &Bytes, uint32_t Crc = 0);
-
-/// Renders \p Crc as exactly eight lowercase hex digits.
-std::string crc32Hex(uint32_t Crc);
-
-/// Parses an eight-digit hex checksum; false on malformed input.
-bool parseCrc32Hex(const std::string &Text, uint32_t &Crc);
 
 } // namespace support
 } // namespace structslim

@@ -3,6 +3,7 @@
 #include "support/MappedFile.h"
 
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <utility>
@@ -20,23 +21,23 @@ using namespace structslim::support;
 
 namespace {
 
+bool fail(std::string *Error, const char *Message) {
+  if (Error)
+    *Error = Message;
+  return false;
+}
+
 /// Buffered fallback: reads the whole file into \p Out. Returns false
 /// (with \p Error filled) when the file cannot be opened or read.
 bool readWholeFile(const std::string &Path, std::string &Out,
                    std::string *Error) {
   std::ifstream In(Path, std::ios::binary);
-  if (!In) {
-    if (Error)
-      *Error = "cannot open profile file: " + Path;
-    return false;
-  }
+  if (!In)
+    return fail(Error, "cannot open file");
   std::ostringstream Buffer;
   Buffer << In.rdbuf();
-  if (In.bad()) {
-    if (Error)
-      *Error = "cannot read profile file: " + Path;
-    return false;
-  }
+  if (In.bad())
+    return fail(Error, "cannot read file");
   Out = Buffer.str();
   return true;
 }
@@ -51,13 +52,19 @@ bool mmapDisabledByEnv() {
 
 std::optional<MappedFile> MappedFile::open(const std::string &Path,
                                            std::string *Error) {
+  // Both ::open and std::ifstream accept a directory and then read
+  // nothing, which would pass for an empty file.
+  std::error_code Ec;
+  if (std::filesystem::is_directory(Path, Ec)) {
+    fail(Error, "is a directory");
+    return std::nullopt;
+  }
   MappedFile File;
 #if STRUCTSLIM_HAVE_MMAP
   if (!mmapDisabledByEnv()) {
     int Fd = ::open(Path.c_str(), O_RDONLY);
     if (Fd < 0) {
-      if (Error)
-        *Error = "cannot open profile file: " + Path;
+      fail(Error, "cannot open file");
       return std::nullopt;
     }
     struct stat St;

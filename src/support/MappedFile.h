@@ -36,9 +36,10 @@ namespace support {
 /// owned buffer otherwise. Move-only; unmaps on destruction.
 class MappedFile {
 public:
-  /// Opens \p Path read-only. Returns nullopt (and fills \p Error) when
-  /// the file cannot be opened or read at all; mapping failures are not
-  /// errors, they degrade to the buffered fallback.
+  /// Opens \p Path read-only. Returns nullopt (and fills \p Error with
+  /// a reason that does not repeat the path) when \p Path is a
+  /// directory or cannot be opened or read at all; mapping failures are
+  /// not errors, they degrade to the buffered fallback.
   static std::optional<MappedFile> open(const std::string &Path,
                                         std::string *Error);
 

@@ -7,6 +7,9 @@
 #include "profile/MergeTree.h"
 #include "profile/ProfileIO.h"
 #include "runtime/ThreadedRuntime.h"
+#include "support/VarInt.h"
+
+#include "V3Blob.h"
 
 #include <gtest/gtest.h>
 
@@ -92,10 +95,17 @@ TEST(Cct, SerializationRoundTripViaProfile) {
 }
 
 TEST(Cct, BadParentRejectedOnLoad) {
-  std::string Text = "structslim-profile v1\nmeta 0 1 0 0 0 0 0 0\n"
-                     "cctnode 99 5 1 1\n";
+  // One node whose parent id (99) names no earlier node, re-sealed so
+  // the section CRC passes and the parent check itself must reject it.
+  V3Blob Blob = V3Blob::split(profileToString(Profile()));
+  std::string &Cct = Blob.Payloads[V3Blob::Cct];
+  support::appendSVarint(Cct, 99); // Parent delta from 0.
+  support::appendSVarint(Cct, 5);  // IP delta from 0.
+  support::appendVarint(Cct, 1);   // Latency.
+  support::appendVarint(Cct, 1);   // Samples.
+  Blob.Records[V3Blob::Cct] = 1;
   std::string Error;
-  EXPECT_FALSE(profileFromString(Text, &Error).has_value());
+  EXPECT_FALSE(profileFromString(Blob.seal(), &Error).has_value());
   EXPECT_NE(Error.find("unknown parent"), std::string::npos);
 }
 

@@ -6,10 +6,9 @@
 // tree's shape is part of the output (Profile::merge is not
 // associative), so serial loading, streaming accumulation, and
 // parallel pair-merging all have to reproduce one canonical tree.
-// Also covers: cross-version identity (v1/v2/v3 shards merge to the
-// same bytes), v1->v3 and v2->v3 round-trips, the strict-mode
-// all-or-nothing contract at every job count, and the bounded-memory
-// guarantee (peak resident decoded profiles stays O(jobs + log n)).
+// Also covers the strict-mode all-or-nothing contract at every job
+// count and the bounded-memory guarantee (peak resident decoded
+// profiles stays O(jobs + log n)).
 //
 //===----------------------------------------------------------------------===//
 
@@ -93,14 +92,13 @@ protected:
     return Dir;
   }
 
-  /// Writes \p Count shards in format \p Version, returning the paths.
-  std::vector<std::string> writeShards(const std::string &Dir, unsigned Count,
-                                       unsigned Version) {
+  /// Writes \p Count shards, returning the paths.
+  std::vector<std::string> writeShards(const std::string &Dir,
+                                       unsigned Count) {
     std::vector<std::string> Files;
     for (unsigned I = 0; I != Count; ++I) {
       std::string Path = Dir + "/thread" + std::to_string(I) + ".structslim";
-      std::ofstream(Path, std::ios::binary)
-          << profileToString(makeShard(I), Version);
+      std::ofstream(Path, std::ios::binary) << profileToString(makeShard(I));
       Files.push_back(Path);
     }
     return Files;
@@ -117,7 +115,7 @@ TEST_F(MergeTreeStream, StreamingMatchesTreeForEveryShardAndJobCount) {
   std::string Dir = scratchDir();
   const unsigned Counts[] = {1, 2,  3,  4,  5,  6,  7,  8,  9, 10,
                              11, 12, 13, 14, 15, 16, 17, 33, 64};
-  std::vector<std::string> AllFiles = writeShards(Dir, 64, 3);
+  std::vector<std::string> AllFiles = writeShards(Dir, 64);
   for (unsigned N : Counts) {
     std::vector<std::string> Files(AllFiles.begin(), AllFiles.begin() + N);
     std::vector<Profile> Shards;
@@ -149,51 +147,13 @@ TEST_F(MergeTreeStream, ShardOrderIsPartOfTheContract) {
   // the input order); the same files in the same order must give the
   // same bytes on repeated runs.
   std::string Dir = scratchDir();
-  std::vector<std::string> Files = writeShards(Dir, 9, 3);
+  std::vector<std::string> Files = writeShards(Dir, 9);
   MergeOptions Opts;
   Opts.WorkerThreads = 4;
   std::string First = profileToString(loadAndMergeProfiles(Files, Opts).Merged);
   for (int Run = 0; Run != 3; ++Run)
     EXPECT_EQ(profileToString(loadAndMergeProfiles(Files, Opts).Merged),
               First);
-}
-
-// Cross-version identity: the same logical shards serialized as v1, v2
-// and v3 merge to byte-identical results — the format migration cannot
-// shift any analyzer output.
-TEST_F(MergeTreeStream, AllFormatVersionsMergeIdentically) {
-  std::string Dir = scratchDir();
-  const unsigned N = 7;
-  std::string Results[3];
-  for (unsigned Version = 1; Version <= 3; ++Version) {
-    std::string SubDir = Dir + "/v" + std::to_string(Version);
-    std::filesystem::create_directories(SubDir);
-    std::vector<std::string> Files = writeShards(SubDir, N, Version);
-    MergeOptions Opts;
-    Opts.WorkerThreads = 2;
-    MergeLoadResult Load = loadAndMergeProfiles(Files, Opts);
-    ASSERT_EQ(Load.Loaded.size(), N) << "version " << Version;
-    Results[Version - 1] = profileToString(Load.Merged);
-  }
-  EXPECT_EQ(Results[0], Results[1]);
-  EXPECT_EQ(Results[1], Results[2]);
-}
-
-// Round-trips across the version ladder: a profile written in an old
-// format, read back, and re-written in v3 must equal the direct v3
-// serialization (and v3 must round-trip exactly).
-TEST_F(MergeTreeStream, CrossVersionRoundTripsAreExact) {
-  for (unsigned Shard = 0; Shard != 4; ++Shard) {
-    Profile P = makeShard(Shard);
-    std::string V3 = profileToString(P, 3);
-    for (unsigned Version = 1; Version <= 3; ++Version) {
-      std::string Error;
-      auto Back = profileFromString(profileToString(P, Version), &Error);
-      ASSERT_TRUE(Back.has_value())
-          << "version " << Version << ": " << Error;
-      EXPECT_EQ(profileToString(*Back, 3), V3) << "version " << Version;
-    }
-  }
 }
 
 // Strict mode is all-or-nothing at every job count: a corrupt shard in
@@ -203,7 +163,7 @@ TEST_F(MergeTreeStream, CrossVersionRoundTripsAreExact) {
 // return that left already-loaded paths in the result).
 TEST_F(MergeTreeStream, StrictAbortExposesNoPartialState) {
   std::string Dir = scratchDir();
-  std::vector<std::string> Files = writeShards(Dir, 12, 3);
+  std::vector<std::string> Files = writeShards(Dir, 12);
   // Corrupt shard 7 by truncating it mid-payload.
   {
     std::ifstream In(Files[7], std::ios::binary);
@@ -232,7 +192,7 @@ TEST_F(MergeTreeStream, StrictAbortExposesNoPartialState) {
 // at every job count.
 TEST_F(MergeTreeStream, SkippedShardsKeepIdentityAtEveryJobCount) {
   std::string Dir = scratchDir();
-  std::vector<std::string> Files = writeShards(Dir, 10, 3);
+  std::vector<std::string> Files = writeShards(Dir, 10);
   std::ofstream(Files[4], std::ios::binary) << "garbage";
   std::vector<Profile> Survivors;
   for (unsigned I = 0; I != 10; ++I)
@@ -257,7 +217,7 @@ TEST_F(MergeTreeStream, SkippedShardsKeepIdentityAtEveryJobCount) {
 TEST_F(MergeTreeStream, PeakResidentProfilesIsBounded) {
   std::string Dir = scratchDir();
   const unsigned N = 64;
-  std::vector<std::string> Files = writeShards(Dir, N, 3);
+  std::vector<std::string> Files = writeShards(Dir, N);
   for (unsigned Jobs : {1u, 2u, 4u}) {
     MergeOptions Opts;
     Opts.WorkerThreads = Jobs;
@@ -273,7 +233,7 @@ TEST_F(MergeTreeStream, PeakResidentProfilesIsBounded) {
 // Timing observability: the load/reduce split is populated.
 TEST_F(MergeTreeStream, TimingFieldsArePopulated) {
   std::string Dir = scratchDir();
-  std::vector<std::string> Files = writeShards(Dir, 8, 3);
+  std::vector<std::string> Files = writeShards(Dir, 8);
   MergeOptions Opts;
   Opts.WorkerThreads = 2;
   MergeLoadResult Load = loadAndMergeProfiles(Files, Opts);
@@ -324,7 +284,7 @@ TEST_F(MergeTreeStream, BatchedMergeMatchesStringMerge) {
 TEST_F(MergeTreeStream, EpochSchedulesMatchOneShotMerge) {
   std::string Dir = scratchDir();
   const unsigned N = 13;
-  std::vector<std::string> Files = writeShards(Dir, N, 3);
+  std::vector<std::string> Files = writeShards(Dir, N);
   const std::vector<std::vector<unsigned>> Schedules = {
       {13},                      // One epoch == plain one-shot.
       {1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}, // Fully incremental.
@@ -365,7 +325,7 @@ TEST_F(MergeTreeStream, EpochSchedulesMatchOneShotMerge) {
 // never called.
 TEST_F(MergeTreeStream, CompactIsNonDestructive) {
   std::string Dir = scratchDir();
-  std::vector<std::string> Files = writeShards(Dir, 9, 3);
+  std::vector<std::string> Files = writeShards(Dir, 9);
   MergeOptions Opts;
   Opts.WorkerThreads = 2;
   EpochAccumulator Acc(Opts);
@@ -382,7 +342,7 @@ TEST_F(MergeTreeStream, CompactIsNonDestructive) {
 // for an unrelated shard sequence.
 TEST_F(MergeTreeStream, TakeResetsTheAccumulatorForReuse) {
   std::string Dir = scratchDir();
-  std::vector<std::string> Files = writeShards(Dir, 8, 3);
+  std::vector<std::string> Files = writeShards(Dir, 8);
   MergeOptions Opts;
   Opts.WorkerThreads = 1;
   EpochAccumulator Acc(Opts);
@@ -401,7 +361,7 @@ TEST_F(MergeTreeStream, TakeResetsTheAccumulatorForReuse) {
 TEST_F(MergeTreeStream, EpochResidentProfilesStayLogarithmic) {
   std::string Dir = scratchDir();
   const unsigned N = 64;
-  std::vector<std::string> Files = writeShards(Dir, N, 3);
+  std::vector<std::string> Files = writeShards(Dir, N);
   EpochAccumulator Acc;
   for (unsigned I = 0; I != N; ++I) {
     Acc.addShards({Files[I]});
@@ -420,7 +380,7 @@ TEST_F(MergeTreeStream, EpochResidentProfilesStayLogarithmic) {
 TEST_F(MergeTreeStream, StrictEpochFailureRestoresPriorState) {
   for (unsigned Jobs : {1u, 4u}) {
     std::string Dir = scratchDir();
-    std::vector<std::string> Files = writeShards(Dir, 12, 3);
+    std::vector<std::string> Files = writeShards(Dir, 12);
     std::string Corrupt = Dir + "/corrupt.structslim";
     {
       std::ifstream In(Files[8], std::ios::binary);

@@ -5,6 +5,8 @@
 #include "profile/ProfileIO.h"
 #include "support/Random.h"
 
+#include "V3Blob.h"
+
 #include <gtest/gtest.h>
 
 using namespace structslim;
@@ -189,26 +191,48 @@ TEST(ProfileIO, RejectsMissingMagic) {
   EXPECT_NE(Error.find("magic"), std::string::npos);
 }
 
-TEST(ProfileIO, RejectsUnknownRecord) {
-  std::string Error;
-  std::string Text = "structslim-profile v1\nmeta 0 1 0 0 0 0 0 0\nwat 1\n";
-  EXPECT_FALSE(profileFromString(Text, &Error).has_value());
-  EXPECT_NE(Error.find("unknown record"), std::string::npos);
-}
+// The checks below sit behind the CRCs: a blob is edited and then
+// re-sealed (V3Blob) so the decoder gets past the integrity gate and
+// the semantic check itself must reject it.
 
 TEST(ProfileIO, RejectsDanglingStream) {
+  V3Blob Blob = V3Blob::split(profileToString(makeSimple(0, 10, 8, 0x1000)));
+  Blob.Payloads[V3Blob::Object].clear(); // The stream's object is gone.
+  Blob.Records[V3Blob::Object] = 0;
   std::string Error;
-  std::string Text = "structslim-profile v1\nmeta 0 1 0 0 0 0 0 0\n"
-                     "stream 5 3 0 0 8 1 1 1 0 0 0 0 0 0 0 0 0\n";
-  EXPECT_FALSE(profileFromString(Text, &Error).has_value());
+  EXPECT_FALSE(profileFromString(Blob.seal(), &Error).has_value());
   EXPECT_NE(Error.find("unknown object"), std::string::npos);
 }
 
 TEST(ProfileIO, RejectsMissingMeta) {
+  V3Blob Blob = V3Blob::split(profileToString(makeSimple(0, 10, 8, 0x1000)));
+  Blob.Payloads[V3Blob::Meta].clear();
+  Blob.Records[V3Blob::Meta] = 0;
   std::string Error;
-  EXPECT_FALSE(
-      profileFromString("structslim-profile v1\n", &Error).has_value());
+  EXPECT_FALSE(profileFromString(Blob.seal(), &Error).has_value());
   EXPECT_NE(Error.find("no meta"), std::string::npos);
+}
+
+TEST(ProfileIO, RejectsUnknownString) {
+  V3Blob Blob = V3Blob::split(profileToString(makeSimple(0, 10, 8, 0x1000)));
+  Blob.Payloads[V3Blob::Strtab].clear(); // The object's key and name.
+  Blob.Records[V3Blob::Strtab] = 0;
+  std::string Error;
+  EXPECT_FALSE(profileFromString(Blob.seal(), &Error).has_value());
+  EXPECT_NE(Error.find("unknown string"), std::string::npos);
+}
+
+TEST(ProfileIO, RejectsLegacyTextVersions) {
+  // The retired text formats are refused by version, not misparsed.
+  std::string V1 = "structslim-profile v1\nmeta 0 1 0 0 0 0 0 0\n";
+  std::string V2 = "structslim-profile v2\nmeta 0 1 0 0 0 0 0 0\nend v2\n";
+  std::string Error;
+  EXPECT_FALSE(profileFromString(V1, &Error).has_value());
+  EXPECT_NE(Error.find("unsupported profile format version '1'"),
+            std::string::npos);
+  EXPECT_FALSE(profileFromString(V2, &Error).has_value());
+  EXPECT_NE(Error.find("unsupported profile format version '2'"),
+            std::string::npos);
 }
 
 // --- Reduction tree -----------------------------------------------------------

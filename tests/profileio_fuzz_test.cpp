@@ -1,14 +1,13 @@
 //===- tests/profileio_fuzz_test.cpp - Structure-aware IO fuzz -*- C++ -*-===//
 //
-// A seeded, structure-aware fuzzer for the versioned profile format.
+// A seeded, structure-aware fuzzer for the v3 profile format.
 // Round-trips random Profiles, then corrupts the serialized blob —
 // truncation at every byte offset, a bit flip at every byte offset,
 // and random multi-edit mutations — and asserts the reader either
 // returns the exact original profile (differential check against the
 // in-memory copy) or a clean descriptive Error. It must never crash,
-// hang, or accept silently wrong data; the per-section CRC-32 trailer
-// is what makes the last guarantee possible. The legacy v1 format has
-// no checksums, so for it the fuzzer asserts only clean accept/reject.
+// hang, or accept silently wrong data; the per-section CRC-32s are
+// what make the last guarantee possible.
 //
 // Carries the "sanitize" ctest label: run under ASan+UBSan with
 //   cmake -B build-asan -S . -DSTRUCTSLIM_SANITIZE=ON
@@ -239,29 +238,6 @@ TEST_P(ProfileIoFuzz, RandomMultiEditMutations) {
   }
 }
 
-// The previous-generation v2 text format stays readable and keeps its
-// integrity contract: the same mutation families against an explicit
-// v2 serialization must yield the exact profile or a clean error.
-TEST_P(ProfileIoFuzz, V2TruncationAndFlipAtEveryOffset) {
-  Rng R(7700 + GetParam());
-  Profile P = makeRandomProfile(R);
-  std::string Canonical = profileToString(P); // Comparison basis (v3).
-  std::string V2 = profileToString(P, 2);
-  {
-    std::string Error;
-    auto Back = profileFromString(V2, &Error);
-    ASSERT_TRUE(Back.has_value()) << Error;
-    EXPECT_EQ(profileToString(*Back), Canonical);
-  }
-  for (size_t Cut = 0; Cut < V2.size(); ++Cut)
-    checkMutation(V2.substr(0, Cut), Canonical);
-  for (size_t Pos = 0; Pos != V2.size(); ++Pos) {
-    std::string Mutated = V2;
-    Mutated[Pos] = static_cast<char>(Mutated[Pos] ^ 0xFF);
-    checkMutation(Mutated, Canonical);
-  }
-}
-
 // Targeted v3 structural mutations: corrupt each fixed-header field
 // (section byte count, record count, per-section CRC) and a byte
 // inside each section payload, located through the header's own
@@ -271,7 +247,7 @@ TEST_P(ProfileIoFuzz, V2TruncationAndFlipAtEveryOffset) {
 TEST_P(ProfileIoFuzz, V3SectionTargetedMutations) {
   Rng R(7700 + GetParam());
   Profile P = makeRandomProfile(R);
-  std::string Canonical = profileToString(P, 3);
+  std::string Canonical = profileToString(P);
   const size_t MagicLen = std::string("structslim-profile v3\n").size();
   const size_t NumSections = 5;
   const size_t EntryBytes = 8 + 8 + 4;
@@ -324,9 +300,9 @@ TEST_P(ProfileIoFuzz, V3SectionTargetedMutations) {
 TEST_P(ProfileIoFuzz, ReservoirFreeProfilesKeepFiveSections) {
   Rng R(7700 + GetParam());
   Profile P = makeRandomProfile(R);
-  EXPECT_EQ(v3SectionCount(profileToString(P, 3)), 5u);
+  EXPECT_EQ(v3SectionCount(profileToString(P)), 5u);
   addReservoirFields(P, R);
-  EXPECT_EQ(v3SectionCount(profileToString(P, 3)), 6u);
+  EXPECT_EQ(v3SectionCount(profileToString(P)), 6u);
 }
 
 // Reservoir-bearing blobs obey the same integrity contract as the base
@@ -337,7 +313,7 @@ TEST_P(ProfileIoFuzz, V3ReservoirSectionTargetedMutations) {
   Rng R(8800 + GetParam());
   Profile P = makeRandomProfile(R);
   addReservoirFields(P, R);
-  std::string Canonical = profileToString(P, 3);
+  std::string Canonical = profileToString(P);
   {
     std::string Error;
     auto Back = profileFromString(Canonical, &Error);
@@ -389,35 +365,6 @@ TEST_P(ProfileIoFuzz, V3ReservoirSectionTargetedMutations) {
     checkMutation(Canonical.substr(0, Cut), Canonical);
 }
 
-// The legacy v1 reader has no checksums to lean on: assert only that
-// it never crashes and that every rejection carries a message.
-TEST_P(ProfileIoFuzz, LegacyV1MutationsNeverCrash) {
-  Rng R(5500 + GetParam());
-  Profile P = makeRandomProfile(R);
-  std::string V1 = profileToString(P, 1);
-  {
-    std::string Error;
-    auto Back = profileFromString(V1, &Error);
-    ASSERT_TRUE(Back.has_value()) << Error;
-  }
-  for (int Trial = 0; Trial != 300; ++Trial) {
-    std::string Mutated = V1;
-    unsigned Edits = 1 + static_cast<unsigned>(R.nextBelow(6));
-    for (unsigned E = 0; E != Edits && !Mutated.empty(); ++E) {
-      size_t Pos = R.nextBelow(Mutated.size());
-      if (R.nextBelow(2) == 0)
-        Mutated[Pos] = static_cast<char>(R.nextBelow(256));
-      else
-        Mutated.erase(Pos, 1 + R.nextBelow(4));
-    }
-    std::string Error;
-    auto Result = profileFromString(Mutated, &Error);
-    if (!Result) {
-      EXPECT_FALSE(Error.empty());
-    }
-  }
-}
-
 // The two file-ingestion modes — zero-copy mmap and the buffered
 // fallback (STRUCTSLIM_NO_MMAP=1) — must agree byte for byte on intact
 // blobs and on truncated tails, where the mapping ends mid-page.
@@ -426,7 +373,7 @@ TEST_P(ProfileIoFuzz, MmapAndBufferedFileLoadersAgree) {
   Rng R(6600 + GetParam());
   Profile P = makeRandomProfile(R);
   addReservoirFields(P, R);
-  std::string Canonical = profileToString(P, 3);
+  std::string Canonical = profileToString(P);
   std::vector<std::string> Blobs = {Canonical};
   for (int Trial = 0; Trial != 16; ++Trial)
     Blobs.push_back(Canonical.substr(0, R.nextBelow(Canonical.size())));
@@ -450,7 +397,7 @@ TEST_P(ProfileIoFuzz, MmapAndBufferedFileLoadersAgree) {
 #endif
 }
 
-// 8 seeds x (|blob| truncations + |blob| flips + 400 random + 300 v1
-// random) comfortably clears 10,000 distinct mutations per run — and
-// every one of them now exercises the mmap file loader too.
+// 8 seeds x (|blob| truncations + |blob| flips + 400 random edits),
+// plus the targeted and reservoir families; every mutation runs through
+// both the in-memory reader and the mmap file loader.
 INSTANTIATE_TEST_SUITE_P(Seeded, ProfileIoFuzz, ::testing::Range(0, 8));

@@ -1,15 +1,14 @@
 //===- tests/report_golden_test.cpp - Golden end-to-end report -*- C++ -*-===//
 //
-// Runs the real structslim-report binary on a recorded profile fixture
-// in the legacy unversioned v1 format (tests/data/clomp.thread*.
-// structslim, captured from the parallel_profiling example) and
-// asserts byte-identical advice and DOT output against checked-in
-// goldens. One test, two regressions covered: the backward-compat
-// reader must keep accepting pre-versioning profiles, and the analysis
-// output on a fixed profile must not drift silently.
+// Runs the real structslim-report binary on a recorded v3 profile
+// fixture (tests/data/clomp.thread*.structslim, captured from the
+// parallel_profiling example) and asserts byte-identical advice and
+// DOT output against checked-in goldens, so the analysis output on a
+// fixed profile cannot drift silently.
 //
-// Also exercises the tool's degradation contract end to end: a corrupt
-// shard is skipped with a warning by default, and --strict exits
+// Also exercises the tool's degradation contract end to end: a
+// truncated shard, a retired v1/v2 text shard and a directory are each
+// skipped with a specific warning by default, and --strict exits
 // nonzero naming the failing path.
 //
 //===----------------------------------------------------------------------===//
@@ -21,6 +20,7 @@
 #include <sstream>
 #include <string>
 #include <sys/wait.h>
+#include <utility>
 #include <vector>
 
 namespace {
@@ -70,12 +70,12 @@ std::string readFileBytes(const std::string &Path) {
 
 } // namespace
 
-TEST(ReportGolden, V1FixtureReportIsByteIdentical) {
+TEST(ReportGolden, FixtureReportIsByteIdentical) {
   CommandResult R = runReport(fixtureShards());
   ASSERT_EQ(R.ExitCode, 0) << R.Output;
   EXPECT_EQ(R.Output, readFileBytes(dataPath("golden_report.txt")));
   // The semantic core of the golden: the paper's Fig. 11 split of
-  // CLOMP's zone struct, recovered from legacy-format shards.
+  // CLOMP's zone struct.
   // The fixture's size rests on one well-sampled stream plus sparse
   // ones, so the advice carries the low-confidence marker.
   EXPECT_NE(R.Output.find(
@@ -86,7 +86,7 @@ TEST(ReportGolden, V1FixtureReportIsByteIdentical) {
             std::string::npos);
 }
 
-TEST(ReportGolden, V1FixtureDotIsByteIdentical) {
+TEST(ReportGolden, FixtureDotIsByteIdentical) {
   std::vector<std::string> Args = {"--dot=_Zone"};
   for (const std::string &F : fixtureShards())
     Args.push_back(F);
@@ -104,6 +104,8 @@ TEST(ReportGolden, CorruptShardIsSkippedWithWarningByDefault) {
   EXPECT_EQ(R.ExitCode, 0) << R.Output;
   EXPECT_NE(R.Output.find("warning: skipping"), std::string::npos);
   EXPECT_NE(R.Output.find("corrupt.structslim"), std::string::npos);
+  EXPECT_NE(R.Output.find("truncated profile (missing end marker)"),
+            std::string::npos);
   // All five good shards still merge: the partial set is well-defined.
   EXPECT_NE(R.Output.find("merged 5 profile(s)"), std::string::npos);
   EXPECT_NE(R.Output.find("struct _Zone_0"), std::string::npos);
@@ -119,6 +121,38 @@ TEST(ReportGolden, StrictExitsNonzeroNamingThePath) {
   EXPECT_NE(R.Output.find("corrupt.structslim"), std::string::npos);
   // Strict failed fast: no report was produced.
   EXPECT_EQ(R.Output.find("merged"), std::string::npos);
+}
+
+// A shard in a retired text format, or a directory passed by mistake,
+// is skipped with the reader's reason next to the good shards and
+// fails the run under --strict.
+TEST(ReportGolden, UnreadableInputsAreSkippedOrFailStrict) {
+  std::string V1 = ::testing::TempDir() + "report_golden_v1.structslim";
+  std::string V2 = ::testing::TempDir() + "report_golden_v2.structslim";
+  std::ofstream(V1) << "structslim-profile v1\nmeta 0 1 0 0 0 0 0 0\n";
+  std::ofstream(V2) << "structslim-profile v2\nmeta 0 1 0 0 0 0 0 0\n";
+  const std::pair<std::string, std::string> Cases[] = {
+      {V1, "unsupported profile format version '1'"},
+      {V2, "unsupported profile format version '2'"},
+      {STRUCTSLIM_TEST_DATA, "is a directory"}};
+  for (const auto &[Path, Reason] : Cases) {
+    std::vector<std::string> Args = {Path};
+    for (const std::string &F : fixtureShards())
+      Args.push_back(F);
+    CommandResult R = runReport(Args);
+    EXPECT_EQ(R.ExitCode, 0) << R.Output;
+    EXPECT_NE(R.Output.find("warning: skipping " + Path + ": " + Reason),
+              std::string::npos)
+        << R.Output;
+    EXPECT_NE(R.Output.find("merged 5 profile(s)"), std::string::npos);
+
+    Args.insert(Args.begin(), "--strict");
+    R = runReport(Args);
+    EXPECT_NE(R.ExitCode, 0) << Path;
+    EXPECT_NE(R.Output.find("error: " + Path + ": " + Reason),
+              std::string::npos)
+        << R.Output;
+  }
 }
 
 TEST(ReportGolden, AllShardsUnreadableFailsEvenWhenLenient) {

@@ -336,6 +336,23 @@ TEST(MappedFile, MissingFileIsAnError) {
   EXPECT_FALSE(Error.empty());
 }
 
+TEST(MappedFile, DirectoryIsAnError) {
+  // Both paths would otherwise open a directory and read zero bytes,
+  // passing it off as an empty file.
+  std::string Dir = ::testing::TempDir();
+  std::string Error;
+  EXPECT_FALSE(support::MappedFile::open(Dir, &Error).has_value());
+  EXPECT_EQ(Error, "is a directory");
+#if defined(__unix__) || defined(__APPLE__)
+  Error.clear();
+  ASSERT_EQ(::setenv("STRUCTSLIM_NO_MMAP", "1", 1), 0);
+  auto Buffered = support::MappedFile::open(Dir, &Error);
+  ASSERT_EQ(::unsetenv("STRUCTSLIM_NO_MMAP"), 0);
+  EXPECT_FALSE(Buffered.has_value());
+  EXPECT_EQ(Error, "is a directory");
+#endif
+}
+
 TEST(MappedFile, EmptyFileYieldsEmptyBytes) {
   std::string Path = mappedFileScratch("empty.bin");
   writeScratch(Path, "");
