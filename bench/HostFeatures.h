@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 //
 // Every BENCH_*.json header records the host's vector capabilities and
-// the tier each SIMD kernel actually dispatches to, so throughput
+// the tier the SIMD stride kernel actually dispatches to, so throughput
 // trajectories are comparable across hosts (an AVX2 box and a
 // forced-scalar CI runner produce legitimately different numbers).
 //
@@ -14,7 +14,6 @@
 #ifndef STRUCTSLIM_BENCH_HOSTFEATURES_H
 #define STRUCTSLIM_BENCH_HOSTFEATURES_H
 
-#include "cache/Cache.h"
 #include "core/StrideKernel.h"
 #include "support/Simd.h"
 
@@ -23,7 +22,7 @@
 namespace structslim {
 
 /// JSON fields (each line indented two spaces, trailing ",\n") naming
-/// the host CPU features and the active kernel dispatch tiers. Splice
+/// the host CPU features and the active kernel dispatch tier. Splice
 /// directly after the "bench" field of a BENCH_*.json header.
 inline std::string hostFeatureJsonFields() {
   namespace simd = support::simd;
@@ -34,8 +33,6 @@ inline std::string hostFeatureJsonFields() {
          (simd::hostSse2() ? "true" : "false") + ",\n";
   Out += std::string("  \"simd_forced_scalar\": ") +
          (simd::scalarForced() ? "true" : "false") + ",\n";
-  Out += std::string("  \"cache_probe_level\": \"") +
-         simd::levelName(cache::SetAssocCache::batchProbeLevel()) + "\",\n";
   Out += std::string("  \"stride_kernel_level\": \"") +
          simd::levelName(core::strideKernelLevel()) + "\",\n";
   return Out;

@@ -4,198 +4,20 @@
 
 #include "support/Error.h"
 
-#if STRUCTSLIM_SIMD_AVX2 || STRUCTSLIM_SIMD_SSE2
-#include <immintrin.h>
-#endif
-
 using namespace structslim;
 using namespace structslim::cache;
-
-namespace {
-
-/// Way-probe of one set: bit W of the result is set iff way W is valid
-/// and holds \p Line. At most one bit can be set (a line occupies at
-/// most one way). The probe is a pure read, so the vector and scalar
-/// versions are trivially bit-identical.
-inline unsigned probeWaysScalar(const uint64_t *Tags, const uint64_t *Ages,
-                                unsigned Assoc, uint64_t Line) {
-  unsigned Match = 0;
-  for (unsigned W = 0; W != Assoc; ++W)
-    Match |= static_cast<unsigned>((Tags[W] == Line) & (Ages[W] != 0)) << W;
-  return Match;
-}
-
-#if STRUCTSLIM_SIMD_AVX2
-
-inline unsigned probeWaysSimd(const uint64_t *Tags, const uint64_t *Ages,
-                              unsigned Assoc, uint64_t Line) {
-  const __m256i VLine = _mm256_set1_epi64x(static_cast<long long>(Line));
-  const __m256i Zero = _mm256_setzero_si256();
-  unsigned Match = 0;
-  unsigned W = 0;
-  for (; W + 4 <= Assoc; W += 4) {
-    __m256i T =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(Tags + W));
-    __m256i A =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(Ages + W));
-    __m256i Eq = _mm256_cmpeq_epi64(T, VLine);
-    __m256i Invalid = _mm256_cmpeq_epi64(A, Zero);
-    __m256i Hit = _mm256_andnot_si256(Invalid, Eq);
-    Match |= static_cast<unsigned>(
-                 _mm256_movemask_pd(_mm256_castsi256_pd(Hit)))
-             << W;
-  }
-  for (; W != Assoc; ++W)
-    Match |= static_cast<unsigned>((Tags[W] == Line) & (Ages[W] != 0)) << W;
-  return Match;
-}
-
-#elif STRUCTSLIM_SIMD_SSE2
-
-// SSE2 has no 64-bit compare; build one from the 32-bit compare by
-// requiring both halves of each lane to match.
-inline __m128i cmpeq64Sse2(__m128i A, __m128i B) {
-  __m128i Eq32 = _mm_cmpeq_epi32(A, B);
-  return _mm_and_si128(Eq32,
-                       _mm_shuffle_epi32(Eq32, _MM_SHUFFLE(2, 3, 0, 1)));
-}
-
-inline unsigned probeWaysSimd(const uint64_t *Tags, const uint64_t *Ages,
-                              unsigned Assoc, uint64_t Line) {
-  const __m128i VLine = _mm_set1_epi64x(static_cast<long long>(Line));
-  const __m128i Zero = _mm_setzero_si128();
-  unsigned Match = 0;
-  unsigned W = 0;
-  for (; W + 2 <= Assoc; W += 2) {
-    __m128i T = _mm_loadu_si128(reinterpret_cast<const __m128i *>(Tags + W));
-    __m128i A = _mm_loadu_si128(reinterpret_cast<const __m128i *>(Ages + W));
-    __m128i Hit = _mm_andnot_si128(cmpeq64Sse2(A, Zero), cmpeq64Sse2(T, VLine));
-    Match |= static_cast<unsigned>(_mm_movemask_pd(_mm_castsi128_pd(Hit)))
-             << W;
-  }
-  for (; W != Assoc; ++W)
-    Match |= static_cast<unsigned>((Tags[W] == Line) & (Ages[W] != 0)) << W;
-  return Match;
-}
-
-#endif
-
-} // namespace
 
 SetAssocCache::SetAssocCache(const CacheConfig &Config) : Config(Config) {
   if (Config.LineSize == 0 || (Config.LineSize & (Config.LineSize - 1)))
     fatalError("cache line size must be a power of two");
+  if (Config.Assoc == 0 || Config.Assoc > 16)
+    fatalError("cache associativity must be between 1 and 16");
   uint64_t Lines = Config.SizeBytes / Config.LineSize;
   if (Lines == 0 || Lines % Config.Assoc != 0)
     fatalError("cache size must be a multiple of assoc * line size");
   NumSets = Lines / Config.Assoc;
   SetMask = (NumSets & (NumSets - 1)) == 0 ? NumSets - 1 : 0;
   Tags.assign(NumSets * Config.Assoc, 0);
-  Ages.assign(NumSets * Config.Assoc, 0);
-  SetTick.assign(NumSets, 0);
-}
-
-support::simd::Level SetAssocCache::batchProbeLevel() {
-  return support::simd::activeLevel();
-}
-
-uint64_t SetAssocCache::stateHash() const {
-  // FNV-1a over the full SoA state plus the demand counters.
-  uint64_t H = 1469598103934665603ull;
-  auto Mix = [&H](uint64_t V) {
-    H ^= V;
-    H *= 1099511628211ull;
-  };
-  for (size_t I = 0, E = Tags.size(); I != E; ++I) {
-    Mix(Tags[I]);
-    Mix(Ages[I]);
-  }
-  for (uint64_t T : SetTick)
-    Mix(T);
-  Mix(Hits);
-  Mix(Misses);
-  return H;
-}
-
-bool SetAssocCache::contains(uint64_t LineAddr) const {
-  size_t Base = setIndex(LineAddr) * Config.Assoc;
-  for (unsigned W = 0; W != Config.Assoc; ++W)
-    if (Ages[Base + W] != 0 && Tags[Base + W] == LineAddr)
-      return true;
-  return false;
-}
-
-void SetAssocCache::accessBatch(const BatchLineOp *Ops, size_t N,
-                                uint8_t *Hit) {
-  // Small batches: grouping overhead (O(NumSets) bucket reset) would
-  // dominate; the sequential path is bit-identical by definition.
-  if (N < 32 || N * 4 < NumSets) {
-    for (size_t I = 0; I != N; ++I) {
-      Hit[I] = access(Ops[I].Line) ? 1 : 0;
-      if (Ops[I].Repeat)
-        repeatMru(Ops[I].Repeat);
-    }
-    return;
-  }
-
-  // Stable counting sort of the batch positions by set index. Same-set
-  // lookups keep their relative order (LRU state within a set is order
-  // sensitive); sets share no state, so the cross-set reorder is
-  // unobservable.
-  BatchBucket.assign(NumSets + 1, 0);
-  BatchOrder.resize(N);
-  for (size_t I = 0; I != N; ++I)
-    ++BatchBucket[setIndex(Ops[I].Line) + 1];
-  for (size_t S = 0; S != NumSets; ++S)
-    BatchBucket[S + 1] += BatchBucket[S];
-  for (size_t I = 0; I != N; ++I)
-    BatchOrder[BatchBucket[setIndex(Ops[I].Line)]++] =
-        static_cast<uint32_t>(I);
-
-  const unsigned Assoc = Config.Assoc;
-#if STRUCTSLIM_SIMD_AVX2 || STRUCTSLIM_SIMD_SSE2
-  const bool Vec = support::simd::useSimd();
-#endif
-  for (size_t K = 0; K != N; ++K) {
-    size_t I = BatchOrder[K];
-    uint64_t Line = Ops[I].Line;
-    size_t Set = setIndex(Line);
-    size_t Base = Set * Assoc;
-    uint64_t Tick = ++SetTick[Set];
-
-    // Word-parallel probe: evaluate every way branch-free, then reduce
-    // the match mask. A line occupies at most one way, so the mask has
-    // at most one bit set. The SIMD tiers compare 4 (AVX2) or 2 (SSE2)
-    // ways per instruction; the probe is read-only, so the dispatch
-    // cannot affect state or counters.
-    unsigned Match;
-#if STRUCTSLIM_SIMD_AVX2 || STRUCTSLIM_SIMD_SSE2
-    if (Vec)
-      Match = probeWaysSimd(&Tags[Base], &Ages[Base], Assoc, Line);
-    else
-      Match = probeWaysScalar(&Tags[Base], &Ages[Base], Assoc, Line);
-#else
-    Match = probeWaysScalar(&Tags[Base], &Ages[Base], Assoc, Line);
-#endif
-
-    size_t Way;
-    if (Match) {
-      Way = Base + static_cast<unsigned>(__builtin_ctz(Match));
-      Ages[Way] = Tick;
-      ++Hits;
-      Hit[I] = 1;
-    } else {
-      ++Misses;
-      Way = installAt(Base, Line, Tick);
-      Hit[I] = 0;
-    }
-    MruTag = Line;
-    MruWay = Way;
-    if (Ops[I].Repeat) {
-      // The collapsed tail of a run: each access re-touches the way
-      // through the MRU path, advancing the set tick once per access.
-      Hits += Ops[I].Repeat;
-      Ages[Way] = (SetTick[Set] += Ops[I].Repeat);
-    }
-  }
+  Order.assign(NumSets, 0);
+  Fill.assign(NumSets, 0);
 }

@@ -125,37 +125,6 @@ AccessResult MemoryHierarchy::accessSlow(uint64_t Addr, unsigned Size,
   return Result;
 }
 
-void MemoryHierarchy::simulateLines(const BatchLineOp *Ops, size_t N,
-                                    MemLevel *LevelByIndex,
-                                    std::vector<PendingL3> &L3Out) {
-  BatchHit.resize(N);
-  L1.accessBatch(Ops, N, BatchHit.data());
-
-  // L1 misses cascade to the L2 in original order; the collapsed run
-  // tails (Repeat) never do — after the first access installed the
-  // line, the repeats are L1 hits by construction, already accounted
-  // inside accessBatch.
-  BatchL2Ops.clear();
-  for (size_t I = 0; I != N; ++I) {
-    if (BatchHit[I])
-      LevelByIndex[Ops[I].Index] = MemLevel::L1;
-    else
-      BatchL2Ops.push_back({Ops[I].Line, 0, Ops[I].Index});
-  }
-  if (BatchL2Ops.empty())
-    return;
-
-  size_t M = BatchL2Ops.size();
-  BatchHit.resize(M);
-  L2.accessBatch(BatchL2Ops.data(), M, BatchHit.data());
-  for (size_t I = 0; I != M; ++I) {
-    if (BatchHit[I])
-      LevelByIndex[BatchL2Ops[I].Index] = MemLevel::L2;
-    else
-      L3Out.push_back({BatchL2Ops[I].Line, BatchL2Ops[I].Index});
-  }
-}
-
 void MemoryHierarchy::resetCounters() {
   L1.resetCounters();
   L2.resetCounters();

@@ -19,13 +19,11 @@
 /// no-TLB/no-prefetcher configuration (every calibrated workload)
 /// inlines from this header straight into the interpreter loop.
 ///
-/// Two access paths exist. The direct path (`access`) drives all
-/// levels immediately — inline simulation. The batched path
-/// (`simulateLines`) simulates the private L1/L2 for a batch of lines
-/// and hands the shared-L3 demands back for ordered replay — the
-/// decoupled pipeline consumer. The L1/L2 contents never depend on L3
-/// outcomes (fill-on-miss installs regardless of the serving level),
-/// which is what makes the split sound.
+/// There is one access path, `access`, and both simulation placements
+/// use it: the inline engine calls it from the interpreter, and the
+/// decoupled pipeline's consumer (runtime/SimPipeline) calls it for each
+/// queued record in ring order, which is the same order. The levels are
+/// packed LRU caches (cache/Cache.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -136,30 +134,6 @@ public:
     return accessSlow(Addr, Size, Ip, FirstLine, LastLine);
   }
 
-  /// A shared-L3 demand still pending after simulateLines(): the
-  /// pipeline consumer merges the per-thread pending lists back into
-  /// original access order (by Index) before replaying the shared L3,
-  /// reproducing the serial schedule's L3 sequence exactly.
-  struct PendingL3 {
-    uint64_t Line;
-    uint32_t Index;
-  };
-
-  /// Batched mode-0 line cascade for the decoupled pipeline consumer:
-  /// equivalent (bit-identical private cache state and counters) to
-  /// calling access() for each op in order, but with the L1 and L2
-  /// lookups grouped by set (SetAssocCache::accessBatch). For each op,
-  /// either \p LevelByIndex[Ops[I].Index] is set to the private serving
-  /// level, or the line missed both private levels and a PendingL3 with
-  /// the op's Index is appended to \p L3Out (the caller resolves the
-  /// level after shared-L3 replay). Soundness of splitting the levels
-  /// into stages: L1/L2 contents never depend on L3 outcomes
-  /// (fill-on-miss installs regardless of serving level). Requires
-  /// mode() == 0 (no TLB, no prefetcher: both are sequence-sensitive
-  /// and force exact per-access replay).
-  void simulateLines(const BatchLineOp *Ops, size_t N, MemLevel *LevelByIndex,
-                     std::vector<PendingL3> &L3Out);
-
   uint8_t mode() const { return Mode; }
   unsigned lineShift() const { return LineShift; }
 
@@ -199,9 +173,6 @@ private:
   HierarchyConfig Config;
   SetAssocCache L1;
   SetAssocCache L2;
-  // simulateLines scratch, reused across batches.
-  std::vector<uint8_t> BatchHit;
-  std::vector<BatchLineOp> BatchL2Ops;
   std::unique_ptr<SetAssocCache> OwnedL3;
   SetAssocCache *L3Ptr;
   StridePrefetcher Prefetcher;

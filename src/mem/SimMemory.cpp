@@ -13,7 +13,6 @@ SimMemory::Page &SimMemory::getOrCreatePage(uint64_t PageIndex) {
   if (!Slot) {
     Slot = std::make_unique<Page>();
     Slot->fill(0);
-    ++Epoch;
   }
   return *Slot;
 }

@@ -40,13 +40,6 @@ public:
   /// Number of pages materialized so far (footprint metric).
   size_t getNumPages() const { return Pages.size(); }
 
-  /// Incremented every time a page is materialized. A PageAccessCache
-  /// whose epoch differs from this must drop its cached page pointers:
-  /// the pages themselves are heap-stable, but an entry cached for an
-  /// absent page (reads of unwritten memory) goes stale the moment the
-  /// page appears.
-  uint64_t getEpoch() const { return Epoch; }
-
   /// Raw page storage for \p PageIndex, or nullptr if the page has not
   /// been materialized (its bytes read as zero).
   uint8_t *pageDataIfPresent(uint64_t PageIndex) {
@@ -54,8 +47,7 @@ public:
     return It == Pages.end() ? nullptr : It->second->data();
   }
 
-  /// Raw page storage for \p PageIndex, materializing it (and bumping
-  /// the epoch) if absent.
+  /// Raw page storage for \p PageIndex, materializing it if absent.
   uint8_t *pageDataForWrite(uint64_t PageIndex) {
     return getOrCreatePage(PageIndex).data();
   }
@@ -70,16 +62,17 @@ private:
 
   Page &getOrCreatePage(uint64_t PageIndex);
 
+  // Pages are heap-stable and never freed, so a page pointer handed out
+  // stays valid for the memory's lifetime.
   std::unordered_map<uint64_t, std::unique_ptr<Page>> Pages;
-  uint64_t Epoch = 0;
 };
 
 /// Small direct-mapped cache of page base pointers, owned by one
 /// interpreter. Hit path for an aligned same-page access is an index
 /// mask, a tag compare, and a fixed-size memcpy — no unordered_map
-/// probe. Entries are validated against SimMemory's epoch, which moves
-/// only when a page is materialized; straddling accesses and absent
-/// pages fall back to SimMemory.
+/// probe. Only present pages are ever cached, and SimMemory never frees
+/// or moves a page, so an entry never goes stale; straddling accesses
+/// and absent pages fall back to SimMemory.
 class PageAccessCache {
 public:
   explicit PageAccessCache(SimMemory &Mem) : Mem(&Mem) {}
@@ -114,12 +107,6 @@ private:
   };
 
   uint8_t *find(uint64_t PageIndex) {
-    if (Epoch != Mem->getEpoch()) {
-      for (Entry &E : Entries)
-        E = Entry();
-      Epoch = Mem->getEpoch();
-      return nullptr;
-    }
     Entry &E = Entries[PageIndex & (NumEntries - 1)];
     return E.PageIndex == PageIndex ? E.Data : nullptr;
   }
@@ -135,13 +122,6 @@ private:
 
   uint8_t *writeMiss(uint64_t PageIndex) {
     uint8_t *Data = Mem->pageDataForWrite(PageIndex);
-    // Creation may have bumped the epoch; resync before inserting so
-    // the fresh entry survives.
-    if (Epoch != Mem->getEpoch()) {
-      for (Entry &E : Entries)
-        E = Entry();
-      Epoch = Mem->getEpoch();
-    }
     Entries[PageIndex & (NumEntries - 1)] = {PageIndex, Data};
     return Data;
   }
@@ -191,7 +171,6 @@ private:
 
   SimMemory *Mem;
   std::array<Entry, NumEntries> Entries;
-  uint64_t Epoch = ~0ull; // mismatch forces a sync on first use
 };
 
 } // namespace mem

@@ -14,12 +14,12 @@
 /// Record encoding (24 bytes each):
 ///
 ///  - Run: \p Count consecutive single-line accesses by one thread to
-///    the same cache line (A = line address). Only emitted in the
-///    no-TLB/no-prefetcher hierarchy mode, where repeated touches of a
-///    resident line change no state the later accesses could observe
-///    beyond the LRU tick — the consumer replays the first access in
-///    full and bumps the LRU age for the rest (see SimPipeline for the
-///    identity argument).
+///    the same cache line (A = line address), at most MaxRunLength of
+///    them. Only emitted in the no-TLB/no-prefetcher hierarchy mode,
+///    where repeated touches of a resident line are L1 hits on the
+///    line's most recent way and change no cache state — the consumer
+///    replays the first access in full and counts the rest as hits
+///    (see SimPipeline for the identity argument).
 ///  - Exact: one access replayed verbatim (A = effective address,
 ///    B = ip). Used for line-straddling accesses and whenever the TLB
 ///    or prefetcher is enabled (their state depends on the exact
@@ -30,6 +30,12 @@
 ///    length and the path words follow in Path records, two per slot.
 ///    The whole group is published atomically, so the consumer never
 ///    observes a torn record.
+///
+/// Layout: every word the consumer polls (the ring's published tail,
+/// Closed) sits on its own cache line, and the producer-local state
+/// sits on a line the consumer never reads. A consumer spinning on
+/// isClosed() would otherwise pull the producer's hot line away on
+/// every poll and cost it a coherence miss per record.
 ///
 /// Backpressure: when the ring fills, the producer publishes what it
 /// has and either yields until the consumer thread catches up or — on
@@ -90,6 +96,11 @@ public:
 /// read by one simulation consumer.
 class AccessQueue {
 public:
+  /// Longest run one record carries; a longer same-line stream opens a
+  /// new run. Keeps Count far from wrapping under a 2^33-instruction
+  /// budget.
+  static constexpr uint32_t MaxRunLength = 1u << 16;
+
   /// \p Capacity in records: must be a power of two, at least 1024
   /// (multi-slot sampled groups must always fit). Handing the queue
   /// anything else is a programming error, not a request to round.
@@ -118,7 +129,8 @@ public:
         // to the same line extend the open record instead of costing a
         // slot. Spatially local loops collapse ~an entire line's worth
         // of accesses into one record.
-        if (Last != nullptr && Line == LastLine && Tid == LastTid) {
+        if (Last != nullptr && Line == LastLine && Tid == LastTid &&
+            Last->Count != MaxRunLength) {
           ++Last->Count;
           return;
         }
@@ -258,15 +270,16 @@ private:
   bool Collapse;
   AccessDrainHook *Hook = nullptr;
 
-  // Producer-local state.
-  AccessRec *Last = nullptr; ///< Open run record (unpublished).
+  // Producer-local state, on a line of its own.
+  alignas(64) AccessRec *Last = nullptr; ///< Open run record (unpublished).
   uint64_t LastLine = 0;
   uint8_t LastTid = 0;
   unsigned Staged = 0;
   static constexpr unsigned PublishBatch = 256;
   uint64_t ProducerStalls = 0;
 
-  std::atomic<bool> Closed{false};
+  // Consumer-polled; its own line.
+  alignas(64) std::atomic<bool> Closed{false};
 };
 
 } // namespace runtime

@@ -4,6 +4,8 @@
 
 #include "support/Error.h"
 
+#include <chrono>
+
 using namespace structslim;
 using namespace structslim::runtime;
 
@@ -13,10 +15,8 @@ SimPipeline::SimPipeline(AccessQueue &Q, std::vector<Lane> Lanes,
   if (this->Lanes.empty())
     fatalError("sim pipeline needs at least one lane");
   LineShift = this->Lanes[0].Hierarchy->lineShift();
-  Mode = this->Lanes[0].Hierarchy->mode();
+  L1Latency = this->Lanes[0].Hierarchy->getConfig().L1.HitLatency;
   Cycles.assign(this->Lanes.size(), 0);
-  TidOps.resize(this->Lanes.size());
-  TidPend.resize(this->Lanes.size());
 }
 
 SimPipeline::~SimPipeline() {
@@ -66,10 +66,11 @@ bool SimPipeline::drainOnce() {
   if (N > QueueDepthMaxV)
     QueueDepthMaxV = N;
   ++ConsumerBatchesV;
-  if (Mode == 0)
-    processBatch(N);
-  else
-    processBatchExact(N);
+  auto Begin = std::chrono::steady_clock::now();
+  replay(N);
+  BusySeconds += std::chrono::duration<double>(
+                     std::chrono::steady_clock::now() - Begin)
+                     .count();
   // Records stay visible to the producer until after they are fully
   // simulated: ring drained implies consumer quiescent, which is what
   // AccessQueue::sync() relies on at Alloc/Free serialization points.
@@ -102,121 +103,26 @@ void SimPipeline::deliverSample(const AccessRec &R, size_t RecIdx,
   Lanes[R.Tid].Pmu->deliverDeferred(S, PathScratch.data(), Words);
 }
 
-void SimPipeline::processBatch(size_t N) {
-  // Pass 1: expand records into per-thread line-op lists, tagging each
-  // op with its global position so the shared-L3 stage can restore the
-  // original order. Private L1/L2 state only depends on the per-thread
-  // subsequence, which the per-thread lists preserve.
-  for (auto &V : TidOps)
-    V.clear();
-  for (auto &V : TidPend)
-    V.clear();
-  uint32_t Gi = 0;
+void SimPipeline::replay(size_t N) {
   for (size_t I = 0; I != N; ++I) {
-    AccessRec &R = Q.at(I);
+    const AccessRec &R = Q.at(I);
+    cache::MemoryHierarchy &H = *Lanes[R.Tid].Hierarchy;
+    bool IsWrite = (R.Flags & 1) != 0;
     if (R.Kind == RecRun) {
-      TidOps[R.Tid].push_back({R.A, R.Count - 1, Gi++});
+      // The first access resolves through the hierarchy; the Count-1
+      // repeats hit the line it left most recent in the thread's L1.
+      // Runs exist only in mode 0, where the ip is never read.
+      uint64_t Repeats = R.Count - 1;
+      Cycles[R.Tid] += H.access(R.A << LineShift, R.Size, IsWrite, 0).Latency +
+                       Repeats * L1Latency;
+      H.l1().repeatMru(Repeats);
       continue;
     }
-    uint64_t First = R.A >> LineShift;
-    uint64_t Last = (R.A + R.Size - 1) >> LineShift;
-    TidOps[R.Tid].push_back({First, 0, Gi++});
-    if (Last != First)
-      TidOps[R.Tid].push_back({Last, 0, Gi++});
-    if (R.Kind == RecSampled)
-      I += (R.Count + 1) / 2; // Skip the call-path records.
-  }
-  OpLevel.resize(Gi);
-
-  // Pass 2: per-thread private L1/L2, set-grouped; L3-bound demands
-  // accumulate per thread with their global index.
-  for (size_t T = 0; T != Lanes.size(); ++T)
-    if (!TidOps[T].empty())
-      Lanes[T].Hierarchy->simulateLines(TidOps[T].data(), TidOps[T].size(),
-                                        OpLevel.data(), TidPend[T]);
-
-  // Pass 3: merge the per-thread pending lists (each ascending in
-  // global index) and replay the shared L3 in original access order —
-  // the exact sequence the inline serial engine produced.
-  cache::SetAssocCache &L3 = Lanes[0].Hierarchy->l3();
-  size_t Tn = Lanes.size();
-  if (Tn == 1) {
-    for (const auto &P : TidPend[0])
-      OpLevel[P.Index] =
-          L3.access(P.Line) ? cache::MemLevel::L3 : cache::MemLevel::Dram;
-  } else {
-    std::vector<size_t> Cur(Tn, 0);
-    for (;;) {
-      size_t Best = Tn;
-      uint32_t BestIdx = 0;
-      for (size_t T = 0; T != Tn; ++T) {
-        if (Cur[T] == TidPend[T].size())
-          continue;
-        uint32_t Idx = TidPend[T][Cur[T]].Index;
-        if (Best == Tn || Idx < BestIdx) {
-          Best = T;
-          BestIdx = Idx;
-        }
-      }
-      if (Best == Tn)
-        break;
-      const auto &P = TidPend[Best][Cur[Best]++];
-      OpLevel[P.Index] =
-          L3.access(P.Line) ? cache::MemLevel::L3 : cache::MemLevel::Dram;
-    }
-  }
-
-  // Pass 4: walk the records again (the op cursor advances exactly as
-  // in pass 1), accumulate per-thread latency cycles, and deliver the
-  // parked samples in record order with their resolved outcomes.
-  const cache::HierarchyConfig &C = Lanes[0].Hierarchy->getConfig();
-  const unsigned Lat[4] = {C.L1.HitLatency, C.L2.HitLatency, C.L3.HitLatency,
-                           C.DramLatency};
-  Gi = 0;
-  for (size_t I = 0; I != N; ++I) {
-    AccessRec &R = Q.at(I);
-    if (R.Kind == RecRun) {
-      // First access at its resolved level, then Count-1 L1 hits (the
-      // line is resident after the first touch).
-      Cycles[R.Tid] += Lat[static_cast<size_t>(OpLevel[Gi++])] +
-                       static_cast<uint64_t>(R.Count - 1) * Lat[0];
-      continue;
-    }
-    uint64_t First = R.A >> LineShift;
-    uint64_t Last = (R.A + R.Size - 1) >> LineShift;
-    cache::MemLevel Served = OpLevel[Gi];
-    unsigned Latency = Lat[static_cast<size_t>(OpLevel[Gi])];
-    ++Gi;
-    if (Last != First) {
-      // Straddling access: the slower line dominates the latency (ties
-      // keep the first line's level) — accessSlow()'s combine rule.
-      unsigned Lat2 = Lat[static_cast<size_t>(OpLevel[Gi])];
-      if (Lat2 > Latency) {
-        Served = OpLevel[Gi];
-        Latency = Lat2;
-      }
-      ++Gi;
-    }
-    Cycles[R.Tid] += Latency;
-    if (R.Kind == RecSampled) {
-      deliverSample(R, I, Latency, Served, /*TlbMiss=*/false);
-      I += (R.Count + 1) / 2;
-    }
-  }
-}
-
-void SimPipeline::processBatchExact(size_t N) {
-  // TLB and/or prefetcher enabled: both models are sensitive to the
-  // exact address/ip sequence, so replay records one at a time in ring
-  // order — still off the execution thread, just unbatched.
-  for (size_t I = 0; I != N; ++I) {
-    AccessRec &R = Q.at(I);
-    cache::AccessResult Res = Lanes[R.Tid].Hierarchy->access(
-        R.A, R.Size, (R.Flags & 1) != 0, R.B);
+    cache::AccessResult Res = H.access(R.A, R.Size, IsWrite, R.B);
     Cycles[R.Tid] += Res.Latency;
     if (R.Kind == RecSampled) {
       deliverSample(R, I, Res.Latency, Res.Served, Res.TlbMiss);
-      I += (R.Count + 1) / 2;
+      I += (R.Count + 1) / 2; // Skip the call-path records.
     }
   }
 }

@@ -16,18 +16,13 @@
 ///    overlaps simulation with execution;
 ///  - *inline drain* (single-core hosts): no consumer thread — the
 ///    producer drains the ring itself whenever it fills and at sync
-///    points, retaining the batching win (grouped set-associative
-///    lookups, run-length-collapsed replay) without context switches.
+///    points, keeping the run-length-collapsed replay without context
+///    switches.
 ///
-/// Batch replay in the mode-0 configuration (no TLB, no prefetcher —
-/// every calibrated workload): records expand to per-thread line ops,
-/// each thread's private L1/L2 simulate as set-grouped batches
-/// (cache::SetAssocCache::accessBatch), and the shared-L3 demands merge
-/// back into original ring order before replaying — the ring order IS
-/// the serial schedule, so the shared cache sees the exact sequence the
-/// inline engine would have produced. When the TLB or prefetcher is
-/// enabled, records replay one at a time through Hierarchy::access()
-/// in ring order (both models are sequence-sensitive).
+/// Replay is one in-order pass: ring order is the serial schedule, so
+/// each record goes through the same MemoryHierarchy::access() the
+/// inline engine calls, in the same order. A run record is one access
+/// plus Count-1 L1 hits on the line it just touched.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -75,12 +70,13 @@ public:
 
   uint64_t queueDepthMax() const { return QueueDepthMaxV; }
   uint64_t consumerBatches() const { return ConsumerBatchesV; }
+  /// Host seconds spent replaying records (either placement).
+  double consumerBusySeconds() const { return BusySeconds; }
 
 private:
   void consumerLoop();
   bool drainOnce();
-  void processBatch(size_t N);
-  void processBatchExact(size_t N);
+  void replay(size_t N);
   void deliverSample(const AccessRec &R, size_t RecIdx, unsigned Latency,
                      cache::MemLevel Served, bool TlbMiss);
 
@@ -88,18 +84,15 @@ private:
   std::vector<Lane> Lanes;
   bool Threaded;
   unsigned LineShift;
-  uint8_t Mode;
+  unsigned L1Latency;
   std::thread Consumer;
 
   std::vector<uint64_t> Cycles; ///< Per logical thread.
   uint64_t QueueDepthMaxV = 0;
   uint64_t ConsumerBatchesV = 0;
+  double BusySeconds = 0;
 
-  // Batch scratch, reused so the steady state is allocation-free.
-  std::vector<std::vector<cache::BatchLineOp>> TidOps;
-  std::vector<std::vector<cache::MemoryHierarchy::PendingL3>> TidPend;
-  std::vector<cache::MemLevel> OpLevel;
-  std::vector<uint64_t> PathScratch;
+  std::vector<uint64_t> PathScratch; ///< Reused call-path buffer.
 };
 
 } // namespace runtime

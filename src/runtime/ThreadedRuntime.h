@@ -92,6 +92,10 @@ struct RunResult {
   uint64_t MemoryAccesses = 0;
   uint64_t Samples = 0;
   double WallSeconds = 0;     ///< Host time spent interpreting.
+  /// Host time the decoupled pipeline's consumer spent replaying
+  /// records (zero when every phase ran inline). Host timing like
+  /// WallSeconds: never compared, never written to shards.
+  double ConsumerBusySeconds = 0;
   // Aggregated cache event counters (EBS role; Table 4 inputs).
   uint64_t Accesses[3] = {0, 0, 0}; ///< L1, L2, L3 demand accesses.
   uint64_t Misses[3] = {0, 0, 0};   ///< L1, L2, L3 demand misses.

@@ -5,9 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Dispatch policy for the vectorized simulation kernels (the cache tag
-/// probe in cache::SetAssocCache::accessBatch and the stride-GCD fold
-/// in core/StrideKernel). The policy is compile-time: each kernel TU is
+/// Dispatch policy for the vectorized stride-GCD folds in
+/// core/StrideKernel. The policy is compile-time: each kernel TU is
 /// built at the widest vector level its build flags enable (the build
 /// system adds -mavx2 to exactly those TUs when a configure-time probe
 /// runs AVX2 code successfully on the build host), and the kernel

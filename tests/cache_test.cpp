@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 #include <vector>
 
 using namespace structslim;
@@ -115,6 +116,14 @@ TEST(SetAssocCache, BadGeometryAborts) {
   CacheConfig C2;
   C2.LineSize = 48;
   EXPECT_DEATH(SetAssocCache{C2}, "power of two");
+}
+
+TEST(SetAssocCache, AssocOutsideOneToSixteenAborts) {
+  // The recency word holds one 4-bit way index per rank.
+  CacheConfig Zero{"zero", 1024, 0, 64, 1};
+  EXPECT_DEATH(SetAssocCache{Zero}, "between 1 and 16");
+  CacheConfig Wide{"wide", 17 * 64 * 4, 17, 64, 1};
+  EXPECT_DEATH(SetAssocCache{Wide}, "between 1 and 16");
 }
 
 // --- MemoryHierarchy --------------------------------------------------------
@@ -278,49 +287,36 @@ TEST(Prefetcher, NonUnitStrideRecognized) {
   EXPECT_GT(H.getPrefetcher().getIssued(), 0u);
 }
 
-// --- SoA cache vs the reference shift-based LRU model. -----------------
+// --- Packed cache vs the reference shift-based LRU model. --------------
 
 namespace {
 
-/// The pre-SoA cache: per set a physically ordered way array, front =
-/// most recent; hits move to front, misses evict the back.
+/// A physically ordered way array per set, front = most recent: hits
+/// move to front, misses evict the back (invalid ways start at the back
+/// in index order).
 class ShiftLruReference {
 public:
   explicit ShiftLruReference(const CacheConfig &Config)
-      : Assoc(Config.Assoc),
-        NumSets(Config.SizeBytes / Config.LineSize / Config.Assoc),
+      : NumSets(Config.SizeBytes / Config.LineSize / Config.Assoc),
         Sets(NumSets, std::vector<Way>(Config.Assoc)) {}
 
   bool access(uint64_t LineAddr) {
-    std::vector<Way> &S = Sets[LineAddr % NumSets];
-    for (size_t W = 0; W != S.size(); ++W) {
-      if (S[W].Valid && S[W].Tag == LineAddr) {
-        Way Hit = S[W];
-        S.erase(S.begin() + W);
-        S.insert(S.begin(), Hit);
-        ++Hits;
-        return true;
-      }
+    if (touch(LineAddr)) {
+      ++Hits;
+      return true;
     }
-    S.pop_back();
-    S.insert(S.begin(), Way{LineAddr, true});
     ++Misses;
     return false;
   }
 
-  void installPrefetch(uint64_t LineAddr) {
-    std::vector<Way> &S = Sets[LineAddr % NumSets];
-    for (size_t W = 0; W != S.size(); ++W) {
-      if (S[W].Valid && S[W].Tag == LineAddr) {
-        Way Hit = S[W];
-        S.erase(S.begin() + W);
-        S.insert(S.begin(), Hit);
-        return;
-      }
-    }
-    S.pop_back();
-    S.insert(S.begin(), Way{LineAddr, true});
+  /// The model's semantics for a run's tail: \p N more accesses to the
+  /// line just accessed.
+  void repeatMru(uint64_t LineAddr, uint64_t N) {
+    for (uint64_t I = 0; I != N; ++I)
+      access(LineAddr);
   }
+
+  void installPrefetch(uint64_t LineAddr) { touch(LineAddr); }
 
   uint64_t getHits() const { return Hits; }
   uint64_t getMisses() const { return Misses; }
@@ -330,33 +326,58 @@ private:
     uint64_t Tag = 0;
     bool Valid = false;
   };
-  unsigned Assoc;
+
+  /// Moves \p LineAddr to the front, installing it on a miss; returns
+  /// whether it was present.
+  bool touch(uint64_t LineAddr) {
+    std::vector<Way> &S = Sets[LineAddr % NumSets];
+    for (size_t W = 0; W != S.size(); ++W) {
+      if (S[W].Valid && S[W].Tag == LineAddr) {
+        Way Hit = S[W];
+        S.erase(S.begin() + W);
+        S.insert(S.begin(), Hit);
+        return true;
+      }
+    }
+    S.pop_back();
+    S.insert(S.begin(), Way{LineAddr, true});
+    return false;
+  }
+
   uint64_t NumSets;
   std::vector<std::vector<Way>> Sets;
   uint64_t Hits = 0;
   uint64_t Misses = 0;
 };
 
+/// Random demand traffic with ~10% prefetch installs and ~10% run tails
+/// (repeatMru right after an access), diffed access by access.
 void compareOnRandomTrace(const CacheConfig &Config, uint64_t Seed,
                           size_t Accesses, uint64_t AddressSpaceLines) {
-  SetAssocCache Soa(Config);
+  SetAssocCache Packed(Config);
   ShiftLruReference Ref(Config);
   Rng R(Seed);
   for (size_t I = 0; I != Accesses; ++I) {
     uint64_t Line = R.nextBelow(AddressSpaceLines);
-    if (R.nextBelow(10) == 0) {
-      // ~10% prefetch installs interleaved with demand traffic.
-      Soa.installPrefetch(Line);
+    uint64_t Kind = R.nextBelow(10);
+    if (Kind == 0) {
+      Packed.installPrefetch(Line);
       Ref.installPrefetch(Line);
-    } else {
-      bool SoaHit = Soa.access(Line);
-      bool RefHit = Ref.access(Line);
-      ASSERT_EQ(SoaHit, RefHit)
-          << Config.Name << ": access " << I << " line " << Line;
+      continue;
     }
+    bool PackedHit = Packed.access(Line);
+    bool RefHit = Ref.access(Line);
+    ASSERT_EQ(PackedHit, RefHit)
+        << Config.Name << ": access " << I << " line " << Line;
+    if (Kind == 1) {
+      uint64_t N = 1 + R.nextBelow(20);
+      Packed.repeatMru(N);
+      Ref.repeatMru(Line, N);
+    }
+    ASSERT_EQ(Packed.getHits(), Ref.getHits()) << Config.Name << " " << I;
   }
-  EXPECT_EQ(Soa.getHits(), Ref.getHits());
-  EXPECT_EQ(Soa.getMisses(), Ref.getMisses());
+  EXPECT_EQ(Packed.getHits(), Ref.getHits()) << Config.Name;
+  EXPECT_EQ(Packed.getMisses(), Ref.getMisses()) << Config.Name;
 }
 
 } // namespace
@@ -385,4 +406,18 @@ TEST(SoaCacheEquivalence, DirectMappedAndHighAssoc) {
   compareOnRandomTrace(Direct, 6, 50000, 512);
   CacheConfig Wide{"wide", 16 * 64, 16, 64, 1};
   compareOnRandomTrace(Wide, 7, 50000, 64);
+}
+
+TEST(SoaCacheEquivalence, EveryAssocPowerOfTwoAndOddSetCounts) {
+  // Every associativity the recency word holds, each with 8 sets (mask
+  // indexing) and 7 sets (modulo indexing); the address space is 3x
+  // capacity, so sets fill, hit and evict at every rank.
+  for (unsigned Assoc = 1; Assoc <= 16; ++Assoc) {
+    for (uint64_t Sets : {8u, 7u}) {
+      std::string Name =
+          "assoc" + std::to_string(Assoc) + "x" + std::to_string(Sets);
+      CacheConfig C{Name, Sets * Assoc * 64, Assoc, 64, 1};
+      compareOnRandomTrace(C, 100 + Assoc * 2 + Sets, 20000, 3 * Sets * Assoc);
+    }
+  }
 }

@@ -342,6 +342,88 @@ struct AllocProgram {
   }
 };
 
+/// ART-shaped miss-heavy phase: every worker walks the whole shared
+/// array of 200-byte records twice, each starting two records after the
+/// previous one, so the threads chase each other over the same lines.
+/// Each record costs a two-access run (offsets 0 and 8) and a load at
+/// offset 60 that straddles a line boundary on every eighth record, so
+/// runs, exact records and samples from all threads interleave.
+struct StrideProgram {
+  ir::Program P;
+  uint32_t MainId = 0;
+  uint32_t WorkerId = 0;
+
+  StrideProgram(Machine &M, int64_t N, unsigned /*Threads*/) {
+    uint64_t Mailbox = M.defineStatic("mailbox", 64);
+    ir::Function &Main = P.addFunction("main", 0);
+    MainId = Main.Id;
+    {
+      ir::ProgramBuilder B(P, Main);
+      Reg Base = B.alloc(B.constI(N * 200), "records");
+      B.forLoopI(0, N, 1, [&](Reg I) { B.store(I, Base, I, 200, 0, 8); });
+      Reg Mb = B.constI(static_cast<int64_t>(Mailbox));
+      B.store(Base, Mb, NoReg, 1, 0, 8);
+      B.ret();
+    }
+    ir::Function &Worker = P.addFunction("strider", 1);
+    WorkerId = Worker.Id;
+    {
+      ir::ProgramBuilder B(P, Worker);
+      Reg Tid = 0;
+      Reg Mb = B.constI(static_cast<int64_t>(Mailbox));
+      Reg Base = B.load(Mb, NoReg, 1, 0, 8);
+      Reg Start = B.mul(Tid, B.constI(2));
+      Reg Acc = B.constI(0);
+      B.setLine(40);
+      B.forLoopI(0, 2, 1, [&](Reg) {
+        B.forLoop(B.constI(0), B.constI(N), 1, [&](Reg I) {
+          B.setLine(41);
+          Reg J = B.rem(B.add(I, Start), B.constI(N));
+          B.accumulate(Acc, B.load(Base, J, 200, 0, 8));
+          B.accumulate(Acc, B.load(Base, J, 200, 8, 8));
+          B.accumulate(Acc, B.load(Base, J, 200, 60, 8));
+          B.setLine(40);
+        });
+      });
+      B.ret(Acc);
+    }
+  }
+};
+
+/// One worker loading the same 8 bytes \p N times: with the profiler
+/// detached nothing breaks the run, so the stream spans several
+/// maximum-length run records.
+struct SameLineProgram {
+  ir::Program P;
+  uint32_t MainId = 0;
+  uint32_t WorkerId = 0;
+
+  SameLineProgram(Machine &M, int64_t N, unsigned /*Threads*/) {
+    uint64_t Mailbox = M.defineStatic("mailbox", 64);
+    ir::Function &Main = P.addFunction("main", 0);
+    MainId = Main.Id;
+    {
+      ir::ProgramBuilder B(P, Main);
+      Reg Base = B.alloc(B.constI(64), "cell");
+      B.store(B.constI(7), Base, NoReg, 1, 0, 8);
+      Reg Mb = B.constI(static_cast<int64_t>(Mailbox));
+      B.store(Base, Mb, NoReg, 1, 0, 8);
+      B.ret();
+    }
+    ir::Function &Worker = P.addFunction("spin", 1);
+    WorkerId = Worker.Id;
+    {
+      ir::ProgramBuilder B(P, Worker);
+      Reg Mb = B.constI(static_cast<int64_t>(Mailbox));
+      Reg Base = B.load(Mb, NoReg, 1, 0, 8);
+      Reg Acc = B.constI(0);
+      B.forLoopI(0, N, 1,
+                 [&](Reg) { B.accumulate(Acc, B.load(Base, NoReg, 1, 0, 8)); });
+      B.ret(Acc);
+    }
+  }
+};
+
 /// Dense, jittered sampling so deferred delivery carries real traffic
 /// even in small tests.
 RunConfig denseConfig(bool InlineSimulation) {
@@ -435,6 +517,53 @@ TEST(ParallelDecoupled, ThreadSweepInlineDrainsBitIdentical) {
 TEST(ParallelDecoupled, ThreadSweepThreadedConsumerBitIdentical) {
   ThreadsEnv FourCores("4");
   sweepThreadCounts();
+}
+
+// Runs, straddles and samples from four threads, interleaved at a
+// quantum of 17 on a miss-heavy stream: the one-pass replay must hand
+// the shared L3 the schedule's exact demand order under both consumer
+// placements. The L3 (80 sets, modulo indexing) is far smaller than
+// the 800 KB array, so its contents, and which thread pays each miss,
+// depend on that order.
+TEST(ParallelDecoupled, MissHeavyInterleavedStreamBitIdentical) {
+  for (const char *Cores : {"1", "4"}) {
+    ThreadsEnv Env(Cores);
+    SCOPED_TRACE(std::string("host-threads=") + Cores);
+    RunConfig Inline = denseConfig(/*InlineSimulation=*/true);
+    RunConfig Decoupled = denseConfig(/*InlineSimulation=*/false);
+    for (RunConfig *Cfg : {&Inline, &Decoupled}) {
+      Cfg->Quantum = 17;
+      Cfg->Hierarchy.L1 = {"L1d", 4096, 4, 64, 4};
+      Cfg->Hierarchy.L2 = {"L2", 16384, 8, 64, 12};
+      Cfg->Hierarchy.L3 = {"L3", 80 * 12 * 64, 12, 64, 40};
+    }
+    RunResult Oracle = runMainThenWorkers<StrideProgram>(Inline, 4, 4096);
+    RunResult Run = runMainThenWorkers<StrideProgram>(Decoupled, 4, 4096);
+    expectIdenticalRuns(Oracle, Run);
+    EXPECT_GT(Oracle.Samples, 0u);
+    EXPECT_GT(Run.ConsumerBatches, 0u);
+    EXPECT_GT(Run.Misses[2], 0u);
+    EXPECT_GT(Run.Accesses[2] - Run.Misses[2], 0u)
+        << "threads must hit lines other threads brought into the L3";
+  }
+}
+
+// A same-line stream longer than three maximum-length run records:
+// every split run must replay as its first access plus L1 hits.
+TEST(ParallelDecoupled, LongSingleLineLoopBitIdentical) {
+  const int64_t N = 3 * int64_t(AccessQueue::MaxRunLength) + 7;
+  for (const char *Cores : {"1", "4"}) {
+    ThreadsEnv Env(Cores);
+    SCOPED_TRACE(std::string("host-threads=") + Cores);
+    RunConfig Inline, Decoupled;
+    Inline.AttachProfiler = Decoupled.AttachProfiler = false;
+    Inline.InlineSimulation = true;
+    RunResult Oracle = runMainThenWorkers<SameLineProgram>(Inline, 1, N);
+    RunResult Run = runMainThenWorkers<SameLineProgram>(Decoupled, 1, N);
+    expectIdenticalRuns(Oracle, Run);
+    EXPECT_GT(Run.ConsumerBatches, 0u);
+    EXPECT_GE(Run.Accesses[0] - Run.Misses[0], uint64_t(N) - 1);
+  }
 }
 
 // Alloc/Free churn serializes through AccessQueue::sync(): the

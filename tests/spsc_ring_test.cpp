@@ -136,6 +136,24 @@ TEST(AccessQueue, CollapsesSameLineRuns) {
   EXPECT_EQ(R.Count, 8u);
 }
 
+TEST(AccessQueue, RunClosesAtMaxLength) {
+  // A same-line stream one longer than a record may carry splits into
+  // a full run and a run of one; the counts sum to the stream length.
+  runtime::AccessQueue Q(1024, 6, true);
+  const uint64_t Stream = runtime::AccessQueue::MaxRunLength + 1ull;
+  for (uint64_t I = 0; I != Stream; ++I)
+    Q.noteAccess(0, 0x400, 0x10008, 8, false, false, NoPath);
+  Q.close();
+  ASSERT_EQ(Q.available(), 2u);
+  EXPECT_EQ(Q.at(0).Kind, runtime::RecRun);
+  EXPECT_EQ(Q.at(1).Kind, runtime::RecRun);
+  EXPECT_EQ(Q.at(0).A, 0x10008u >> 6);
+  EXPECT_EQ(Q.at(1).A, 0x10008u >> 6);
+  EXPECT_EQ(Q.at(0).Count, runtime::AccessQueue::MaxRunLength);
+  EXPECT_EQ(Q.at(1).Count, 1u);
+  EXPECT_EQ(uint64_t(Q.at(0).Count) + Q.at(1).Count, Stream);
+}
+
 TEST(AccessQueue, RunBreaksOnLineThreadAndStraddle) {
   runtime::AccessQueue Q(1024, 6, true);
   Q.noteAccess(0, 0x400, 0x10000, 8, false, false, NoPath); // run A, tid 0
