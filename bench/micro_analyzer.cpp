@@ -23,7 +23,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "HostFeatures.h"
 #include "Spread.h"
 #include "core/Report.h"
 #include "support/Format.h"
@@ -150,7 +149,6 @@ int main(int argc, char **argv) {
                    "objects/s", "identical"});
   std::ofstream Json(JsonPath);
   Json << "{\n  \"bench\": \"micro_analyzer\",\n"
-       << hostFeatureJsonFields()
        << "  \"host_hardware_concurrency\": " << HostCores << ",\n"
        << "  \"objects\": " << Objects << ",\n"
        << "  \"streams_per_object\": " << Streams << ",\n"

@@ -28,7 +28,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "HostFeatures.h"
 #include "Spread.h"
 #include "analysis/CodeMap.h"
 #include "ir/ProgramBuilder.h"
@@ -339,7 +338,6 @@ int main(int argc, char **argv) {
 
   std::ofstream Json(JsonPath);
   Json << "{\n  \"bench\": \"micro_interpreter\",\n"
-       << hostFeatureJsonFields()
        << "  \"host_hardware_concurrency\": "
        << std::thread::hardware_concurrency() << ",\n"
        << "  \"threaded_consumer\": " << (ThreadedConsumer ? "true" : "false")

@@ -11,8 +11,8 @@
 //  - the baseline: v3 decode of every shard into memory, then the
 //    string-keyed adjacent-pair tree merge, single-threaded;
 //  - the current pipeline (loadAndMergeProfiles): v3 decode + interned
-//    allocation-free merge, streamed, at jobs=1/2/4, plus its buffered
-//    (no-mmap) and epoch-wise variants;
+//    allocation-free merge, streamed, at jobs=1/2/4, plus its
+//    epoch-wise variant;
 //  - cold analysis of the full merged profile.
 //
 // Every row is the median and quartiles of repeated runs. Every
@@ -28,7 +28,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "HostFeatures.h"
 #include "Spread.h"
 #include "core/Analyzer.h"
 #include "core/Report.h"
@@ -214,7 +213,6 @@ int main(int argc, char **argv) {
 
   std::string Json;
   Json += "{\n  \"bench\": \"micro_merge\",\n";
-  Json += hostFeatureJsonFields();
   Json += "  \"host_hardware_concurrency\": " + std::to_string(HostCores) +
           ",\n";
   Json += "  \"objects_per_shard\": " + std::to_string(Objects) + ",\n";
@@ -283,18 +281,6 @@ int main(int argc, char **argv) {
       if (Shards == MaxShards && Jobs == 1)
         HeadlineSpeedup = Speedup;
     }
-
-#if defined(__unix__) || defined(__APPLE__)
-    // The same jobs=1 pipeline with mmap disabled: isolates what the
-    // zero-copy mapped decode buys over buffered whole-file reads.
-    {
-      ::setenv("STRUCTSLIM_NO_MMAP", "1", 1);
-      auto [Seconds, Peak, Identical] = LoadAndMerge(1);
-      ::unsetenv("STRUCTSLIM_NO_MMAP");
-      AddPoint("v3+buffered(no-mmap)", "v3_buffered", 1, Seconds, Peak,
-               Identical);
-    }
-#endif
 
     // Epoch-wise accumulation (batches of 8): the incremental ingest
     // path long-running consumers use. Must cost the same as one-shot

@@ -21,7 +21,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "HostFeatures.h"
 #include "runtime/SampleReservoir.h"
 #include "support/Format.h"
 #include "support/Random.h"
@@ -31,6 +30,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <thread>
 #include <vector>
 
 using namespace structslim;
@@ -135,7 +135,9 @@ int main(int argc, char **argv) {
 
   std::ofstream Json(JsonPath);
   Json << "{\n  \"bench\": \"micro_reservoir\",\n"
-       << hostFeatureJsonFields() << "  \"offers\": " << Offers
+       << "  \"host_hardware_concurrency\": "
+       << std::thread::hardware_concurrency() << ",\n"
+       << "  \"offers\": " << Offers
        << ",\n  \"points\": [\n";
 
   bool AllDeterministic = true;

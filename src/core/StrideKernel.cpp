@@ -2,153 +2,10 @@
 
 #include "core/StrideKernel.h"
 
-#include "support/Simd.h"
-
-#if STRUCTSLIM_SIMD_AVX2
-#include <immintrin.h>
-#endif
-
 using namespace structslim;
 using namespace structslim::core;
 
-#if STRUCTSLIM_SIMD_AVX2
-
-namespace {
-
-/// Per-lane popcount via the classic nibble shuffle-LUT + psadbw fold.
-inline __m256i popcnt64x4(__m256i V) {
-  const __m256i Lut =
-      _mm256_setr_epi8(0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4, 0, 1,
-                       1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4);
-  const __m256i LowNib = _mm256_set1_epi8(0x0f);
-  __m256i Lo = _mm256_and_si256(V, LowNib);
-  __m256i Hi = _mm256_and_si256(_mm256_srli_epi16(V, 4), LowNib);
-  __m256i Cnt = _mm256_add_epi8(_mm256_shuffle_epi8(Lut, Lo),
-                                _mm256_shuffle_epi8(Lut, Hi));
-  return _mm256_sad_epu8(Cnt, _mm256_setzero_si256());
-}
-
-/// Per-lane count-trailing-zeros. The low set bit is isolated
-/// (V & -V), decremented into a mask of the trailing zeros, and
-/// popcounted. Zero lanes yield 64 — srlv/sllv then produce 0, which
-/// is exactly what the callers' masking relies on.
-inline __m256i ctz64x4(__m256i V) {
-  __m256i Neg = _mm256_sub_epi64(_mm256_setzero_si256(), V);
-  __m256i Isolated = _mm256_and_si256(V, Neg);
-  return popcnt64x4(_mm256_sub_epi64(Isolated, _mm256_set1_epi64x(1)));
-}
-
-/// Per-lane unsigned 64-bit A > B (AVX2 only has the signed compare;
-/// flipping the sign bit maps unsigned order onto signed order).
-inline __m256i cmpgtU64(__m256i A, __m256i B) {
-  const __m256i Sign = _mm256_set1_epi64x(
-      static_cast<long long>(0x8000000000000000ull));
-  return _mm256_cmpgt_epi64(_mm256_xor_si256(A, Sign),
-                            _mm256_xor_si256(B, Sign));
-}
-
-/// Per-lane unsigned low 64x64 multiply from 32x32 partial products.
-inline __m256i mullo64x4(__m256i A, __m256i B) {
-  __m256i Lo = _mm256_mul_epu32(A, B);
-  __m256i H1 = _mm256_mul_epu32(_mm256_srli_epi64(A, 32), B);
-  __m256i H2 = _mm256_mul_epu32(A, _mm256_srli_epi64(B, 32));
-  return _mm256_add_epi64(
-      Lo, _mm256_slli_epi64(_mm256_add_epi64(H1, H2), 32));
-}
-
-/// Four binaryGcd(A[i], B[i]) chains at once, including the
-/// gcd(0, x) == x convention. GCD is a mathematical function, so any
-/// correct evaluation is bit-identical to the scalar chain; lanes that
-/// converge early are frozen by the Dead mask while the others finish.
-inline __m256i gcd4(__m256i A, __m256i B) {
-  const __m256i Zero = _mm256_setzero_si256();
-  const __m256i One = _mm256_set1_epi64x(1);
-  const __m256i Ones = _mm256_set1_epi64x(-1);
-
-  // Zero-operand lanes short-circuit: gcd(0, x) = x, gcd(x, 0) = x.
-  // They run the main loop on (1, 1) so termination is uniform, and
-  // the short-circuit value is blended back in at the end.
-  __m256i AZ = _mm256_cmpeq_epi64(A, Zero);
-  __m256i BZ = _mm256_cmpeq_epi64(B, Zero);
-  __m256i Special = _mm256_or_si256(AZ, BZ);
-  __m256i SpecialVal = _mm256_blendv_epi8(A, B, AZ);
-  A = _mm256_blendv_epi8(A, One, Special);
-  B = _mm256_blendv_epi8(B, One, Special);
-
-  __m256i Shift = ctz64x4(_mm256_or_si256(A, B));
-  A = _mm256_srlv_epi64(A, ctz64x4(A));
-  for (;;) {
-    __m256i Dead = _mm256_cmpeq_epi64(B, Zero);
-    if (_mm256_testc_si256(Dead, Ones))
-      break;
-    __m256i Bs = _mm256_srlv_epi64(B, ctz64x4(B));
-    __m256i AgtB = cmpgtU64(A, Bs);
-    __m256i LoV = _mm256_blendv_epi8(A, Bs, AgtB);
-    __m256i HiV = _mm256_blendv_epi8(Bs, A, AgtB);
-    A = _mm256_blendv_epi8(LoV, A, Dead);
-    B = _mm256_blendv_epi8(_mm256_sub_epi64(HiV, LoV), Zero, Dead);
-  }
-  return _mm256_blendv_epi8(_mm256_sllv_epi64(A, Shift), SpecialVal, Special);
-}
-
-uint64_t gcdReduceAvx2(const uint64_t *Vals, size_t N) {
-  const __m256i One = _mm256_set1_epi64x(1);
-  const __m256i Ones = _mm256_set1_epi64x(-1);
-  __m256i Acc = _mm256_setzero_si256();
-  size_t I = 0;
-  for (; I + 4 <= N; I += 4) {
-    Acc = gcd4(Acc, _mm256_loadu_si256(
-                        reinterpret_cast<const __m256i *>(Vals + I)));
-    // Same early exit as the scalar kernel: all lanes at 1 pin the
-    // result to 1.
-    if (_mm256_testc_si256(_mm256_cmpeq_epi64(Acc, One), Ones))
-      return 1;
-  }
-  uint64_t L[4];
-  _mm256_storeu_si256(reinterpret_cast<__m256i *>(L), Acc);
-  for (; I != N; ++I)
-    L[0] = binaryGcd(L[0], Vals[I]);
-  return binaryGcd(binaryGcd(L[0], L[1]), binaryGcd(L[2], L[3]));
-}
-
-uint64_t gcdAdjacentDiffsAvx2(const uint64_t *Sorted, size_t N,
-                              uint64_t Scale) {
-  const __m256i VScale = _mm256_set1_epi64x(static_cast<long long>(Scale));
-  __m256i Acc = _mm256_setzero_si256();
-  size_t I = 1;
-  for (; I + 4 <= N; I += 4) {
-    __m256i Cur =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(Sorted + I));
-    __m256i Prev =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(Sorted + I - 1));
-    Acc = gcd4(Acc, mullo64x4(_mm256_sub_epi64(Cur, Prev), VScale));
-  }
-  uint64_t L[4];
-  _mm256_storeu_si256(reinterpret_cast<__m256i *>(L), Acc);
-  for (; I != N; ++I)
-    L[0] = binaryGcd(L[0], (Sorted[I] - Sorted[I - 1]) * Scale);
-  return binaryGcd(binaryGcd(L[0], L[1]), binaryGcd(L[2], L[3]));
-}
-
-} // namespace
-
-#endif // STRUCTSLIM_SIMD_AVX2
-
-support::simd::Level structslim::core::strideKernelLevel() {
-  // The SSE2 tier is not worth it here (no variable shifts, no 64-bit
-  // compares), so the kernel is AVX2-or-scalar.
-#if STRUCTSLIM_SIMD_AVX2
-  return support::simd::activeLevel();
-#else
-  return support::simd::Level::Scalar;
-#endif
-}
-
 uint64_t structslim::core::gcdReduce(const uint64_t *Vals, size_t N) {
-#if STRUCTSLIM_SIMD_AVX2
-  if (support::simd::useSimd())
-    return gcdReduceAvx2(Vals, N);
-#endif
   // Four independent accumulators: each binaryGcd is a data-dependent
   // chain, so interleaving four of them keeps the core's ALUs busy
   // where a single rolling accumulator would stall on its own result.
@@ -173,10 +30,6 @@ uint64_t structslim::core::gcdAdjacentDiffs(const uint64_t *Sorted, size_t N,
                                             uint64_t Scale) {
   if (N < 2)
     return 0;
-#if STRUCTSLIM_SIMD_AVX2
-  if (support::simd::useSimd())
-    return gcdAdjacentDiffsAvx2(Sorted, N, Scale);
-#endif
   // Lane over the difference stream directly — materializing it first
   // would just traffic a scratch vector through the cache.
   uint64_t L0 = 0, L1 = 0, L2 = 0, L3 = 0;

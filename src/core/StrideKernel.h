@@ -1,4 +1,4 @@
-//===- core/StrideKernel.h - Vectorized stride/GCD reduction ---*- C++ -*-===//
+//===- core/StrideKernel.h - Four-lane stride/GCD reduction ----*- C++ -*-===//
 //
 // Part of the StructSlim reproduction of Roy & Liu, CGO 2016.
 //
@@ -22,19 +22,11 @@
 #ifndef STRUCTSLIM_CORE_STRIDEKERNEL_H
 #define STRUCTSLIM_CORE_STRIDEKERNEL_H
 
-#include "support/Simd.h"
-
 #include <cstddef>
 #include <cstdint>
 
 namespace structslim {
 namespace core {
-
-/// Vector tier the fold kernels dispatch to right now (AVX2 when the
-/// StrideKernel TU was built with it and it is not forced off; the
-/// SSE2 instruction set lacks the shifts/compares the chain needs, so
-/// the fallback is the scalar four-lane code). Diagnostics only.
-support::simd::Level strideKernelLevel();
 
 /// Binary GCD with the gcd(0, x) == x convention of support::gcd64.
 /// Exposed for the kernels below and for property tests.

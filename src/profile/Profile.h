@@ -91,7 +91,7 @@ public:
   }
 
   /// The string_view variant the zero-copy decoder uses: keys intern
-  /// straight from mapped file bytes, copying only on first sight.
+  /// straight from the file buffer, copying only on first sight.
   uint32_t idOf(std::string_view Key) {
     auto It = Ids.find(Key);
     if (It != Ids.end())

@@ -5,7 +5,7 @@
 #include "profile/Profile.h"
 #include "support/Checksum.h"
 #include "support/FaultInjection.h"
-#include "support/MappedFile.h"
+#include "support/ReadFile.h"
 #include "support/VarInt.h"
 
 #include <fstream>
@@ -393,7 +393,7 @@ static std::optional<Profile> readProfileV3(std::string_view Data,
   }
 
   // object: string ids + aggregates. With an interner, key ids resolve
-  // straight from the string-table views (one hash of mapped bytes per
+  // straight from the string-table views (one hash of file bytes per
   // object, copied only on first sight across the whole batch).
   std::vector<uint32_t> InternedIds;
   {
@@ -574,18 +574,14 @@ structslim::profile::readProfileFile(const std::string &Path,
   if (support::FaultInjector::instance().shouldFail(
           support::FaultSite::ProfileOpenRead))
     return failParse(Error, "injected open failure");
-  // Zero-copy: the v3 decoder slices sections straight out of the
-  // mapping (every slice is length-checked against the declared
-  // section sizes, so a truncated file rejects cleanly instead of
-  // faulting). MappedFile degrades to one buffered read when mapping
-  // is unavailable. Its error names no path: the caller's diagnostic
-  // already leads with it.
-  std::string MapError;
-  std::optional<support::MappedFile> File =
-      support::MappedFile::open(Path, &MapError);
-  if (!File)
-    return failParse(Error, MapError);
-  return profileFromBytes(File->bytes(), Error, Interner);
+  // One copy of the file; the v3 decoder slices sections out of it.
+  // The read error names no path: the caller's diagnostic already
+  // leads with it.
+  std::string ReadError;
+  std::optional<std::string> Bytes = support::readFile(Path, &ReadError);
+  if (!Bytes)
+    return failParse(Error, ReadError);
+  return profileFromBytes(*Bytes, Error, Interner);
 }
 
 bool structslim::profile::writeProfileFile(const Profile &P,

@@ -74,13 +74,12 @@ std::optional<Profile> readProfile(std::istream &IS,
 std::optional<Profile> profileFromString(const std::string &Text,
                                          std::string *Error = nullptr);
 
-/// Reads a profile shard from \p Path and decodes it zero-copy from a
-/// read-only memory mapping (support::MappedFile; buffered fallback
-/// when mapping is unavailable or STRUCTSLIM_NO_MMAP is set). Failures
-/// to open (a directory included), injected faults
-/// (support::FaultSite::ProfileOpenRead), and parse errors all report
-/// through \p Error, which does not repeat \p Path. \p Interner as in
-/// profileFromBytes.
+/// Reads a profile shard from \p Path in one buffered read
+/// (support::readFile; a pipe or FIFO is read to EOF) and decodes it
+/// from that buffer. Failures to open or read (a directory included),
+/// injected faults (support::FaultSite::ProfileOpenRead), and parse
+/// errors all report through \p Error, which does not repeat \p Path.
+/// \p Interner as in profileFromBytes.
 std::optional<Profile> readProfileFile(const std::string &Path,
                                        std::string *Error = nullptr,
                                        ObjectKeyInterner *Interner = nullptr);

@@ -1,12 +1,20 @@
 //===- tests/accuracy_test.cpp - Eq. 4 accuracy model tests ----*- C++ -*-===//
+//
+// The Eq. 4 bound and its Monte Carlo check, plus the stride-GCD fold
+// (core/StrideKernel) that Eq. 4 and the Eq. 5 size inference run on,
+// checked against std::gcd.
+//
+//===----------------------------------------------------------------------===//
 
 #include "core/AccuracyModel.h"
+#include "core/StrideKernel.h"
 #include "support/Random.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
+#include <numeric>
 #include <thread>
 #include <vector>
 
@@ -185,4 +193,111 @@ TEST(Accuracy, StrideScaleInvariance) {
   double Unit = measureAccuracy(2000, 5, 1, 3000, R1);
   double Wide = measureAccuracy(2000, 5, 64, 3000, R2);
   EXPECT_NEAR(Unit, Wide, 0.04);
+}
+
+//===----------------------------------------------------------------------===//
+// Stride-GCD fold against std::gcd.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+uint64_t stdGcdFold(const std::vector<uint64_t> &Vals) {
+  uint64_t G = 0;
+  for (uint64_t V : Vals)
+    G = std::gcd(G, V);
+  return G;
+}
+
+/// Realistic Eq. 5 inputs: most observations share the structure size,
+/// some are zero (repeated sample addresses) or huge (cross-object
+/// gaps).
+std::vector<uint64_t> randomStrides(Rng &Gen, size_t N) {
+  uint64_t Factor = 1 + Gen.nextBelow(256);
+  std::vector<uint64_t> Vals;
+  for (size_t I = 0; I != N; ++I) {
+    uint64_t V = Factor * (1 + Gen.nextBelow(1 << 20));
+    if (Gen.nextBelow(16) == 0)
+      V = 0;
+    if (Gen.nextBelow(32) == 0)
+      V = Gen.nextBelow(~0ull >> 8);
+    Vals.push_back(V);
+  }
+  return Vals;
+}
+
+} // namespace
+
+TEST(StrideKernel, BinaryGcdMatchesStdGcd) {
+  const uint64_t Edge[] = {0,          1,          2,          3,
+                           63,         64,         65,         (1ull << 32),
+                           (1ull << 32) + 1,       ~0ull,      ~0ull - 1,
+                           0x8000000000000000ull};
+  for (uint64_t A : Edge)
+    for (uint64_t B : Edge)
+      EXPECT_EQ(binaryGcd(A, B), std::gcd(A, B)) << A << "," << B;
+  Rng Gen(42);
+  for (int I = 0; I != 5000; ++I) {
+    uint64_t A = Gen.next() >> Gen.nextBelow(64);
+    uint64_t B = Gen.next() >> Gen.nextBelow(64);
+    EXPECT_EQ(binaryGcd(A, B), std::gcd(A, B)) << A << " " << B;
+  }
+}
+
+TEST(StrideKernel, ReduceMatchesSequentialFold) {
+  Rng Gen(7);
+  for (int Trial = 0; Trial != 200; ++Trial) {
+    size_t N = Gen.nextBelow(40);
+    std::vector<uint64_t> V(N);
+    for (uint64_t &X : V) {
+      // Shared factor keeps the GCD interesting; occasional zeros and
+      // ones exercise the identity and the all-lanes-1 early exit.
+      uint64_t R = Gen.nextBelow(1000);
+      X = Gen.nextBelow(10) == 0 ? R : R * 24;
+    }
+    EXPECT_EQ(gcdReduce(V.data(), V.size()), stdGcdFold(V));
+  }
+  // Every size from empty to 1000, so each lane count and tail length
+  // is hit, on inputs with zeros and huge gaps.
+  Rng Strides(0xD00D);
+  for (size_t N = 0; N <= 1000; ++N) {
+    std::vector<uint64_t> V = randomStrides(Strides, N);
+    ASSERT_EQ(gcdReduce(V.data(), V.size()), stdGcdFold(V)) << "N=" << N;
+  }
+}
+
+TEST(StrideKernel, AdjacentDiffsMatchReferenceLoop) {
+  auto Reference = [](const std::vector<uint64_t> &Sorted, uint64_t Scale) {
+    uint64_t Ref = 0;
+    for (size_t I = 1; I < Sorted.size(); ++I)
+      Ref = std::gcd(Ref, (Sorted[I] - Sorted[I - 1]) * Scale);
+    return Ref;
+  };
+  Rng Gen(11);
+  for (int Trial = 0; Trial != 200; ++Trial) {
+    size_t N = Gen.nextBelow(30);
+    std::vector<uint64_t> Sorted(N);
+    uint64_t X = 0;
+    for (uint64_t &S : Sorted)
+      S = (X += Gen.nextBelow(100));
+    uint64_t Scale = 1 + Gen.nextBelow(64);
+    EXPECT_EQ(gcdAdjacentDiffs(Sorted.data(), N, Scale),
+              Reference(Sorted, Scale));
+  }
+  // Every size from empty to 1000: sorted sample positions with a
+  // planted stride, jitter and repeated positions (zero gaps).
+  Rng Planted(0xF00F);
+  for (size_t N = 0; N <= 1000; ++N) {
+    uint64_t Stride = 1 + Planted.nextBelow(4096);
+    uint64_t Scale = 1 + Planted.nextBelow(64);
+    std::vector<uint64_t> Sorted;
+    uint64_t Pos = Planted.nextBelow(1 << 30);
+    for (size_t I = 0; I != N; ++I) {
+      Pos += Stride * (Planted.nextBelow(8) +
+                       (Planted.nextBelow(4) == 0 ? 0 : 1));
+      Sorted.push_back(Pos);
+    }
+    ASSERT_EQ(gcdAdjacentDiffs(Sorted.data(), Sorted.size(), Scale),
+              Reference(Sorted, Scale))
+        << "N=" << N;
+  }
 }

@@ -21,14 +21,14 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <csignal>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
-#if defined(__unix__) || defined(__APPLE__)
+#include <sys/stat.h>
 #include <unistd.h>
-#endif
 
 using namespace structslim;
 using namespace structslim::profile;
@@ -123,20 +123,14 @@ uint32_t v3SectionCount(const std::string &Blob) {
 /// (ctest runs fuzz cases as parallel processes; the pid keeps their
 /// scratch files apart).
 const std::string &scratchPath() {
-  static const std::string Path = [] {
-    std::string P = ::testing::TempDir() + "profileio_fuzz_";
-#if defined(__unix__) || defined(__APPLE__)
-    P += std::to_string(static_cast<unsigned long>(::getpid()));
-#endif
-    return P + ".structslim";
-  }();
+  static const std::string Path =
+      ::testing::TempDir() + "profileio_fuzz_" +
+      std::to_string(static_cast<unsigned long>(::getpid())) + ".structslim";
   return Path;
 }
 
 /// Writes \p Blob to the scratch file and loads it back through
-/// readProfileFile — the real zero-copy mmap ingestion path. Every
-/// truncation size lands the mapping tail at a different in-page
-/// offset, so this also proves a short final page never faults.
+/// readProfileFile, the real file ingestion path.
 std::optional<Profile> loadViaFile(const std::string &Blob,
                                    std::string *Error) {
   {
@@ -148,8 +142,8 @@ std::optional<Profile> loadViaFile(const std::string &Blob,
 
 /// Parses \p Blob and enforces the fuzz contract against \p Canonical:
 /// exact profile back, or a clean error. Every mutation runs through
-/// both ingestion paths — the in-memory reader and the mmap-backed
-/// file loader — and their verdicts must agree byte for byte.
+/// both ingestion paths — the in-memory reader and the file loader —
+/// and their verdicts must agree byte for byte.
 void checkMutation(const std::string &Blob, const std::string &Canonical) {
   std::string Error;
   auto Parsed = profileFromString(Blob, &Error);
@@ -365,11 +359,10 @@ TEST_P(ProfileIoFuzz, V3ReservoirSectionTargetedMutations) {
     checkMutation(Canonical.substr(0, Cut), Canonical);
 }
 
-// The two file-ingestion modes — zero-copy mmap and the buffered
-// fallback (STRUCTSLIM_NO_MMAP=1) — must agree byte for byte on intact
-// blobs and on truncated tails, where the mapping ends mid-page.
-TEST_P(ProfileIoFuzz, MmapAndBufferedFileLoadersAgree) {
-#if defined(__unix__) || defined(__APPLE__)
+// The file loader is the in-memory decoder behind one read: on intact
+// blobs and on truncated tails it must give the same verdict, the same
+// bytes and the same error.
+TEST_P(ProfileIoFuzz, FileLoaderMatchesInMemoryDecoder) {
   Rng R(6600 + GetParam());
   Profile P = makeRandomProfile(R);
   addReservoirFields(P, R);
@@ -378,26 +371,54 @@ TEST_P(ProfileIoFuzz, MmapAndBufferedFileLoadersAgree) {
   for (int Trial = 0; Trial != 16; ++Trial)
     Blobs.push_back(Canonical.substr(0, R.nextBelow(Canonical.size())));
   for (const std::string &Blob : Blobs) {
-    std::string MmapError, BufError;
-    ASSERT_EQ(::unsetenv("STRUCTSLIM_NO_MMAP"), 0);
-    auto ViaMmap = loadViaFile(Blob, &MmapError);
-    ASSERT_EQ(::setenv("STRUCTSLIM_NO_MMAP", "1", 1), 0);
-    auto ViaBuffer = loadViaFile(Blob, &BufError);
-    ASSERT_EQ(::unsetenv("STRUCTSLIM_NO_MMAP"), 0);
-    ASSERT_EQ(ViaMmap.has_value(), ViaBuffer.has_value());
-    if (ViaMmap) {
-      EXPECT_EQ(profileToString(*ViaMmap), profileToString(*ViaBuffer));
-      EXPECT_EQ(profileToString(*ViaMmap), Canonical);
+    std::string FileError, MemError;
+    auto ViaFile = loadViaFile(Blob, &FileError);
+    auto InMemory = profileFromBytes(Blob, &MemError);
+    ASSERT_EQ(ViaFile.has_value(), InMemory.has_value());
+    if (ViaFile) {
+      EXPECT_EQ(profileToString(*ViaFile), profileToString(*InMemory));
+      EXPECT_EQ(profileToString(*ViaFile), Canonical);
     } else {
-      EXPECT_EQ(MmapError, BufError);
+      EXPECT_EQ(FileError, MemError);
     }
   }
-#else
-  GTEST_SKIP() << "no mmap / setenv on this platform";
-#endif
 }
 
 // 8 seeds x (|blob| truncations + |blob| flips + 400 random edits),
 // plus the targeted and reservoir families; every mutation runs through
-// both the in-memory reader and the mmap file loader.
+// both the in-memory reader and the file loader.
 INSTANTIATE_TEST_SUITE_P(Seeded, ProfileIoFuzz, ::testing::Range(0, 8));
+
+// A pipe or FIFO has no size for fstat to report, so the reader must
+// fall back to reading it to EOF (bash's `structslim-report <(cat f)`).
+// The blob spans several 64 KiB read chunks, so the buffer must grow.
+TEST(ReadFile, ReadsANonSeekablePipe) {
+  Rng R(4242);
+  Profile P = makeRandomProfile(R);
+  for (unsigned S = 0; S != 20000; ++S)
+    P.getOrCreateStream(0x500000 + 8 * S, 0).SampleCount = 1 + S;
+  std::string Blob = profileToString(P);
+  ASSERT_GT(Blob.size(), 3u * 65536);
+
+  std::string Fifo = ::testing::TempDir() + "readfile_fifo_" +
+                     std::to_string(static_cast<unsigned long>(::getpid()));
+  ::unlink(Fifo.c_str());
+  ASSERT_EQ(::mkfifo(Fifo.c_str(), 0600), 0);
+  // A reader that stops early must fail the assertions below, not kill
+  // the process with SIGPIPE on the writer's next write.
+  std::signal(SIGPIPE, SIG_IGN);
+  // Opening a FIFO for writing blocks until the reader opens it.
+  std::thread Writer([&] {
+    std::ofstream Out(Fifo, std::ios::binary);
+    Out.write(Blob.data(), static_cast<std::streamsize>(Blob.size()));
+  });
+  std::string Error;
+  auto ViaPipe = readProfileFile(Fifo, &Error);
+  Writer.join();
+  ::unlink(Fifo.c_str());
+  ASSERT_TRUE(ViaPipe.has_value()) << Error;
+  auto InMemory = profileFromBytes(Blob);
+  ASSERT_TRUE(InMemory.has_value());
+  EXPECT_EQ(profileToString(*ViaPipe), profileToString(*InMemory));
+  EXPECT_EQ(profileToString(*ViaPipe), Blob);
+}

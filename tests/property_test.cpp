@@ -28,6 +28,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 #include <map>
 
@@ -226,19 +227,25 @@ class SplitterProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(SplitterProperty, RandomPartitionsPreserveSemantics) {
   Rng R(777 + GetParam());
-  // Random partition of fields {0,8,16,24} into 2..4 clusters.
+  // Random partition of fields {0,8,16,24} into 2..4 non-empty
+  // clusters: shuffle the fields, seed each cluster with one of them,
+  // then deal the rest out at random.
   unsigned NumClusters = 2 + static_cast<unsigned>(R.nextBelow(3));
+  std::vector<uint32_t> Offsets = {0, 8, 16, 24};
+  for (size_t I = Offsets.size() - 1; I != 0; --I)
+    std::swap(Offsets[I], Offsets[R.nextBelow(I + 1)]);
   std::vector<std::vector<uint32_t>> Clusters(NumClusters);
-  for (uint32_t Offset : {0u, 8u, 16u, 24u})
-    Clusters[R.nextBelow(NumClusters)].push_back(Offset);
+  for (size_t I = 0; I != Offsets.size(); ++I)
+    Clusters[I < NumClusters ? I : R.nextBelow(NumClusters)].push_back(
+        Offsets[I]);
   core::SplitPlan Plan;
   Plan.ObjectName = "s";
   Plan.OriginalSize = 32;
-  for (auto &C : Clusters)
-    if (!C.empty())
-      Plan.ClusterOffsets.push_back(C);
-  if (!Plan.isSplit())
-    GTEST_SKIP() << "random partition degenerated to one cluster";
+  for (auto &C : Clusters) {
+    std::sort(C.begin(), C.end());
+    Plan.ClusterOffsets.push_back(C);
+  }
+  ASSERT_TRUE(Plan.isSplit());
 
   ir::StructLayout L("s");
   L.addField("a", 8);

@@ -1,21 +1,18 @@
 //===- tests/spsc_ring_test.cpp - SPSC ring and access queue ---*- C++ -*-===//
 //
 // Unit and property tests for the decoupled pipeline's transport: the
-// lock-free SPSC ring (batch publish, wraparound, capacity bounds),
+// lock-free SPSC ring (batch publish, wraparound, capacity bounds) and
 // the AccessQueue record encoding (run collapse, straddles, atomic
-// sampled groups, backpressure), and the stride/GCD reduction kernel
-// the analyzer shares.
+// sampled groups, backpressure).
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/StrideKernel.h"
 #include "runtime/AccessQueue.h"
 #include "support/Random.h"
 #include "support/SpscRing.h"
 
 #include <gtest/gtest.h>
 
-#include <numeric>
 #include <vector>
 
 using namespace structslim;
@@ -252,57 +249,6 @@ TEST(AccessQueue, BackpressureDrainsInlineWithoutLossOrTearing) {
     }
   }
   EXPECT_EQ(Accesses, N);
-}
-
-//===----------------------------------------------------------------------===//
-// Stride/GCD kernel.
-//===----------------------------------------------------------------------===//
-
-TEST(StrideKernel, BinaryGcdMatchesStdGcd) {
-  Rng Gen(42);
-  EXPECT_EQ(core::binaryGcd(0, 0), 0u);
-  EXPECT_EQ(core::binaryGcd(0, 24), 24u);
-  EXPECT_EQ(core::binaryGcd(24, 0), 24u);
-  for (int I = 0; I != 5000; ++I) {
-    uint64_t A = Gen.next() >> Gen.nextBelow(64);
-    uint64_t B = Gen.next() >> Gen.nextBelow(64);
-    EXPECT_EQ(core::binaryGcd(A, B), std::gcd(A, B)) << A << " " << B;
-  }
-}
-
-TEST(StrideKernel, ReduceMatchesSequentialFold) {
-  Rng Gen(7);
-  for (int Trial = 0; Trial != 200; ++Trial) {
-    size_t N = Gen.nextBelow(40);
-    std::vector<uint64_t> V(N);
-    for (uint64_t &X : V) {
-      // Shared factor keeps the GCD interesting; occasional zeros and
-      // ones exercise the identity and the all-lanes-1 early exit.
-      uint64_t R = Gen.nextBelow(1000);
-      X = Gen.nextBelow(10) == 0 ? R : R * 24;
-    }
-    uint64_t Seq = 0;
-    for (uint64_t X : V)
-      Seq = std::gcd(Seq, X);
-    EXPECT_EQ(core::gcdReduce(V.data(), V.size()), Seq);
-  }
-}
-
-TEST(StrideKernel, AdjacentDiffsMatchReferenceLoop) {
-  Rng Gen(11);
-  for (int Trial = 0; Trial != 200; ++Trial) {
-    size_t N = Gen.nextBelow(30);
-    std::vector<uint64_t> Sorted(N);
-    uint64_t X = 0;
-    for (uint64_t &S : Sorted)
-      S = (X += Gen.nextBelow(100));
-    uint64_t Scale = 1 + Gen.nextBelow(64);
-    uint64_t Ref = 0;
-    for (size_t I = 1; I < N; ++I)
-      Ref = std::gcd(Ref, (Sorted[I] - Sorted[I - 1]) * Scale);
-    EXPECT_EQ(core::gcdAdjacentDiffs(Sorted.data(), N, Scale),
-              N < 2 ? 0u : Ref);
-  }
 }
 
 } // namespace

@@ -4,9 +4,9 @@
 #include "support/FlatHash.h"
 #include "support/Error.h"
 #include "support/Format.h"
-#include "support/MappedFile.h"
 #include "support/MathUtil.h"
 #include "support/Random.h"
+#include "support/ReadFile.h"
 #include "support/Stats.h"
 #include "support/VarInt.h"
 #include "support/TablePrinter.h"
@@ -14,7 +14,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <set>
 
@@ -301,12 +300,12 @@ TEST(FlatHash, U64SetHandlesZeroAndDuplicates) {
   EXPECT_TRUE(Set.insert(42));
 }
 
-// --- MappedFile ---------------------------------------------------------
+// --- ReadFile -----------------------------------------------------------
 
 namespace {
 
-std::string mappedFileScratch(const std::string &Name) {
-  return ::testing::TempDir() + "mappedfile_" + Name;
+std::string readFileScratch(const std::string &Name) {
+  return ::testing::TempDir() + "readfile_" + Name;
 }
 
 void writeScratch(const std::string &Path, const std::string &Contents) {
@@ -317,77 +316,37 @@ void writeScratch(const std::string &Path, const std::string &Contents) {
 
 } // namespace
 
-TEST(MappedFile, RoundTripsExactBytes) {
+TEST(ReadFile, RoundTripsExactBytes) {
   std::string Contents("structslim\0binary\xff payload\n", 27);
   Contents += std::string(10000, 'x'); // Spill past one page.
-  std::string Path = mappedFileScratch("roundtrip.bin");
+  std::string Path = readFileScratch("roundtrip.bin");
   writeScratch(Path, Contents);
   std::string Error;
-  auto File = support::MappedFile::open(Path, &Error);
-  ASSERT_TRUE(File.has_value()) << Error;
-  EXPECT_EQ(File->bytes(), std::string_view(Contents));
+  auto Bytes = support::readFile(Path, &Error);
+  ASSERT_TRUE(Bytes.has_value()) << Error;
+  EXPECT_EQ(*Bytes, Contents);
 }
 
-TEST(MappedFile, MissingFileIsAnError) {
+TEST(ReadFile, MissingFileIsAnError) {
   std::string Error;
-  auto File =
-      support::MappedFile::open(mappedFileScratch("does_not_exist"), &Error);
-  EXPECT_FALSE(File.has_value());
-  EXPECT_FALSE(Error.empty());
+  auto Bytes = support::readFile(readFileScratch("does_not_exist"), &Error);
+  EXPECT_FALSE(Bytes.has_value());
+  EXPECT_EQ(Error, "cannot open file");
 }
 
-TEST(MappedFile, DirectoryIsAnError) {
-  // Both paths would otherwise open a directory and read zero bytes,
-  // passing it off as an empty file.
-  std::string Dir = ::testing::TempDir();
+TEST(ReadFile, DirectoryIsAnError) {
+  // open() accepts a directory; reading it must not pass for an empty
+  // file.
   std::string Error;
-  EXPECT_FALSE(support::MappedFile::open(Dir, &Error).has_value());
+  EXPECT_FALSE(support::readFile(::testing::TempDir(), &Error).has_value());
   EXPECT_EQ(Error, "is a directory");
-#if defined(__unix__) || defined(__APPLE__)
-  Error.clear();
-  ASSERT_EQ(::setenv("STRUCTSLIM_NO_MMAP", "1", 1), 0);
-  auto Buffered = support::MappedFile::open(Dir, &Error);
-  ASSERT_EQ(::unsetenv("STRUCTSLIM_NO_MMAP"), 0);
-  EXPECT_FALSE(Buffered.has_value());
-  EXPECT_EQ(Error, "is a directory");
-#endif
 }
 
-TEST(MappedFile, EmptyFileYieldsEmptyBytes) {
-  std::string Path = mappedFileScratch("empty.bin");
+TEST(ReadFile, EmptyFileYieldsEmptyBytes) {
+  std::string Path = readFileScratch("empty.bin");
   writeScratch(Path, "");
   std::string Error;
-  auto File = support::MappedFile::open(Path, &Error);
-  ASSERT_TRUE(File.has_value()) << Error;
-  EXPECT_TRUE(File->bytes().empty());
-  EXPECT_FALSE(File->isMapped()); // Zero-size mappings are not portable.
-}
-
-TEST(MappedFile, MoveTransfersOwnership) {
-  std::string Path = mappedFileScratch("move.bin");
-  writeScratch(Path, "move me");
-  std::string Error;
-  auto File = support::MappedFile::open(Path, &Error);
-  ASSERT_TRUE(File.has_value()) << Error;
-  support::MappedFile Stolen = std::move(*File);
-  EXPECT_EQ(Stolen.bytes(), std::string_view("move me"));
-  EXPECT_TRUE(File->bytes().empty()); // Moved-from view is empty, not stale.
-}
-
-TEST(MappedFile, NoMmapEnvForcesBufferedFallback) {
-#if defined(__unix__) || defined(__APPLE__)
-  std::string Path = mappedFileScratch("fallback.bin");
-  writeScratch(Path, "same bytes either way");
-  std::string Error;
-  ASSERT_EQ(::setenv("STRUCTSLIM_NO_MMAP", "1", 1), 0);
-  auto Buffered = support::MappedFile::open(Path, &Error);
-  ASSERT_EQ(::unsetenv("STRUCTSLIM_NO_MMAP"), 0);
-  auto Mapped = support::MappedFile::open(Path, &Error);
-  ASSERT_TRUE(Buffered.has_value());
-  ASSERT_TRUE(Mapped.has_value());
-  EXPECT_FALSE(Buffered->isMapped());
-  EXPECT_EQ(Buffered->bytes(), Mapped->bytes());
-#else
-  GTEST_SKIP() << "no setenv on this platform";
-#endif
+  auto Bytes = support::readFile(Path, &Error);
+  ASSERT_TRUE(Bytes.has_value()) << Error;
+  EXPECT_TRUE(Bytes->empty());
 }

@@ -7,7 +7,8 @@
 // Runs paper workloads under the StructSlim profiler and writes each
 // one's merged profile to disk in the v3 binary format — the fixture
 // generator for ingestion checks that need real workload profiles as
-// files (CI byte-compares the mmap and buffered loaders over them).
+// files (CI byte-compares reports read from each file and from a pipe
+// of it).
 //
 // Usage:
 //   structslim-profile-dump [options] <dir> [workloads...]
