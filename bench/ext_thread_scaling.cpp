@@ -131,8 +131,7 @@ int main(int argc, char **argv) {
 
     size_t NumProfiles = R.Profiles.size();
     auto Begin = std::chrono::steady_clock::now();
-    profile::Profile Merged =
-        profile::mergeProfiles(std::move(R.Profiles), 4);
+    profile::Profile Merged = profile::mergeProfiles(std::move(R.Profiles));
     double MergeUs = std::chrono::duration<double, std::micro>(
                          std::chrono::steady_clock::now() - Begin)
                          .count();

@@ -7,8 +7,7 @@
 // google-benchmark microbenchmarks for the pieces whose cost the paper
 // argues about: the per-sample online handler (attribution + GCD), the
 // per-access cache simulation, data-object lookup, profile merging via
-// the reduction tree (serial vs parallel, Sec. 5.2), and interpreter
-// throughput.
+// the reduction tree (Sec. 5.2), and interpreter throughput.
 //
 //===----------------------------------------------------------------------===//
 
@@ -138,23 +137,17 @@ static profile::Profile makeThreadProfile(uint32_t Tid, unsigned Streams) {
 
 static void BM_MergeTree(benchmark::State &State) {
   unsigned NumProfiles = static_cast<unsigned>(State.range(0));
-  unsigned Workers = static_cast<unsigned>(State.range(1));
   for (auto _ : State) {
     State.PauseTiming();
     std::vector<profile::Profile> Profiles;
     for (unsigned T = 0; T != NumProfiles; ++T)
       Profiles.push_back(makeThreadProfile(T, 512));
     State.ResumeTiming();
-    profile::Profile Merged =
-        profile::mergeProfiles(std::move(Profiles), Workers);
+    profile::Profile Merged = profile::mergeProfiles(std::move(Profiles));
     benchmark::DoNotOptimize(Merged.TotalSamples);
   }
 }
-BENCHMARK(BM_MergeTree)
-    ->Args({16, 1})
-    ->Args({16, 4})
-    ->Args({64, 1})
-    ->Args({64, 4});
+BENCHMARK(BM_MergeTree)->Arg(16)->Arg(64);
 
 // --- Interpreter throughput ----------------------------------------------------
 

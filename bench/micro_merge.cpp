@@ -11,11 +11,12 @@
 //  - the baseline: v3 decode of every shard into memory, then the
 //    string-keyed adjacent-pair tree merge, single-threaded;
 //  - the current pipeline (loadAndMergeProfiles): v3 decode + interned
-//    allocation-free merge, streamed, at jobs=1/2/4, plus its
-//    epoch-wise variant;
+//    allocation-free merge, streamed, at jobs=1/2/4;
 //  - cold analysis of the full merged profile.
 //
-// Every row is the median and quartiles of repeated runs. Every
+// Every row is the median and quartiles of repeated runs; within each
+// repeat the jobs=1/2/4 rows run in alternating order (1,2,4 then
+// 4,2,1) so host drift lands on all three alike. Every
 // configuration must produce byte-identical merged profiles — the
 // bench asserts it by comparing serialized results — and the headline
 // number is the single-core (jobs=1) median speedup of the interned
@@ -42,9 +43,9 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <iostream>
 #include <thread>
-#include <tuple>
 #include <utility>
 
 using namespace structslim;
@@ -179,7 +180,7 @@ int main(int argc, char **argv) {
   const unsigned Objects = Smoke ? 16 : 48;
   const unsigned StreamsPerObject = Smoke ? 16 : 48;
   const unsigned CctNodes = Smoke ? 32 : 256;
-  const unsigned Reps = Smoke ? 1 : 5;
+  const unsigned Reps = Smoke ? 1 : 10; // Even: both orders alike.
   const unsigned AnalyzeReps = Smoke ? 3 : 9;
   const unsigned HostCores = std::thread::hardware_concurrency();
 
@@ -263,45 +264,28 @@ int main(int argc, char **argv) {
     AddPoint("v3+string-merge", "baseline_string_merge", 1, Baseline, Shards,
              true);
 
-    auto LoadAndMerge = [&](unsigned Jobs) {
-      profile::MergeOptions Opts;
-      Opts.WorkerThreads = Jobs;
-      profile::MergeLoadResult Load;
-      Spread Seconds = timeRepeats(
-          Reps, Load, [&] { return profile::loadAndMergeProfiles(Sub, Opts); });
-      bool Identical = profile::profileToString(Load.Merged) == Expected &&
-                       Load.Loaded.size() == Shards;
-      return std::make_tuple(Seconds, Load.PeakResidentProfiles, Identical);
-    };
-
-    for (unsigned Jobs : JobCounts) {
-      auto [Seconds, Peak, Identical] = LoadAndMerge(Jobs);
-      double Speedup = AddPoint("v3+streaming", "v3_streaming", Jobs, Seconds,
-                                Peak, Identical);
-      if (Shards == MaxShards && Jobs == 1)
-        HeadlineSpeedup = Speedup;
-    }
-
-    // Epoch-wise accumulation (batches of 8): the incremental ingest
-    // path long-running consumers use. Must cost the same as one-shot
-    // and merge to the identical bytes — the stack IS the canonical
-    // tree's frontier.
-    {
-      const size_t Batch = 8;
-      std::pair<Profile, size_t> Last;
-      Spread Seconds = timeRepeats(Reps, Last, [&] {
+    std::vector<double> Times[std::size(JobCounts)];
+    profile::MergeLoadResult Last[std::size(JobCounts)];
+    for (unsigned R = 0; R != Reps; ++R) {
+      for (size_t K = 0; K != std::size(JobCounts); ++K) {
+        size_t J = R % 2 ? std::size(JobCounts) - 1 - K : K;
         profile::MergeOptions Opts;
-        Opts.WorkerThreads = 1;
-        profile::EpochAccumulator Acc(Opts);
-        for (size_t I = 0; I < Sub.size(); I += Batch) {
-          size_t End = std::min(I + Batch, Sub.size());
-          Acc.addShards({Sub.begin() + I, Sub.begin() + End});
-        }
-        Profile Merged = Acc.take();
-        return std::make_pair(std::move(Merged), Acc.peakResidentProfiles());
-      });
-      AddPoint("v3+epoch(8)", "v3_epoch8", 1, Seconds, Last.second,
-               profile::profileToString(Last.first) == Expected);
+        Opts.WorkerThreads = JobCounts[J];
+        auto T0 = std::chrono::steady_clock::now();
+        profile::MergeLoadResult Load =
+            profile::loadAndMergeProfiles(Sub, Opts);
+        Times[J].push_back(secondsSince(T0));
+        Last[J] = std::move(Load);
+      }
+    }
+    for (size_t J = 0; J != std::size(JobCounts); ++J) {
+      bool Identical = profile::profileToString(Last[J].Merged) == Expected &&
+                       Last[J].Loaded.size() == Shards;
+      double Speedup =
+          AddPoint("v3+streaming", "v3_streaming", JobCounts[J],
+                   spreadOf(Times[J]), Last[J].PeakResidentProfiles, Identical);
+      if (Shards == MaxShards && JobCounts[J] == 1)
+        HeadlineSpeedup = Speedup;
     }
   }
   Json += "\n  ],\n";

@@ -9,8 +9,8 @@
 //   - each thread collects its own profile with no synchronization,
 //   - profiles are written to per-thread files, as the online profiler
 //     does, then read back,
-//   - the offline analyzer merges them with a parallel reduction tree
-//     and analyzes the aggregate, attributing the shared zone array
+//   - the offline analyzer merges them with a reduction tree and
+//     analyzes the aggregate, attributing the shared zone array
 //     (allocated by one thread, accessed by all) across threads.
 //
 //===----------------------------------------------------------------------===//
@@ -79,8 +79,7 @@ int main(int argc, char **argv) {
     }
     Loaded.push_back(std::move(*P));
   }
-  profile::Profile Merged =
-      profile::mergeProfiles(std::move(Loaded), /*WorkerThreads=*/0);
+  profile::Profile Merged = profile::mergeProfiles(std::move(Loaded));
   std::cout << "\nmerged profile: " << Merged.TotalSamples
             << " samples across all threads\n\n";
 

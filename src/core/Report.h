@@ -35,10 +35,13 @@ struct ReportStats {
   /// Aggregate decode time summed across workers (exceeds MergeSeconds
   /// when the streaming loader overlaps decodes).
   double MergeLoadSeconds = 0;
-  double MergeReduceSeconds = 0; ///< Coordinator time folding shards.
+  double MergeReduceSeconds = 0; ///< Calling-thread time folding shards.
   double AnalyzeSeconds = 0; ///< StructSlimAnalyzer::analyze.
   double RenderSeconds = 0;  ///< Report rendering (text or JSON).
-  unsigned Jobs = 0;         ///< Effective merge worker count.
+  /// Effective --jobs: 1 decoded shards serially; N > 1 kept up to 2N
+  /// decoding ahead on the shared pool (sized by STRUCTSLIM_THREADS or
+  /// one worker per core, independently of N).
+  unsigned Jobs = 0;
   uint64_t ShardsMerged = 0;
   uint64_t ShardsSkipped = 0;
   /// High-water mark of decoded profiles resident during the merge.

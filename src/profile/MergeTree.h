@@ -1,4 +1,4 @@
-//===- profile/MergeTree.h - Parallel reduction-tree merge -----*- C++ -*-===//
+//===- profile/MergeTree.h - Reduction-tree profile merge ------*- C++ -*-===//
 //
 // Part of the StructSlim reproduction of Roy & Liu, CGO 2016.
 //
@@ -6,25 +6,22 @@
 ///
 /// \file
 /// Merges per-thread profiles with a reduction tree (paper Sec. 5.2,
-/// citing Tallent et al.'s scalable call-path merging): profiles are
-/// combined pairwise level by level, and independent pairs within a
-/// level merge on worker threads.
+/// citing Tallent et al.'s scalable call-path merging).
 ///
-/// The canonical tree pairs ADJACENT profiles — (0,1), (2,3), ... with
-/// an odd tail promoted unmerged — because that shape can be produced
-/// incrementally: a binary-counter accumulator that merges equal-weight
-/// subtrees as shards arrive in file order yields exactly the same
-/// tree. Profile::merge is not associative (cross-profile RepAddr
-/// differences sharpen stride GCDs, Sec. 4.4), so the tree shape is
-/// part of the output contract; every path through this file —
-/// serial, parallel pairs, streaming accumulation at any job count —
-/// reproduces this one shape bit for bit.
+/// The canonical tree pairs ADJACENT profiles level by level — (0,1),
+/// (2,3), ... with an odd tail promoted unmerged. Profile::merge is not
+/// associative (cross-profile RepAddr differences sharpen stride GCDs,
+/// Sec. 4.4), so the tree shape is part of the output contract. One
+/// binary-counter accumulator builds that tree as profiles arrive in
+/// order: it merges equal-weight subtrees on arrival and right-folds
+/// the O(log n) survivors at the end. Both entry points below fold
+/// through it.
 ///
-/// The file-loading front end streams: shards decode on the shared
-/// support::ThreadPool while the coordinator consumes them in file
-/// order and folds them into the accumulator, so at most O(jobs)
-/// decoded shards are resident at once (plus the accumulator's
-/// O(log shards) stack) instead of the whole input set.
+/// The file-loading front end keeps a bounded window of shard decodes
+/// running ahead on the shared support::ThreadPool while the caller's
+/// thread folds results in file order, so at most O(jobs) decoded
+/// shards are resident at once (plus the accumulator's O(log shards)
+/// subtrees) instead of the whole input set.
 ///
 /// Loading degrades gracefully: per-thread shards are written without
 /// synchronization and can be truncated, corrupted, or missing at merge
@@ -48,14 +45,9 @@
 namespace structslim {
 namespace profile {
 
-/// Merges all \p Profiles into one. \p WorkerThreads > 1 merges
-/// independent pairs concurrently on the shared support::ThreadPool;
-/// 1 runs the same tree serially; 0 (the default) sizes from
-/// ThreadPool::defaultThreadCount() (STRUCTSLIM_THREADS env var, else
-/// hardware_concurrency). The result is identical for every setting.
-/// Consumes the input vector.
-Profile mergeProfiles(std::vector<Profile> Profiles,
-                      unsigned WorkerThreads = 0);
+/// Merges all \p Profiles into one over the canonical tree, in input
+/// order. Consumes the input vector.
+Profile mergeProfiles(std::vector<Profile> Profiles);
 
 /// Knobs for the shard-loading front end.
 struct MergeOptions {
@@ -65,8 +57,11 @@ struct MergeOptions {
   /// never exposes a partial merge. Otherwise bad shards are skipped
   /// and reported in MergeLoadResult::Skipped.
   bool Strict = false;
-  /// Decode parallelism and (via mergeProfiles) merge parallelism.
-  /// 0 sizes from ThreadPool::defaultThreadCount().
+  /// Decode look-ahead: 1 decodes each shard on the calling thread;
+  /// N > 1 keeps up to 2N shards decoding ahead on the shared
+  /// support::ThreadPool, which has ThreadPool::defaultThreadCount()
+  /// workers however N is set. 0 means N = defaultThreadCount(). The
+  /// merged bytes are the same for every value.
   unsigned WorkerThreads = 0;
 };
 
@@ -85,11 +80,11 @@ struct MergeLoadResult {
   bool StrictFailure = false;        ///< Strict mode hit a bad shard.
 
   // --- Pipeline observability (for --stats / --json timing) ---------
-  /// Aggregate wall time spent decoding shards, summed across worker
-  /// threads (can exceed elapsed time when decodes overlap).
+  /// Aggregate wall time spent decoding shards, summed across threads
+  /// (can exceed elapsed time when decodes overlap).
   double LoadSeconds = 0;
-  /// Wall time the coordinator spent folding decoded shards into the
-  /// merge accumulator.
+  /// Wall time the calling thread spent folding decoded shards into
+  /// the merge accumulator.
   double ReduceSeconds = 0;
   /// High-water mark of simultaneously resident decoded profiles
   /// (decoded-but-unmerged shards plus the accumulator stack). Bounded
@@ -97,91 +92,16 @@ struct MergeLoadResult {
   size_t PeakResidentProfiles = 0;
 };
 
-/// The binary-counter accumulator behind loadAndMergeProfiles,
-/// generalized to *epochs*: shards can be appended across any number
-/// of addShards() calls and the interior subtree levels persist
-/// between calls, so a long-running consumer (the structslim-serve
-/// direction, ROADMAP item 1) folds each arriving batch in
-/// O(batch + log2 shards) and never revisits earlier work. compact()
-/// yields the merge of everything appended so far without disturbing
-/// the accumulator, so rolling reports interleave freely with further
-/// epochs.
-///
-/// Output contract: after any schedule of addShards() calls over a
-/// file sequence, compact()/take() are bit-identical to one
-/// loadAndMergeProfiles over the concatenated sequence — the stack
-/// *is* the canonical adjacent-pair tree's frontier, so epoch
-/// boundaries cannot change the tree shape.
-///
-/// Strict mode is all-or-nothing per call *and* across epochs: a
-/// strict addShards() that hits a bad shard reports it (StrictFailure,
-/// Skipped = exactly that shard, Loaded empty) and restores the
-/// accumulator to its pre-call state, at the cost of one deep copy of
-/// the resident subtree stack taken at call entry.
-class EpochAccumulator {
-public:
-  explicit EpochAccumulator(const MergeOptions &Opts = {}) : Opts(Opts) {}
-
-  /// Loads and folds \p Files in order (decode parallelism, fault
-  /// injection, skip/strict semantics exactly as loadAndMergeProfiles).
-  /// The returned result describes *this call only* and its Merged
-  /// profile is left empty — use compact() or take() for the merge.
-  MergeLoadResult addShards(const std::vector<std::string> &Files);
-
-  /// The merge of every shard appended so far, leaving the accumulator
-  /// intact (deep-copies the resident subtrees and right-folds the
-  /// copies). Empty profile when nothing was appended.
-  Profile compact() const;
-
-  /// As compact(), but destructive: the fold consumes the stack and
-  /// the accumulator resets to empty (the interner is kept, so ids
-  /// stay stable across take() boundaries).
-  Profile take();
-
-  /// Shards successfully folded in since construction (or last take()).
-  size_t shardCount() const { return Shards; }
-
-  /// Resident merged subtrees — at most log2(shardCount()) + 1.
-  size_t residentProfiles() const { return Stack.size(); }
-
-  /// Lifetime high-water mark of resident profiles (decoded-but-
-  /// unmerged shards plus the subtree stack).
-  size_t peakResidentProfiles() const { return PeakResident; }
-
-private:
-  struct Entry {
-    Profile P;
-    uint64_t Weight = 0; ///< Leaf count, always a power of two.
-  };
-
-  /// Binary-counter push: merge equal-weight neighbors until the
-  /// strictly-decreasing-weight invariant holds again.
-  void pushLeaf(Profile P);
-
-  MergeLoadResult addSerial(const std::vector<std::string> &Files);
-  MergeLoadResult addStreaming(const std::vector<std::string> &Files,
-                               unsigned Jobs);
-
-  std::vector<Entry> Stack;
-  MergeScratch Scratch;
-  ObjectKeyInterner Interner;
-  MergeOptions Opts;
-  size_t Shards = 0;
-  size_t PeakResident = 0;
-};
-
 /// Reads every shard in \p Files (via profile::readProfileFile, so
-/// fault injection applies) and merges the readable ones, streaming:
-/// decodes run ahead on the thread pool within a bounded window while
-/// the coordinator consumes results in file order and folds them into
-/// an EpochAccumulator, so at most O(jobs + log2 shards) profiles are
-/// resident. A merge of a partial thread set is well-defined — totals
-/// cover exactly the shards in Loaded. The fault-injection site
-/// support::FaultSite::MergeShardAlloc models a failed allocation
-/// while buffering a loaded shard; it reports like a load failure.
-/// When any fault site is armed, decoding falls back to serial so the
-/// deterministic hit-order contract of the injector (hit N == file N)
-/// is preserved; results are identical either way.
+/// fault injection applies) and merges the readable ones in file order
+/// over the canonical tree, with decodes running ahead as
+/// MergeOptions::WorkerThreads describes. A merge of a partial thread
+/// set is well-defined — totals cover exactly the shards in Loaded. The
+/// fault-injection site support::FaultSite::MergeShardAlloc models a
+/// failed allocation while buffering a loaded shard; it reports like a
+/// load failure. When any fault site is armed, every shard decodes on
+/// the calling thread so the injector's hit-order contract (hit N ==
+/// file N) holds; results are identical either way.
 MergeLoadResult loadAndMergeProfiles(const std::vector<std::string> &Files,
                                      const MergeOptions &Opts = {});
 

@@ -53,12 +53,6 @@ void Profile::internObjectKeys(ObjectKeyInterner &Interner) {
   KeyIdBound = static_cast<uint32_t>(Interner.universe());
 }
 
-void Profile::adoptInternedKeys(std::vector<uint32_t> Ids, uint32_t Bound) {
-  assert(Ids.size() == Objects.size() && "one interned id per object");
-  ObjectKeyIds = std::move(Ids);
-  KeyIdBound = Bound;
-}
-
 void Profile::remapObjects(const Profile &Other,
                            std::vector<uint32_t> &Remap) {
   Remap.resize(Other.Objects.size());

@@ -30,7 +30,6 @@
 #include <array>
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -76,11 +75,10 @@ struct StreamRecord {
   uint64_t OfferedWeight = 0;  ///< Latency mass offered; merge: sum.
 };
 
-/// Assigns process-wide u32 ids to object key strings, so a whole
-/// merge batch hashes each distinct key string exactly once (at intern
-/// time) and every subsequent merge matches objects by id. Not
-/// thread-safe: interning happens serially before a reduction fans
-/// out; the parallel merges only read the ids stored in the profiles.
+/// Assigns u32 ids to object key strings, so a whole merge batch
+/// hashes each distinct key string exactly once (at intern time) and
+/// every subsequent merge matches objects by id. Not thread-safe: the
+/// reduction tree interns each profile as it folds it in.
 class ObjectKeyInterner {
 public:
   /// The id for \p Key, assigning the next free one on first use.
@@ -90,36 +88,18 @@ public:
     return It->second;
   }
 
-  /// The string_view variant the zero-copy decoder uses: keys intern
-  /// straight from the file buffer, copying only on first sight.
-  uint32_t idOf(std::string_view Key) {
-    auto It = Ids.find(Key);
-    if (It != Ids.end())
-      return It->second;
-    uint32_t Id = static_cast<uint32_t>(Ids.size());
-    Ids.emplace(std::string(Key), Id);
-    return Id;
-  }
-
   /// Upper bound (exclusive) on every id handed out so far.
   size_t universe() const { return Ids.size(); }
 
 private:
-  struct TransparentHash {
-    using is_transparent = void;
-    size_t operator()(std::string_view S) const noexcept {
-      return std::hash<std::string_view>{}(S);
-    }
-  };
-  std::unordered_map<std::string, uint32_t, TransparentHash, std::equal_to<>>
-      Ids;
+  std::unordered_map<std::string, uint32_t> Ids;
 };
 
 /// Reusable per-merge-chain scratch for the batched (interned) merge:
 /// an epoch-tagged global-id -> local-object-index table plus the remap
 /// vector, so the steady-state merge allocates nothing and never
-/// hashes a string. One scratch per thread of a parallel reduction;
-/// epochs make stale contents from earlier merges harmless.
+/// hashes a string. Epochs make stale contents from earlier merges
+/// harmless.
 class MergeScratch {
   friend class Profile;
   std::vector<uint32_t> Local;
@@ -210,12 +190,6 @@ public:
   /// discarding ids from any earlier batch. Call once per loaded shard
   /// before a batched reduction; merges maintain the ids incrementally.
   void internObjectKeys(ObjectKeyInterner &Interner);
-
-  /// Installs interned key ids computed during decode (one per object,
-  /// in object order, from a single interner whose universe bound is
-  /// \p Bound). Equivalent to internObjectKeys against that interner
-  /// without a second pass over the key strings.
-  void adoptInternedKeys(std::vector<uint32_t> Ids, uint32_t Bound);
 
   /// Marks the lookup indices stale after bulk deserialization. They
   /// rebuild lazily on first use, so a shard that only ever acts as a

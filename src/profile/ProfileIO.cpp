@@ -286,8 +286,7 @@ struct V3Header {
 } // namespace
 
 static std::optional<Profile> readProfileV3(std::string_view Data,
-                                            std::string *Error,
-                                            ObjectKeyInterner *Interner) {
+                                            std::string *Error) {
   // Data starts after the magic line. The section count comes first
   // (it fixes the header size: five base sections, optionally the
   // reservoir section); then the header's own CRC gates every size
@@ -392,14 +391,9 @@ static std::optional<Profile> readProfileV3(std::string_view Data,
       return SectionFail(V3Strtab, "record count mismatch");
   }
 
-  // object: string ids + aggregates. With an interner, key ids resolve
-  // straight from the string-table views (one hash of file bytes per
-  // object, copied only on first sight across the whole batch).
-  std::vector<uint32_t> InternedIds;
+  // object: string ids + aggregates.
   {
     P.Objects.reserve(Header.Records[V3Object]);
-    if (Interner)
-      InternedIds.reserve(Header.Records[V3Object]);
     support::VarintReader R(Slice[V3Object].data(),
                             Slice[V3Object].data() + Slice[V3Object].size());
     for (uint64_t I = 0; I != Header.Records[V3Object]; ++I) {
@@ -416,8 +410,6 @@ static std::optional<Profile> readProfileV3(std::string_view Data,
         return failParse(Error, "object references unknown string");
       O.Key.assign(Strings[KeyId].data(), Strings[KeyId].size());
       O.Name.assign(Strings[NameId].data(), Strings[NameId].size());
-      if (Interner)
-        InternedIds.push_back(Interner->idOf(Strings[KeyId]));
       P.Objects.push_back(std::move(O));
     }
     if (!R.atEnd())
@@ -525,19 +517,15 @@ static std::optional<Profile> readProfileV3(std::string_view Data,
   // Indices rebuild lazily on first lookup; a shard that is only ever
   // a merge source never builds them at all.
   P.markUnindexed();
-  if (Interner)
-    P.adoptInternedKeys(std::move(InternedIds),
-                        static_cast<uint32_t>(Interner->universe()));
   return P;
 }
 
 std::optional<Profile>
 structslim::profile::profileFromBytes(std::string_view Data,
-                                      std::string *Error,
-                                      ObjectKeyInterner *Interner) {
+                                      std::string *Error) {
   // The magic line frames the binary payload, which decodes in place.
   if (Data.starts_with(MagicV3))
-    return readProfileV3(Data.substr(MagicV3.size()), Error, Interner);
+    return readProfileV3(Data.substr(MagicV3.size()), Error);
   if (Data == MagicV3.substr(0, MagicV3.size() - 1)) // Newline lost.
     return failParse(Error, "truncated profile (missing end marker)");
   // Any other version line names a format this reader does not decode,
@@ -569,8 +557,7 @@ structslim::profile::profileFromString(const std::string &Text,
 
 std::optional<Profile>
 structslim::profile::readProfileFile(const std::string &Path,
-                                     std::string *Error,
-                                     ObjectKeyInterner *Interner) {
+                                     std::string *Error) {
   if (support::FaultInjector::instance().shouldFail(
           support::FaultSite::ProfileOpenRead))
     return failParse(Error, "injected open failure");
@@ -581,7 +568,7 @@ structslim::profile::readProfileFile(const std::string &Path,
   std::optional<std::string> Bytes = support::readFile(Path, &ReadError);
   if (!Bytes)
     return failParse(Error, ReadError);
-  return profileFromBytes(*Bytes, Error, Interner);
+  return profileFromBytes(*Bytes, Error);
 }
 
 bool structslim::profile::writeProfileFile(const Profile &P,

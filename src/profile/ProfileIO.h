@@ -44,7 +44,6 @@ namespace structslim {
 namespace profile {
 
 class Profile;
-class ObjectKeyInterner;
 
 /// Writes \p P to \p OS in the v3 format.
 void writeProfile(const Profile &P, std::ostream &OS);
@@ -55,15 +54,8 @@ std::string profileToString(const Profile &P);
 /// Parses a profile from an in-memory buffer; std::nullopt on malformed
 /// input (the error is described in \p Error when non-null). Section
 /// slices decode in place from \p Data.
-///
-/// When \p Interner is non-null the decoder interns every object key
-/// into it as the keys stream out of the buffer and installs the ids
-/// on the returned profile (adoptInternedKeys) — fusing the separate
-/// internObjectKeys pass a batched merge would otherwise run. Serial
-/// callers only: ObjectKeyInterner is not thread-safe.
 std::optional<Profile> profileFromBytes(std::string_view Data,
-                                        std::string *Error = nullptr,
-                                        ObjectKeyInterner *Interner = nullptr);
+                                        std::string *Error = nullptr);
 
 /// Parses a profile from a stream; std::nullopt on malformed input (the
 /// error is described in \p Error when non-null).
@@ -79,10 +71,8 @@ std::optional<Profile> profileFromString(const std::string &Text,
 /// from that buffer. Failures to open or read (a directory included),
 /// injected faults (support::FaultSite::ProfileOpenRead), and parse
 /// errors all report through \p Error, which does not repeat \p Path.
-/// \p Interner as in profileFromBytes.
 std::optional<Profile> readProfileFile(const std::string &Path,
-                                       std::string *Error = nullptr,
-                                       ObjectKeyInterner *Interner = nullptr);
+                                       std::string *Error = nullptr);
 
 /// Writes \p P to \p Path. This is the boundary where fault injection
 /// applies: support::FaultSite::ProfileOpenWrite can fail the open and

@@ -29,8 +29,7 @@ WorkloadRun structslim::workloads::runWorkload(const Workload &W,
   Out.Result = Runtime.finish();
 
   if (Attach)
-    Out.Merged = profile::mergeProfiles(std::move(Out.Result.Profiles),
-                                        Config.WorkerThreads);
+    Out.Merged = profile::mergeProfiles(std::move(Out.Result.Profiles));
   return Out;
 }
 
@@ -52,8 +51,7 @@ structslim::workloads::runProcesses(const Workload &W,
     if (!Out.CodeMap)
       Out.CodeMap = std::move(Run.CodeMap);
   }
-  Out.Merged = profile::mergeProfiles(std::move(PerProcess),
-                                      Config.WorkerThreads);
+  Out.Merged = profile::mergeProfiles(std::move(PerProcess));
   return Out;
 }
 

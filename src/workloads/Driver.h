@@ -34,10 +34,6 @@ struct DriverConfig {
   runtime::RunConfig Run;
   core::AnalysisConfig Analysis;
   double Scale = 1.0;
-  /// Host threads for profile merging (and the default pool size).
-  /// 0 = auto: the STRUCTSLIM_THREADS environment variable when set,
-  /// otherwise std::thread::hardware_concurrency().
-  unsigned WorkerThreads = 0;
 };
 
 /// One run of a workload plus (when profiled) its analysis inputs.

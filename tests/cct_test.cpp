@@ -173,6 +173,6 @@ TEST(CctIntegration, MergePreservesTotals) {
     P.Contexts.attribute(P.Contexts.intern({1, 2}), 10 * (T + 1));
     Profiles.push_back(std::move(P));
   }
-  Profile Merged = mergeProfiles(std::move(Profiles), 2);
+  Profile Merged = mergeProfiles(std::move(Profiles));
   EXPECT_EQ(Merged.Contexts.subtreeLatency(CallContextTree::Root), 100u);
 }

@@ -7,12 +7,13 @@
 //    pointer) and falls back to the FieldMap rebuild, with the
 //    splitter's diagnostic preserved,
 //  - verdicts and their JSON rendering are byte-identical for any
-//    merge job count,
+//    STRUCTSLIM_THREADS value,
 //  - the BenefitModel's prediction and the measured speedup agree in
 //    direction (both > 1 when the split helps).
 //
 //===----------------------------------------------------------------------===//
 
+#include "ThreadsEnv.h"
 #include "core/ClosedLoop.h"
 #include "workloads/Registry.h"
 
@@ -23,10 +24,9 @@ using namespace structslim::core;
 
 namespace {
 
-ClosedLoopConfig testConfig(unsigned Jobs = 0) {
+ClosedLoopConfig testConfig() {
   ClosedLoopConfig Config;
   Config.Driver.Scale = 0.1;
-  Config.Driver.WorkerThreads = Jobs;
   return Config;
 }
 
@@ -79,10 +79,14 @@ TEST(ClosedLoop, VerdictsAreIdenticalForAnyJobCount) {
   std::vector<std::unique_ptr<workloads::Workload>> Ws;
   Ws.push_back(workloads::makeArt());
   Ws.push_back(workloads::makeClomp());
-  VerifyReport One = verifyWorkloads(Ws, testConfig(/*Jobs=*/1));
-  VerifyReport Four = verifyWorkloads(Ws, testConfig(/*Jobs=*/4));
-  EXPECT_EQ(renderVerifyJson(One, testConfig(1)),
-            renderVerifyJson(Four, testConfig(4)));
+  auto Run = [&](const char *Threads) {
+    ThreadsEnv Env(Threads);
+    return verifyWorkloads(Ws, testConfig());
+  };
+  VerifyReport One = Run("1");
+  VerifyReport Four = Run("4");
+  EXPECT_EQ(renderVerifyJson(One, testConfig()),
+            renderVerifyJson(Four, testConfig()));
   EXPECT_EQ(renderVerifyText(One), renderVerifyText(Four));
 }
 

@@ -95,7 +95,7 @@ std::string expectedMergeWithout(unsigned Count, unsigned DropTid) {
   for (unsigned T = 0; T != Count; ++T)
     if (T != DropTid)
       Survivors.push_back(makeShard(T));
-  return profileToString(mergeProfiles(std::move(Survivors), 1));
+  return profileToString(mergeProfiles(std::move(Survivors)));
 }
 
 } // namespace

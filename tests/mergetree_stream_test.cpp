@@ -1,14 +1,14 @@
 //===- tests/mergetree_stream_test.cpp - Streaming-merge identity -*- C++ -*-===//
 //
-// The streaming shard-ingestion contract: for every shard count and
-// job count, loadAndMergeProfiles must produce a result byte-identical
-// to an in-memory mergeProfiles of the same shards — the reduction
-// tree's shape is part of the output (Profile::merge is not
-// associative), so serial loading, streaming accumulation, and
-// parallel pair-merging all have to reproduce one canonical tree.
-// Also covers the strict-mode all-or-nothing contract at every job
-// count and the bounded-memory guarantee (peak resident decoded
-// profiles stays O(jobs + log n)).
+// The reduction-tree contract: for every shard count, mergeProfiles and
+// loadAndMergeProfiles at every job count must produce bytes identical
+// to a level-by-level reference reduction over the string-keyed
+// Profile::merge — the tree's shape is part of the output
+// (Profile::merge is not associative), so the accumulator both entry
+// points fold through has to reproduce the canonical adjacent-pair
+// tree. Also covers the strict-mode all-or-nothing contract, skipping,
+// empty input and the bounded-memory guarantee (peak resident decoded
+// profiles stays O(jobs + log n)) at every job count.
 //
 //===----------------------------------------------------------------------===//
 
@@ -50,7 +50,13 @@ Profile makeShard(unsigned Shard) {
                              : "heap" + std::to_string(Shard) + "_" +
                                    std::to_string(Obj);
     uint32_t Idx = P.getOrCreateObject(Key);
-    uint64_t Start = 0x10000ull * (Obj + 1);
+    // obj3 is the tree-shape probe: shards with Shard % 5 in {1, 4}
+    // see another instance of it, and each stream's RepAddr offset is a
+    // shard-dependent power of two, so which shards pair up decides
+    // which differences sharpen its strides.
+    bool Probe = Obj == 3;
+    uint64_t Start = 0x10000ull * (Obj + 1) +
+                     (Probe && Shard % 5 % 3 == 1 ? 0x800000 : 0);
     ObjectAgg &Agg = P.Objects[Idx];
     Agg.Name = Key;
     Agg.Start = Start;
@@ -66,9 +72,10 @@ Profile makeShard(unsigned Shard) {
       Rec.SampleCount = 1 + R.nextBelow(20);
       Rec.LatencySum = 10 + R.nextBelow(500);
       Rec.UniqueAddrCount = 1 + R.nextBelow(8);
-      Rec.StrideGcd = 8ull << (S % 3);
+      Rec.StrideGcd = Probe ? 8ull << 8 : 8ull << (S % 3);
       Rec.ObjectStart = Start;
-      Rec.RepAddr = Start + 24ull * (Shard + 1) + S;
+      Rec.RepAddr = Probe ? Start + (8ull << (Shard * 5 + S) % 7)
+                          : Start + 24ull * (Shard + 1) + S;
       Rec.LastAddr = Rec.RepAddr + Rec.StrideGcd;
       Rec.LevelSamples[S % 4] = 1 + R.nextBelow(5);
       Rec.TlbMissSamples = R.nextBelow(3);
@@ -79,6 +86,32 @@ Profile makeShard(unsigned Shard) {
       10 * (Shard + 1));
   P.Contexts.attribute(P.Contexts.intern({0x400000, 0x400400}), 5 + Shard);
   return P;
+}
+
+/// The oracle for the canonical tree: adjacent pairs reduced level by
+/// level with an odd tail promoted unmerged, over the string-keyed
+/// merge.
+Profile referenceTree(std::vector<Profile> Level) {
+  if (Level.empty())
+    return Profile();
+  while (Level.size() > 1) {
+    std::vector<Profile> Next;
+    for (size_t I = 0; I + 1 < Level.size(); I += 2) {
+      Level[I].merge(Level[I + 1]);
+      Next.push_back(std::move(Level[I]));
+    }
+    if (Level.size() % 2)
+      Next.push_back(std::move(Level.back()));
+    Level = std::move(Next);
+  }
+  return std::move(Level.front());
+}
+
+std::vector<Profile> makeShards(unsigned Count) {
+  std::vector<Profile> Shards;
+  for (unsigned I = 0; I != Count; ++I)
+    Shards.push_back(makeShard(I));
+  return Shards;
 }
 
 class MergeTreeStream : public ::testing::Test {
@@ -107,10 +140,10 @@ protected:
 
 } // namespace
 
-// The tentpole identity: streaming load+merge at every job count ==
-// in-memory mergeProfiles at every thread count, for shard counts that
-// cover every binary-counter shape (all n through 17, plus a
-// power-of-two+1 neighborhood and a larger even spread).
+// mergeProfiles and the loader at every job count == the reference
+// tree, for shard counts that cover every binary-counter shape (all n
+// through 17, plus a power-of-two+1 neighborhood and a larger even
+// spread).
 TEST_F(MergeTreeStream, StreamingMatchesTreeForEveryShardAndJobCount) {
   std::string Dir = scratchDir();
   const unsigned Counts[] = {1, 2,  3,  4,  5,  6,  7,  8,  9, 10,
@@ -118,11 +151,9 @@ TEST_F(MergeTreeStream, StreamingMatchesTreeForEveryShardAndJobCount) {
   std::vector<std::string> AllFiles = writeShards(Dir, 64);
   for (unsigned N : Counts) {
     std::vector<std::string> Files(AllFiles.begin(), AllFiles.begin() + N);
-    std::vector<Profile> Shards;
-    for (unsigned I = 0; I != N; ++I)
-      Shards.push_back(makeShard(I));
-    std::string Expected =
-        profileToString(mergeProfiles(std::move(Shards), 1));
+    std::string Expected = profileToString(referenceTree(makeShards(N)));
+    EXPECT_EQ(profileToString(mergeProfiles(makeShards(N))), Expected)
+        << "n=" << N;
     for (unsigned Jobs : {1u, 2u, 4u}) {
       MergeOptions Opts;
       Opts.WorkerThreads = Jobs;
@@ -132,13 +163,6 @@ TEST_F(MergeTreeStream, StreamingMatchesTreeForEveryShardAndJobCount) {
       EXPECT_EQ(profileToString(Load.Merged), Expected)
           << "n=" << N << " jobs=" << Jobs;
     }
-    // The in-memory tree is also job-count invariant.
-    std::vector<Profile> Shards4;
-    for (unsigned I = 0; I != N; ++I)
-      Shards4.push_back(makeShard(I));
-    EXPECT_EQ(profileToString(mergeProfiles(std::move(Shards4), 4)),
-              Expected)
-        << "n=" << N;
   }
 }
 
@@ -173,7 +197,7 @@ TEST_F(MergeTreeStream, StrictAbortExposesNoPartialState) {
     std::ofstream(Files[7], std::ios::binary)
         << Bytes.substr(0, Bytes.size() / 2);
   }
-  for (unsigned Jobs : {1u, 4u}) {
+  for (unsigned Jobs : {1u, 2u, 4u}) {
     MergeOptions Opts;
     Opts.Strict = true;
     Opts.WorkerThreads = Jobs;
@@ -188,8 +212,8 @@ TEST_F(MergeTreeStream, StrictAbortExposesNoPartialState) {
   }
 }
 
-// Non-strict skipping still matches the in-memory merge of survivors
-// at every job count.
+// Non-strict skipping still matches the reference tree over the
+// survivors at every job count.
 TEST_F(MergeTreeStream, SkippedShardsKeepIdentityAtEveryJobCount) {
   std::string Dir = scratchDir();
   std::vector<std::string> Files = writeShards(Dir, 10);
@@ -198,8 +222,7 @@ TEST_F(MergeTreeStream, SkippedShardsKeepIdentityAtEveryJobCount) {
   for (unsigned I = 0; I != 10; ++I)
     if (I != 4)
       Survivors.push_back(makeShard(I));
-  std::string Expected =
-      profileToString(mergeProfiles(std::move(Survivors), 1));
+  std::string Expected = profileToString(referenceTree(std::move(Survivors)));
   for (unsigned Jobs : {1u, 2u, 4u}) {
     MergeOptions Opts;
     Opts.WorkerThreads = Jobs;
@@ -243,11 +266,16 @@ TEST_F(MergeTreeStream, TimingFieldsArePopulated) {
 
 // Empty input stays well-defined.
 TEST_F(MergeTreeStream, EmptyInputYieldsEmptyProfile) {
-  MergeLoadResult Load = loadAndMergeProfiles({});
-  EXPECT_TRUE(Load.Loaded.empty());
-  EXPECT_TRUE(Load.Skipped.empty());
-  EXPECT_FALSE(Load.StrictFailure);
-  EXPECT_EQ(Load.Merged.TotalSamples, 0u);
+  EXPECT_EQ(mergeProfiles({}).TotalSamples, 0u);
+  for (unsigned Jobs : {1u, 2u, 4u}) {
+    MergeOptions Opts;
+    Opts.WorkerThreads = Jobs;
+    MergeLoadResult Load = loadAndMergeProfiles({}, Opts);
+    EXPECT_TRUE(Load.Loaded.empty());
+    EXPECT_TRUE(Load.Skipped.empty());
+    EXPECT_FALSE(Load.StrictFailure);
+    EXPECT_EQ(Load.Merged.TotalSamples, 0u);
+  }
 }
 
 // The batched (interned) merge and the string-keyed merge are
@@ -269,154 +297,5 @@ TEST_F(MergeTreeStream, BatchedMergeMatchesStringMerge) {
     }
     EXPECT_EQ(profileToString(Batched), profileToString(StringMerged))
         << "n=" << N;
-  }
-}
-
-//===----------------------------------------------------------------------===//
-// EpochAccumulator: incremental epochs over the same canonical tree.
-//===----------------------------------------------------------------------===//
-
-// Any epoch schedule over a file sequence — one shard at a time,
-// batches, lopsided splits — must leave the accumulator bit-identical
-// to a one-shot loadAndMergeProfiles over the concatenated sequence,
-// at every job count. compact() after each epoch must equal the
-// one-shot merge of the prefix consumed so far.
-TEST_F(MergeTreeStream, EpochSchedulesMatchOneShotMerge) {
-  std::string Dir = scratchDir();
-  const unsigned N = 13;
-  std::vector<std::string> Files = writeShards(Dir, N);
-  const std::vector<std::vector<unsigned>> Schedules = {
-      {13},                      // One epoch == plain one-shot.
-      {1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}, // Fully incremental.
-      {3, 3, 3, 3, 1},           // Uniform batches with a tail.
-      {1, 12},                   // Lopsided early.
-      {12, 1},                   // Lopsided late.
-      {5, 0, 8},                 // An empty epoch in the middle.
-  };
-  for (unsigned Jobs : {1u, 2u, 4u}) {
-    MergeOptions Opts;
-    Opts.WorkerThreads = Jobs;
-    for (const std::vector<unsigned> &Schedule : Schedules) {
-      EpochAccumulator Acc(Opts);
-      size_t Consumed = 0;
-      for (unsigned Batch : Schedule) {
-        std::vector<std::string> Epoch(Files.begin() + Consumed,
-                                       Files.begin() + Consumed + Batch);
-        MergeLoadResult Result = Acc.addShards(Epoch);
-        EXPECT_FALSE(Result.StrictFailure);
-        ASSERT_EQ(Result.Loaded.size(), Batch);
-        Consumed += Batch;
-        std::vector<std::string> Prefix(Files.begin(),
-                                        Files.begin() + Consumed);
-        EXPECT_EQ(profileToString(Acc.compact()),
-                  profileToString(loadAndMergeProfiles(Prefix, Opts).Merged))
-            << "jobs=" << Jobs << " consumed=" << Consumed;
-        EXPECT_EQ(Acc.shardCount(), Consumed);
-      }
-      EXPECT_EQ(profileToString(Acc.take()),
-                profileToString(loadAndMergeProfiles(Files, Opts).Merged))
-          << "jobs=" << Jobs;
-    }
-  }
-}
-
-// compact() leaves the accumulator intact: repeated compaction returns
-// the same bytes, and appending afterwards behaves as if compact() was
-// never called.
-TEST_F(MergeTreeStream, CompactIsNonDestructive) {
-  std::string Dir = scratchDir();
-  std::vector<std::string> Files = writeShards(Dir, 9);
-  MergeOptions Opts;
-  Opts.WorkerThreads = 2;
-  EpochAccumulator Acc(Opts);
-  Acc.addShards({Files.begin(), Files.begin() + 5});
-  std::string First = profileToString(Acc.compact());
-  EXPECT_EQ(profileToString(Acc.compact()), First);
-  EXPECT_EQ(Acc.shardCount(), 5u);
-  Acc.addShards({Files.begin() + 5, Files.end()});
-  EXPECT_EQ(profileToString(Acc.take()),
-            profileToString(loadAndMergeProfiles(Files, Opts).Merged));
-}
-
-// take() drains the accumulator: it resets to empty and can be reused
-// for an unrelated shard sequence.
-TEST_F(MergeTreeStream, TakeResetsTheAccumulatorForReuse) {
-  std::string Dir = scratchDir();
-  std::vector<std::string> Files = writeShards(Dir, 8);
-  MergeOptions Opts;
-  Opts.WorkerThreads = 1;
-  EpochAccumulator Acc(Opts);
-  Acc.addShards({Files.begin(), Files.begin() + 3});
-  (void)Acc.take();
-  EXPECT_EQ(Acc.shardCount(), 0u);
-  EXPECT_EQ(Acc.residentProfiles(), 0u);
-  std::vector<std::string> Second(Files.begin() + 3, Files.end());
-  Acc.addShards(Second);
-  EXPECT_EQ(profileToString(Acc.take()),
-            profileToString(loadAndMergeProfiles(Second, Opts).Merged));
-}
-
-// The resident-subtree bound holds across epochs: never more than
-// log2(shards) + 1 merged subtrees on the stack.
-TEST_F(MergeTreeStream, EpochResidentProfilesStayLogarithmic) {
-  std::string Dir = scratchDir();
-  const unsigned N = 64;
-  std::vector<std::string> Files = writeShards(Dir, N);
-  EpochAccumulator Acc;
-  for (unsigned I = 0; I != N; ++I) {
-    Acc.addShards({Files[I]});
-    size_t Bound =
-        static_cast<size_t>(std::floor(std::log2(I + 1))) + 1;
-    EXPECT_LE(Acc.residentProfiles(), Bound) << "after shard " << I;
-  }
-  EXPECT_EQ(Acc.shardCount(), N);
-}
-
-// Strict mode across epochs: a failing epoch restores the accumulator
-// to its pre-call state — the earlier epochs' merge is unchanged, and
-// retrying with the repaired shard list continues as if the failed
-// call never happened. Exercised at both the serial and streaming job
-// counts.
-TEST_F(MergeTreeStream, StrictEpochFailureRestoresPriorState) {
-  for (unsigned Jobs : {1u, 4u}) {
-    std::string Dir = scratchDir();
-    std::vector<std::string> Files = writeShards(Dir, 12);
-    std::string Corrupt = Dir + "/corrupt.structslim";
-    {
-      std::ifstream In(Files[8], std::ios::binary);
-      std::string Bytes((std::istreambuf_iterator<char>(In)),
-                        std::istreambuf_iterator<char>());
-      std::ofstream(Corrupt, std::ios::binary)
-          << Bytes.substr(0, Bytes.size() / 2);
-    }
-    MergeOptions Opts;
-    Opts.Strict = true;
-    Opts.WorkerThreads = Jobs;
-    EpochAccumulator Acc(Opts);
-    MergeLoadResult First =
-        Acc.addShards({Files.begin(), Files.begin() + 6});
-    ASSERT_FALSE(First.StrictFailure);
-    std::string BeforeFailure = profileToString(Acc.compact());
-    size_t ShardsBefore = Acc.shardCount();
-
-    // Epoch 2 aborts on the corrupt shard in the middle.
-    std::vector<std::string> BadEpoch = {Files[6], Corrupt, Files[7]};
-    MergeLoadResult Failed = Acc.addShards(BadEpoch);
-    EXPECT_TRUE(Failed.StrictFailure) << "jobs=" << Jobs;
-    ASSERT_EQ(Failed.Skipped.size(), 1u);
-    EXPECT_EQ(Failed.Skipped[0].Path, Corrupt);
-    EXPECT_FALSE(Failed.Skipped[0].Message.empty());
-    EXPECT_TRUE(Failed.Loaded.empty());
-    EXPECT_EQ(Acc.shardCount(), ShardsBefore);
-    EXPECT_EQ(profileToString(Acc.compact()), BeforeFailure)
-        << "jobs=" << Jobs;
-
-    // A repaired epoch continues to the one-shot answer.
-    MergeLoadResult Retry =
-        Acc.addShards({Files.begin() + 6, Files.end()});
-    ASSERT_FALSE(Retry.StrictFailure);
-    EXPECT_EQ(profileToString(Acc.take()),
-              profileToString(loadAndMergeProfiles(Files, Opts).Merged))
-        << "jobs=" << Jobs;
   }
 }

@@ -137,7 +137,7 @@ TEST(MultiProcess, DumpLoadMergeEqualsInMemoryMerge) {
   ASSERT_GE(Shards.size(), 8u); // 2 processes x >= 4 worker threads.
 
   std::string Expected =
-      profile::profileToString(profile::mergeProfiles(Shards, 1));
+      profile::profileToString(profile::mergeProfiles(Shards));
   std::vector<std::string> Files =
       runtime::dumpProfiles(Shards, freshDir("roundtrip"));
   ASSERT_EQ(Files.size(), Shards.size());
@@ -165,7 +165,7 @@ TEST(MultiProcess, CorruptShardYieldsWarnedPartialMerge) {
     if (I != Torn)
       Survivors.push_back(Shards[I]);
   std::string Expected =
-      profile::profileToString(profile::mergeProfiles(Survivors, 1));
+      profile::profileToString(profile::mergeProfiles(Survivors));
 
   Inj.arm(support::FaultSite::ProfileWrite,
           support::FaultAction::TruncateTail, Torn, 100);

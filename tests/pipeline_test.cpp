@@ -11,6 +11,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ThreadsEnv.h"
 #include "analysis/CodeMap.h"
 #include "cache/Hierarchy.h"
 #include "ir/ProgramBuilder.h"
@@ -183,30 +184,6 @@ TEST(SimPipelineStress, SyncHeavyStreamStaysIdentical) {
 // Multithreaded phases: one ring carries every thread's records in the
 // round-robin schedule order.
 //===----------------------------------------------------------------------===//
-
-/// Scoped STRUCTSLIM_THREADS override: ThreadPool::defaultThreadCount()
-/// consults it on every call, so this flips the consumer placement
-/// (inline drains on one core vs a dedicated consumer thread) at will
-/// on any host.
-class ThreadsEnv {
-public:
-  explicit ThreadsEnv(const char *Value) {
-    const char *Old = std::getenv("STRUCTSLIM_THREADS");
-    Had = Old != nullptr;
-    Saved = Old ? Old : "";
-    setenv("STRUCTSLIM_THREADS", Value, 1);
-  }
-  ~ThreadsEnv() {
-    if (Had)
-      setenv("STRUCTSLIM_THREADS", Saved.c_str(), 1);
-    else
-      unsetenv("STRUCTSLIM_THREADS");
-  }
-
-private:
-  std::string Saved;
-  bool Had = false;
-};
 
 /// CLOMP-style phase: read-only workers scanning partitions of a
 /// shared array published through a static mailbox.
@@ -747,7 +724,7 @@ TEST(PipelineCounters, StampedShardMergeReproducesRunTotals) {
     ASSERT_TRUE(P) << Name << ": " << Error;
     Loaded.push_back(std::move(*P));
   }
-  profile::Profile Merged = profile::mergeProfiles(std::move(Loaded), 1);
+  profile::Profile Merged = profile::mergeProfiles(std::move(Loaded));
   EXPECT_GT(Merged.TotalSamples, 0u);
   EXPECT_EQ(Merged.QueueDepthMax, Run.QueueDepthMax);
   EXPECT_EQ(Merged.ProducerStalls, Run.ProducerStalls);

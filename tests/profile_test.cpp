@@ -265,20 +265,3 @@ TEST(MergeTree, TotalsIndependentOfCount) {
     EXPECT_EQ(Out.Streams[0].StrideGcd, 64u);
   }
 }
-
-TEST(MergeTree, ParallelMatchesSerial) {
-  auto Build = [] {
-    std::vector<Profile> In;
-    for (uint32_t I = 0; I != 9; ++I)
-      In.push_back(makeSimple(I, 7 * (I + 1), 64 << (I % 3),
-                              0x1000 + 64 * I));
-    return In;
-  };
-  Profile Serial = mergeProfiles(Build(), 1);
-  Profile Parallel = mergeProfiles(Build(), 4);
-  EXPECT_EQ(Serial.TotalLatency, Parallel.TotalLatency);
-  EXPECT_EQ(Serial.TotalSamples, Parallel.TotalSamples);
-  ASSERT_EQ(Serial.Streams.size(), Parallel.Streams.size());
-  EXPECT_EQ(Serial.Streams[0].StrideGcd, Parallel.Streams[0].StrideGcd);
-  EXPECT_EQ(Serial.Streams[0].SampleCount, Parallel.Streams[0].SampleCount);
-}

@@ -34,7 +34,6 @@ workloads::DriverConfig boundedConfig(uint64_t Capacity, uint64_t Budget) {
   workloads::DriverConfig Config;
   Config.Scale = 0.1;
   Config.Run.InlineSimulation = true;
-  Config.WorkerThreads = 1;
   Config.Run.Sampling.ReservoirCapacity = Capacity;
   Config.Run.Sampling.SampleBudgetPerMAccess = Budget;
   return Config;

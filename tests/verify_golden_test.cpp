@@ -7,7 +7,7 @@
 //    tests/regen_advice_goldens.sh after intentional changes),
 //  - no workload regresses modeled latency and every one keeps its
 //    results (the never-regress contract, parsed from the document),
-//  - the document is byte-identical for --jobs=1 and --jobs=4,
+//  - the document is byte-identical for STRUCTSLIM_THREADS=1 and =4,
 //  - the CLI rejects malformed values/options with exit 2 and usage.
 //
 //===----------------------------------------------------------------------===//
@@ -33,8 +33,11 @@ struct CommandResult {
   std::string Output; ///< stdout and stderr, interleaved.
 };
 
-CommandResult runVerify(const std::vector<std::string> &Args) {
-  std::string Cmd = std::string(STRUCTSLIM_VERIFY_BIN);
+/// Runs the verifier with \p Args; \p Env prefixes the command line
+/// (e.g. "STRUCTSLIM_THREADS=4 ").
+CommandResult runVerify(const std::vector<std::string> &Args,
+                        const std::string &Env = "") {
+  std::string Cmd = Env + STRUCTSLIM_VERIFY_BIN;
   for (const std::string &A : Args)
     Cmd += " " + A;
   Cmd += " 2>&1";
@@ -64,8 +67,7 @@ bool regenRequested() {
 }
 
 /// The pinned invocation behind the golden document.
-const std::vector<std::string> GoldenArgs = {"--scale=0.1", "--jobs=1",
-                                             "--json"};
+const std::vector<std::string> GoldenArgs = {"--scale=0.1", "--json"};
 
 } // namespace
 
@@ -107,8 +109,8 @@ TEST(VerifyGolden, NoWorkloadRegressesAndAllResultsMatch) {
 }
 
 TEST(VerifyGolden, JobCountNeverChangesTheDocument) {
-  CommandResult One = runVerify({"--scale=0.1", "--jobs=1", "--json"});
-  CommandResult Four = runVerify({"--scale=0.1", "--jobs=4", "--json"});
+  CommandResult One = runVerify(GoldenArgs, "STRUCTSLIM_THREADS=1 ");
+  CommandResult Four = runVerify(GoldenArgs, "STRUCTSLIM_THREADS=4 ");
   ASSERT_EQ(One.ExitCode, 0) << One.Output;
   ASSERT_EQ(Four.ExitCode, 0) << Four.Output;
   EXPECT_EQ(One.Output, Four.Output);
@@ -150,7 +152,6 @@ TEST(VerifyCli, MalformedValuesExitTwoWithUsage) {
       {"--scale=0", "--scale"},   {"--scale=1x", "--scale"},
       {"--scale=nan", "--scale"}, {"--scale=inf", "--scale"},
       {"--period=0", "--period"}, {"--period=ten", "--period"},
-      {"--jobs=-1", "--jobs"},    {"--jobs=1x", "--jobs"},
   };
   for (const Case &C : Cases) {
     CommandResult R = runVerify({C.Arg});
@@ -163,11 +164,15 @@ TEST(VerifyCli, MalformedValuesExitTwoWithUsage) {
 }
 
 TEST(VerifyCli, UnknownOptionExitsTwoWithUsage) {
-  CommandResult R = runVerify({"--frobnicate"});
-  EXPECT_EQ(R.ExitCode, 2) << R.Output;
-  EXPECT_NE(R.Output.find("error: unknown option '--frobnicate'"),
-            std::string::npos);
-  EXPECT_NE(R.Output.find("usage:"), std::string::npos);
+  for (const char *Arg : {"--frobnicate", "--jobs=4"}) {
+    CommandResult R = runVerify({Arg});
+    EXPECT_EQ(R.ExitCode, 2) << R.Output;
+    EXPECT_NE(R.Output.find(std::string("error: unknown option '") + Arg +
+                            "'"),
+              std::string::npos)
+        << R.Output;
+    EXPECT_NE(R.Output.find("usage:"), std::string::npos);
+  }
 }
 
 TEST(VerifyCli, UnknownWorkloadExitsTwoNamingIt) {

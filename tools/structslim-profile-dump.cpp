@@ -114,11 +114,10 @@ int main(int argc, char **argv) {
   }
 
   // The pinned deterministic configuration the golden tests use:
-  // inline simulation, one worker — byte-stable output.
+  // inline simulation — byte-stable output.
   workloads::DriverConfig Config;
   Config.Scale = Scale;
   Config.Run.InlineSimulation = true;
-  Config.WorkerThreads = 1;
 
   for (const auto &W : Selected) {
     transform::FieldMap Identity(W->hotLayout());

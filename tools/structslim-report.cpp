@@ -30,9 +30,12 @@
 //                      after the report; JSON mode: they are embedded
 //                      in the document anyway, --stats adds the table
 //                      on stderr)
-//     --jobs=N         merge worker threads (default 0 = auto:
-//                      STRUCTSLIM_THREADS env var, else all host
-//                      cores); output is identical for every setting
+//     --jobs=N         shard decode look-ahead: 1 decodes serially;
+//                      N > 1 keeps up to 2N shards decoding ahead on
+//                      the shared pool, which has STRUCTSLIM_THREADS
+//                      or one worker per core whatever N is (default
+//                      0 = that worker count); output is identical for
+//                      every setting
 //     --strict         fail on the first unreadable profile instead of
 //                      skipping it with a warning
 //
@@ -75,7 +78,7 @@ struct Options {
   bool Strict = false;
   bool Json = false;
   bool Stats = false;
-  unsigned Jobs = 0; // 0 = auto (see support::ThreadPool).
+  unsigned Jobs = 0; // 0 = ThreadPool::defaultThreadCount().
   std::vector<std::string> Files;
 };
 

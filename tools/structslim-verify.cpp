@@ -21,8 +21,6 @@
 //                    overhead-governor target in samples per million
 //                    accesses (default 0 = governor off)
 //     --epoch=N      governor epoch length in accesses (default 2^20)
-//     --jobs=N       merge worker threads (default 0 = auto);
-//                    output is byte-identical for every setting
 //     --json         emit the machine-readable document (schema_version
 //                    1) on stdout instead of the text table
 //     --smoke        quick CI mode: 179.ART and CLOMP at scale 0.1
@@ -55,7 +53,6 @@ struct Options {
   uint64_t Reservoir = 0;
   uint64_t SampleBudget = 0;
   uint64_t Epoch = 1ull << 20;
-  unsigned Jobs = 0;
   bool Json = false;
   bool Smoke = false;
   bool List = false;
@@ -64,8 +61,8 @@ struct Options {
 
 int usage() {
   std::cerr << "usage: structslim-verify [--scale=X] [--period=N] "
-               "[--reservoir=N] [--sample-budget=N] [--epoch=N] [--jobs=N] "
-               "[--json] [--smoke] [--list] [workloads...]\n";
+               "[--reservoir=N] [--sample-budget=N] [--epoch=N] [--json] "
+               "[--smoke] [--list] [workloads...]\n";
   return 2;
 }
 
@@ -120,11 +117,6 @@ bool parseArgs(int argc, char **argv, Options &Opts) {
     } else if (Arg.rfind("--epoch=", 0) == 0) {
       if (!parseUnsigned(Arg.substr(8), Opts.Epoch) || Opts.Epoch == 0)
         return badValue("--epoch", Arg.substr(8));
-    } else if (Arg.rfind("--jobs=", 0) == 0) {
-      uint64_t Jobs = 0;
-      if (!parseUnsigned(Arg.substr(7), Jobs) || Jobs > 0xffffffffULL)
-        return badValue("--jobs", Arg.substr(7));
-      Opts.Jobs = static_cast<unsigned>(Jobs);
     } else if (Arg == "--json") {
       Opts.Json = true;
     } else if (Arg == "--smoke") {
@@ -183,7 +175,6 @@ int main(int argc, char **argv) {
   Config.Driver.Run.Sampling.ReservoirCapacity = Opts.Reservoir;
   Config.Driver.Run.Sampling.SampleBudgetPerMAccess = Opts.SampleBudget;
   Config.Driver.Run.Sampling.EpochAccesses = Opts.Epoch;
-  Config.Driver.WorkerThreads = Opts.Jobs;
 
   core::VerifyReport Report = core::verifyWorkloads(Selected, Config);
   if (Opts.Json)
