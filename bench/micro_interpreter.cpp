@@ -7,8 +7,8 @@
 // Throughput of the two interpreter cores and of the two simulation
 // placements. The hot loop is a profiler-shaped, L1-resident loop: the
 // reference core (direct ir::Instr walk, one switch per instruction)
-// runs against the predecoded core (threaded dispatch over dense op
-// arrays, fused pairs, flat frames, page-pointer cache), with the
+// runs against the predecoded core (dispatch over dense op arrays, fused
+// pairs and loop latches, flat frames, page-pointer cache), with the
 // profiler detached (the pure simulation path the paper's Fig. 4/5
 // baselines pay) and attached (PMU sampling + online attribution on
 // top). The miss-heavy loop is ART-shaped: a long-stride walk over an
@@ -17,7 +17,14 @@
 // interpreter, carries the cost. Each loop runs decoupled (the default)
 // against the inline-simulation oracle, and the decoupled rows show the
 // producer's and the consumer's busy time, so a reader can see which
-// side bounds the pipeline.
+// side bounds the pipeline, along with the records the producer
+// published per instruction and the consumer's busy share of the wall
+// time.
+//
+// It also predecodes (without running) the seven paper workloads and
+// prints how often each fusion applies in their code. Every one of them
+// must fuse at least one loop latch; a builder or predecoder change
+// that stops the fusion makes this bench exit 1.
 //
 // Every configuration must agree bit for bit with its oracle — this
 // bench asserts counters, return values, and serialized profile bytes —
@@ -32,10 +39,13 @@
 #include "analysis/CodeMap.h"
 #include "ir/ProgramBuilder.h"
 #include "profile/ProfileIO.h"
+#include "runtime/Predecode.h"
 #include "runtime/ThreadedRuntime.h"
 #include "support/Format.h"
 #include "support/TablePrinter.h"
 #include "support/ThreadPool.h"
+#include "transform/FieldMap.h"
+#include "workloads/Registry.h"
 
 #include <chrono>
 #include <fstream>
@@ -53,10 +63,9 @@ struct Built {
   uint32_t WorkerId = 0;
 };
 
-/// The hot loop: Reps passes over an N-slot array, each iteration a
-/// mix the predecoder cares about — indexed loads behind an AddI
-/// (fusable), a compare-and-branch (fusable), a strided store, and a
-/// helper call every pass to keep the frame stack warm.
+/// The hot loop: Reps passes over an N-slot array, each iteration two
+/// indexed loads, an ALU mixing tail, a compare-and-branch (a fused
+/// pair), a strided store, and the loop latch (fused).
 Built buildHot(runtime::Machine &M, int64_t N, int64_t Reps) {
   uint64_t Mailbox = M.defineStatic("interp_shared", 64);
   Built Out;
@@ -90,7 +99,7 @@ Built buildHot(runtime::Machine &M, int64_t N, int64_t Reps) {
     B.forLoopI(0, Reps, 1, [&](Reg Pass) {
       B.forLoopI(0, N, 1, [&](Reg I) {
         B.setLine(201);
-        Reg J = B.addI(I, 1);          // AddI+Load: fused pair
+        Reg J = B.addI(I, 1);
         Reg V = B.load(Arr, I, 8, 0, 8);
         Reg W = B.load(Arr, J, 8, 0, 4);
         // Murmur-style mixing: the arithmetic tail a compiled hot loop
@@ -234,7 +243,64 @@ struct Row {
     return S > 0 ? static_cast<double>(First.Instructions) / S : 0.0;
   }
   double consumerBusy() const { return spreadOf(ConsumerBusy).Median; }
+  /// The consumer's busy time over the wall time (medians).
+  double consumerShare() const {
+    double Wall = wall().Median;
+    return Wall > 0 ? consumerBusy() / Wall : 0.0;
+  }
+  double recordsPerInstruction() const {
+    return First.Instructions
+               ? static_cast<double>(First.PipelineRecords) /
+                     static_cast<double>(First.Instructions)
+               : 0.0;
+  }
 };
+
+/// Fused opcodes, in POpc order, with their column names.
+constexpr std::pair<runtime::POpc, const char *> FusedKinds[] = {
+    {runtime::POpc::FusedConstIStore, "ConstIStore"},
+    {runtime::POpc::FusedCmpLtBr, "CmpLtBr"},
+    {runtime::POpc::FusedCmpLeBr, "CmpLeBr"},
+    {runtime::POpc::FusedCmpEqBr, "CmpEqBr"},
+    {runtime::POpc::FusedCmpNeBr, "CmpNeBr"},
+    {runtime::POpc::FusedLoopLatch, "LoopLatch"},
+    {runtime::POpc::FusedWorkLatch, "WorkLatch"},
+};
+
+struct FusionCounts {
+  std::string Workload;
+  std::vector<size_t> Counts; ///< One per FusedKinds entry.
+  size_t Latches = 0;         ///< FusedLoopLatch, one per fused back edge.
+};
+
+/// Static fusion counts of each paper workload's program (predecoded,
+/// not run; the counts do not depend on the input scale).
+std::vector<FusionCounts> paperFusionCounts() {
+  std::vector<FusionCounts> Out;
+  for (const auto &W : workloads::makePaperWorkloads()) {
+    runtime::Machine M;
+    transform::FieldMap Layout(W->hotLayout());
+    workloads::BuiltWorkload Built = W->build(M, Layout, /*Scale=*/0.05);
+    runtime::PredecodedProgram PP(*Built.Program);
+    FusionCounts C{W->name(), {},
+                   PP.getNumFused(runtime::POpc::FusedLoopLatch)};
+    for (const auto &Kind : FusedKinds)
+      C.Counts.push_back(PP.getNumFused(Kind.first));
+    Out.push_back(std::move(C));
+  }
+  return Out;
+}
+
+std::string cpuModel() {
+  std::ifstream In("/proc/cpuinfo");
+  std::string Line;
+  while (std::getline(In, Line))
+    if (Line.rfind("model name", 0) == 0) {
+      size_t Start = Line.find_first_not_of(" \t", Line.find(':') + 1);
+      return Start == std::string::npos ? "" : Line.substr(Start);
+    }
+  return "unknown";
+}
 
 } // namespace
 
@@ -264,6 +330,25 @@ int main(int argc, char **argv) {
             << Repeats << " alternating repeats; consumer "
             << (ThreadedConsumer ? "on its own thread" : "drains inline")
             << ")\n\n";
+
+  std::vector<FusionCounts> Fusions = paperFusionCounts();
+  TablePrinter FusionTable;
+  std::vector<std::string> Header = {"workload"};
+  for (const auto &Kind : FusedKinds)
+    Header.push_back(Kind.second);
+  FusionTable.setHeader(Header);
+  bool EveryLatchFused = true;
+  for (const FusionCounts &F : Fusions) {
+    std::vector<std::string> Cells = {F.Workload};
+    for (size_t N : F.Counts)
+      Cells.push_back(std::to_string(N));
+    FusionTable.addRow(Cells);
+    EveryLatchFused = EveryLatchFused && F.Latches > 0;
+  }
+  std::cout << "Static fusion counts (fused ops in each paper workload's "
+               "predecoded program):\n";
+  FusionTable.print(std::cout);
+  std::cout << "\n";
 
   std::vector<Row> Rows;
   for (const Config &C : {
@@ -313,7 +398,8 @@ int main(int argc, char **argv) {
 
   TablePrinter Table;
   Table.setHeader({"config", "median s", "q1 s", "q3 s", "Minstr/s",
-                   "speedup", "producer s", "consumer s"});
+                   "speedup", "producer s", "consumer s", "consumer %",
+                   "rec/instr"});
   auto AddRow = [&](const Row &R, const std::string &Speedup) {
     Spread W = R.wall();
     bool Decoupled = !R.C.InlineSimulation;
@@ -321,7 +407,10 @@ int main(int argc, char **argv) {
                   formatDouble(W.Q3, 3), formatDouble(R.ips() / 1e6, 1),
                   Speedup,
                   Decoupled ? formatDouble(ProducerBusy(R), 3) : "-",
-                  Decoupled ? formatDouble(R.consumerBusy(), 3) : "-"});
+                  Decoupled ? formatDouble(R.consumerBusy(), 3) : "-",
+                  Decoupled ? formatDouble(100 * R.consumerShare(), 1) : "-",
+                  Decoupled ? formatDouble(R.recordsPerInstruction(), 3)
+                            : "-"});
   };
   AddRow(RefDet, "1.00x");
   AddRow(PreDet, formatDouble(SpeedupDet, 2) + "x");
@@ -334,10 +423,14 @@ int main(int argc, char **argv) {
   std::cout << "\n\"x pipe\" is decoupled over inline-oracle throughput. "
                "Producer busy is the\nwall time"
             << (ThreadedConsumer ? "" : " minus the consumer's busy time")
-            << "; consumer busy is the time spent replaying records.\n";
+            << "; consumer busy is the time spent replaying records,\n"
+               "consumer % its share of the wall time; rec/instr is access "
+               "records published\nper instruction.\n";
 
   std::ofstream Json(JsonPath);
   Json << "{\n  \"bench\": \"micro_interpreter\",\n"
+       << "  \"host_cpu_model\": \"" << cpuModel() << "\",\n"
+       << "  \"host_compiler\": \"" << __VERSION__ << "\",\n"
        << "  \"host_hardware_concurrency\": "
        << std::thread::hardware_concurrency() << ",\n"
        << "  \"threaded_consumer\": " << (ThreadedConsumer ? "true" : "false")
@@ -359,10 +452,20 @@ int main(int argc, char **argv) {
     if (Decoupled)
       Json << ", \"producer_busy_seconds\": " << ProducerBusy(R)
            << ", \"consumer_busy_seconds\": " << R.consumerBusy()
+           << ", \"consumer_busy_share\": " << R.consumerShare()
+           << ", \"pipeline_records\": " << R.First.PipelineRecords
+           << ", \"records_per_instruction\": " << R.recordsPerInstruction()
            << ", \"queue_depth_max\": " << R.First.QueueDepthMax
            << ", \"producer_stalls\": " << R.First.ProducerStalls
            << ", \"consumer_batches\": " << R.First.ConsumerBatches;
     Json << "}" << (I + 1 == Rows.size() ? "" : ",") << "\n";
+  }
+  Json << "  ],\n  \"fusions\": [\n";
+  for (size_t I = 0; I != Fusions.size(); ++I) {
+    Json << "    {\"workload\": \"" << Fusions[I].Workload << "\"";
+    for (size_t K = 0; K != Fusions[I].Counts.size(); ++K)
+      Json << ", \"" << FusedKinds[K].second << "\": " << Fusions[I].Counts[K];
+    Json << "}" << (I + 1 == Fusions.size() ? "" : ",") << "\n";
   }
   Json << "  ],\n"
        << "  \"speedup_detached\": " << SpeedupDet << ",\n"
@@ -374,6 +477,10 @@ int main(int argc, char **argv) {
 
   if (!Identical) {
     std::cerr << "\nFAIL: a configuration diverged from its oracle\n";
+    return 1;
+  }
+  if (!EveryLatchFused) {
+    std::cerr << "\nFAIL: a paper workload has no fused loop latch\n";
     return 1;
   }
   std::cout << "\nAll configurations bit-identical. JSON: " << JsonPath

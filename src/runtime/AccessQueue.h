@@ -187,6 +187,8 @@ public:
   }
 
   uint64_t producerStalls() const { return ProducerStalls; }
+  /// Records published so far; after close(), every record produced.
+  uint64_t recordsPublished() const { return Ring.published(); }
   size_t capacity() const { return Ring.capacity(); }
 
   //===--------------------------------------------------------------===//

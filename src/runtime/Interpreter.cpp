@@ -3,21 +3,35 @@
 // Two execution cores live here. stepReference() walks ir::Instr
 // records through one switch per instruction — it is the semantic
 // baseline. stepPredecoded() runs the same programs several-fold
-// faster over PredecodedProgram op arrays with token-threaded dispatch
-// (computed goto under GCC/Clang, a dense switch elsewhere), a flat
-// frame stack over one register arena, and fused ops that retire two
-// instructions per dispatch.
+// faster over PredecodedProgram op arrays, a flat frame stack over one
+// register arena, and fused ops that retire two (pairs) or four to five
+// (loop latches) instructions per dispatch.
+//
+// Dispatch: each handler ends in `goto *JumpTable[op]` under GCC/Clang
+// (a dense switch elsewhere), but GCC 12 at -O2 cross-jumps those
+// identical tails into one shared indirect jump, so the build really
+// runs a central dispatch loop (2 `jmp *` sites in this function).
+// Building with -fno-crossjumping restores per-handler jumps (about
+// 40 sites) and measured no gain, so no flag is set. The compiler also
+// if-converts a guest branch's `PC = R[c] ? T : F` into a conditional
+// move, which makes the next dispatch wait on the compared register.
+// That is kept for CondBr and the fused compare-branch pairs, whose
+// outcome often depends on data; the fused loop latch instead branches
+// on the host with a 0.99 taken hint and dispatches separately on each
+// arm, so the host predicts the back edge and runs ahead into the next
+// iteration.
 //
 // Bit-identity contract: both cores make the same memAccess() calls in
 // the same order with the same operands, so hierarchy state, PMU
 // jitter draws, sample delivery, cycle counts and profiles are
-// bit-identical. The one subtlety is a fused pair meeting a quantum
-// with exactly one instruction of budget left: the fused handler then
-// "defuses" — executes only its first half and retires one
-// instruction — and the next step() lands on the intact second op kept
-// at the following slot. Quantum-round composition therefore matches
-// the reference exactly, which the deterministic round-robin
-// interleave of multithreaded phases depends on.
+// bit-identical. The one subtlety is a fused op meeting a quantum with
+// fewer instructions of budget left than it retires: the fused handler
+// then "defuses" — executes only its first instruction and retires
+// one — and the next step() lands on the next slot, which holds the
+// intact second instruction (or, inside a latch, the shorter latch
+// starting there). Quantum-round composition therefore matches the
+// reference exactly, which the deterministic round-robin interleave of
+// multithreaded phases depends on.
 //
 //===----------------------------------------------------------------------===//
 
@@ -303,10 +317,8 @@ bool Interpreter::stepReference(uint64_t MaxInstructions) {
   X(ConstI) X(Move) X(Add) X(Sub) X(Mul) X(Div) X(Rem) X(And) X(Or) X(Xor)     \
   X(Shl) X(Shr) X(AddI) X(MulI) X(AndI) X(CmpLt) X(CmpLe) X(CmpEq) X(CmpNe)    \
   X(Work) X(Load) X(LoadX) X(Store) X(StoreX) X(Alloc) X(Free) X(Call)         \
-  X(Br) X(CondBr) X(Ret) X(FusedAddILoad) X(FusedConstIStore)                  \
-  X(FusedCmpLtBr) X(FusedCmpLeBr) X(FusedCmpEqBr) X(FusedCmpNeBr)              \
-  X(FusedConstIShl) X(FusedConstIShr) X(FusedXorMulI) X(FusedXorAddI)          \
-  X(FusedXorAdd)
+  X(Br) X(CondBr) X(Ret) X(FusedConstIStore) X(FusedCmpLtBr) X(FusedCmpLeBr)  \
+  X(FusedCmpEqBr) X(FusedCmpNeBr) X(FusedLoopLatch) X(FusedWorkLatch)
 
 #if defined(__GNUC__) || defined(__clang__)
 #define SS_THREADED_DISPATCH 1
@@ -338,6 +350,16 @@ bool Interpreter::stepReference(uint64_t MaxInstructions) {
     Stats.Instructions += Retired;                                             \
     Stats.Cycles += Retired;                                                   \
   } while (0)
+
+// A loop back edge is taken on all but the last iteration.
+#if defined(__has_builtin)
+#if __has_builtin(__builtin_expect_with_probability)
+#define SS_LIKELY_TAKEN(Cond) __builtin_expect_with_probability((Cond), 1, 0.99)
+#endif
+#endif
+#ifndef SS_LIKELY_TAKEN
+#define SS_LIKELY_TAKEN(Cond) (Cond)
+#endif
 
 bool Interpreter::stepPredecoded(uint64_t MaxInstructions) {
   if (PFrames.empty())
@@ -626,26 +648,6 @@ L_Ret: {
     R[Dst] = Value;
   SS_DISPATCH();
 }
-L_FusedAddILoad: {
-  const POp &O = Ops[PC];
-  if (Budget < 2) {
-    // Quantum boundary splits the pair: retire only the AddI half and
-    // land on the intact Load kept at the next slot.
-    SS_RETIRE1();
-    R[O.T] = R[O.C] + static_cast<uint64_t>(O.Imm);
-    ++PC;
-    SS_DISPATCH();
-  }
-  SS_RETIRE2();
-  R[O.T] = R[O.C] + static_cast<uint64_t>(O.Imm);
-  uint64_t Ea = R[O.A] + O.Disp; // reads R[A] after R[T] is written,
-                                 // so base == T needs no special case
-  if (O.B != NoReg)
-    Ea += R[O.B] * O.Scale;
-  R[O.Dst] = memAccess(O.Ip, Ea, O.Size, false, 0);
-  PC += 2;
-  SS_DISPATCH();
-}
 L_FusedConstIStore: {
   const POp &O = Ops[PC];
   if (Budget < 2) {
@@ -719,74 +721,42 @@ L_FusedCmpNeBr: {
   PC = R[O.C] != 0 ? O.Target : O.Target2;
   SS_DISPATCH();
 }
-L_FusedConstIShl: {
+L_FusedWorkLatch: {
   const POp &O = Ops[PC];
-  if (Budget < 2) {
+  Stats.Cycles += static_cast<uint64_t>(O.Disp);
+  if (Budget < 5) {
+    // Quantum boundary inside the latch: retire only the Work and land
+    // on the AddI slot's four-instruction latch.
     SS_RETIRE1();
-    R[O.T] = static_cast<uint64_t>(O.Imm);
     ++PC;
     SS_DISPATCH();
   }
-  SS_RETIRE2();
-  R[O.T] = static_cast<uint64_t>(O.Imm); // written before R[A] is read
-  R[O.Dst] = R[O.A] << (O.Imm & 63);
-  PC += 2;
-  SS_DISPATCH();
+  Budget -= 5;
+  goto latch_body;
 }
-L_FusedConstIShr: {
-  const POp &O = Ops[PC];
-  if (Budget < 2) {
+L_FusedLoopLatch: {
+  if (Budget < 4) {
+    // Retire only the AddI and land on the intact Br.
+    const POp &O = Ops[PC];
     SS_RETIRE1();
-    R[O.T] = static_cast<uint64_t>(O.Imm);
+    R[O.Dst] += static_cast<uint64_t>(O.Imm);
     ++PC;
     SS_DISPATCH();
   }
-  SS_RETIRE2();
-  R[O.T] = static_cast<uint64_t>(O.Imm);
-  R[O.Dst] = R[O.A] >> (O.Imm & 63);
-  PC += 2;
-  SS_DISPATCH();
-}
-L_FusedXorMulI: {
+  Budget -= 4;
+latch_body:
   const POp &O = Ops[PC];
-  if (Budget < 2) {
-    SS_RETIRE1();
-    R[O.T] = R[O.C] ^ R[O.B];
-    ++PC;
+  R[O.Dst] += static_cast<uint64_t>(O.Imm);
+  R[O.T] = static_cast<int64_t>(R[O.A]) < static_cast<int64_t>(R[O.B]);
+  // A real, predicted host branch rather than the conditional move the
+  // compiler picks for the generic CondBr: the back edge is taken on
+  // all but the last iteration, so the host runs ahead into the next
+  // iteration instead of waiting on the compare.
+  if (SS_LIKELY_TAKEN(R[O.C] != 0)) {
+    PC = O.Target;
     SS_DISPATCH();
   }
-  SS_RETIRE2();
-  R[O.T] = R[O.C] ^ R[O.B]; // written before R[A] is read
-  R[O.Dst] = R[O.A] * static_cast<uint64_t>(O.Imm);
-  PC += 2;
-  SS_DISPATCH();
-}
-L_FusedXorAddI: {
-  const POp &O = Ops[PC];
-  if (Budget < 2) {
-    SS_RETIRE1();
-    R[O.T] = R[O.C] ^ R[O.B];
-    ++PC;
-    SS_DISPATCH();
-  }
-  SS_RETIRE2();
-  R[O.T] = R[O.C] ^ R[O.B];
-  R[O.Dst] = R[O.A] + static_cast<uint64_t>(O.Imm);
-  PC += 2;
-  SS_DISPATCH();
-}
-L_FusedXorAdd: {
-  const POp &O = Ops[PC];
-  if (Budget < 2) {
-    SS_RETIRE1();
-    R[O.T] = R[O.C] ^ R[O.B];
-    ++PC;
-    SS_DISPATCH();
-  }
-  SS_RETIRE2();
-  R[O.T] = R[O.C] ^ R[O.B];
-  R[O.Dst] = R[O.A] + R[O.Scale]; // Scale carries the Add's 2nd register
-  PC += 2;
+  PC = O.Target2;
   SS_DISPATCH();
 }
 

@@ -14,9 +14,9 @@
 /// Two execution cores produce bit-identical results:
 ///
 ///  - the *predecoded* core (default) runs PredecodedProgram op arrays
-///    with threaded dispatch, a contiguous register arena + flat frame
-///    stack (no allocation on call/return), and a per-interpreter
-///    page-pointer cache in front of SimMemory;
+///    with fused pairs and loop latches, a contiguous register arena +
+///    flat frame stack (no allocation on call/return), and a
+///    per-interpreter page-pointer cache in front of SimMemory;
 ///  - the *reference* core walks the ir::Instr records directly, one
 ///    switch per instruction. It is the semantic baseline for the
 ///    differential tests and the only core that can feed a TraceSink
@@ -58,7 +58,7 @@ struct RunStats {
 
 /// Which execution core an Interpreter runs.
 enum class ExecCore : uint8_t {
-  Predecoded, ///< threaded dispatch over predecoded op arrays (default)
+  Predecoded, ///< dispatch over predecoded op arrays (default)
   Reference,  ///< direct ir::Instr walk (differential baseline, tracing)
 };
 

@@ -170,20 +170,8 @@ PredecodedProgram::PredecodedProgram(const ir::Program &Prog) : P(&Prog) {
         POp &First = PF.Ops[Idx];
         const POp &Second = PF.Ops[Idx + 1];
         POpc Fused = POpc::NumPOpcs;
-        if (First.Op == POpc::AddI &&
-            (Second.Op == POpc::Load || Second.Op == POpc::LoadX)) {
-          // R[T] = R[C] + Imm, then the load. The load's base may or
-          // may not be T; the handler re-reads R[A] after writing
-          // R[T], so no aliasing constraint is needed.
-          POp O = Second;
-          O.Op = POpc::FusedAddILoad;
-          O.T = First.Dst;
-          O.C = First.A;
-          O.Imm = First.Imm;
-          First = O;
-          Fused = O.Op;
-        } else if (First.Op == POpc::ConstI &&
-                   (Second.Op == POpc::Store || Second.Op == POpc::StoreX)) {
+        if (First.Op == POpc::ConstI &&
+            (Second.Op == POpc::Store || Second.Op == POpc::StoreX)) {
           POp O = Second;
           O.Op = POpc::FusedConstIStore;
           O.T = First.Dst;
@@ -198,45 +186,47 @@ PredecodedProgram::PredecodedProgram(const ir::Program &Prog) : P(&Prog) {
           First.Target = Second.Target;
           First.Target2 = Second.Target2;
           Fused = First.Op;
-        } else if (First.Op == POpc::ConstI &&
-                   (Second.Op == POpc::Shl || Second.Op == POpc::Shr) &&
-                   Second.B == First.Dst) {
-          // Constant shift amount: bake it into Imm. The shifted value
-          // may itself be the constant (Second.A == First.Dst); the
-          // handler writes R[T] before reading R[A], so that works too.
-          POp O = Second;
-          O.Op = Second.Op == POpc::Shl ? POpc::FusedConstIShl
-                                        : POpc::FusedConstIShr;
-          O.T = First.Dst;
-          O.Imm = First.Imm;
-          First = O;
-          Fused = O.Op;
-        } else if (First.Op == POpc::Xor &&
-                   (Second.Op == POpc::MulI || Second.Op == POpc::AddI ||
-                    Second.Op == POpc::Add)) {
-          // The Xor's operands move to C/B (MulI/AddI leave B free;
-          // for Add the second half's B register rides in Scale, which
-          // plain ALU ops never use). The usual data flow has
-          // Second.A == First.Dst; the handler's write-T-then-read-A
-          // order makes that a non-case, as above.
-          POp O = Second;
-          if (Second.Op == POpc::Add)
-            O.Scale = Second.B;
-          O.Op = Second.Op == POpc::MulI   ? POpc::FusedXorMulI
-                 : Second.Op == POpc::AddI ? POpc::FusedXorAddI
-                                           : POpc::FusedXorAdd;
-          O.T = First.Dst;
-          O.C = First.A;
-          O.B = First.B;
-          First = O;
-          Fused = O.Op;
         }
         if (Fused != POpc::NumPOpcs) {
-          ++NumFusedPairs;
+          ++NumFused[static_cast<size_t>(Fused)];
           Idx += 2;
         } else {
           ++Idx;
         }
+      }
+    }
+
+    // Pass 4: fuse loop latches. A block ending `AddI r,r,imm; Br H`
+    // whose header H starts with a fused CmpLt+CondBr becomes one op
+    // at the AddI slot carrying the header's fields. The AddI is never
+    // part of a pair, and the Br and the header stay intact for the
+    // defuse path. A Work just before the AddI gets the five-instruction
+    // form; the AddI slot keeps the four-instruction one, which is where
+    // a defused Work lands.
+    Flat = 0;
+    for (const auto &BB : F.Blocks) {
+      uint32_t Begin = Flat;
+      uint32_t End = Begin + static_cast<uint32_t>(BB->Instrs.size());
+      Flat = End;
+      if (End - Begin < 2)
+        continue;
+      POp &Inc = PF.Ops[End - 2];
+      const POp &Back = PF.Ops[End - 1];
+      if (Inc.Op != POpc::AddI || Inc.Dst != Inc.A || Back.Op != POpc::Br ||
+          PF.Ops[Back.Target].Op != POpc::FusedCmpLtBr)
+        continue;
+      POp Latch = PF.Ops[Back.Target];
+      Latch.Op = POpc::FusedLoopLatch;
+      Latch.Dst = Inc.Dst;
+      Latch.Imm = Inc.Imm;
+      Inc = Latch;
+      ++NumFused[static_cast<size_t>(POpc::FusedLoopLatch)];
+      if (End - Begin >= 3 && PF.Ops[End - 3].Op == POpc::Work) {
+        POp &W = PF.Ops[End - 3];
+        Latch.Op = POpc::FusedWorkLatch;
+        Latch.Disp = W.Imm;
+        W = Latch;
+        ++NumFused[static_cast<size_t>(POpc::FusedWorkLatch)];
       }
     }
 

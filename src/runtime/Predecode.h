@@ -16,13 +16,24 @@
 ///    with Br/CondBr targets resolved to flat op indices;
 ///  - plain and indexed memory ops get distinct opcodes so the hot
 ///    path never tests B == NoReg;
-///  - common adjacent pairs (AddI+Load, ConstI+Store, Cmp*+CondBr) are
-///    fused into single ops that retire two instructions. The second
-///    half of every fused pair is kept intact at its original slot, so
-///    a pair that straddles a quantum boundary can execute its first
-///    half alone and land on the untouched second op — this keeps
-///    quantum-round composition (and therefore shared-cache access
-///    order under the serial-interleaved reference) bit-identical.
+///  - ConstI+Store and Cmp*+CondBr pairs are fused into single ops
+///    that retire two instructions. The second half of every fused
+///    pair is kept intact at its original slot, so a pair that
+///    straddles a quantum boundary can execute its first half alone
+///    and land on the untouched second op — this keeps quantum-round
+///    composition (and therefore shared-cache access order under the
+///    serial-interleaved reference) bit-identical;
+///  - the canonical loop back edge — a block ending `AddI r,r,imm; Br H`
+///    whose header H is `CmpLt; CondBr` — becomes one FusedLoopLatch
+///    op at the AddI slot that retires all four instructions; a Work
+///    just before that AddI gets the five-instruction FusedWorkLatch.
+///    The Br and the header stay intact in their slots, and a latch
+///    that meets a quantum boundary defuses to its first instruction
+///    the same way a pair does.
+///
+/// A pair is fused only if the workload programs execute it: AddI+Load,
+/// ConstI+shift and Xor+ALU pairs have zero dynamic hits on all of
+/// them, so they are not fused.
 ///
 /// A PredecodedProgram borrows the ir::Program it was built from (for
 /// Alloc symbol names and Call argument lists) and must not outlive it
@@ -35,6 +46,7 @@
 
 #include "ir/Program.h"
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -42,7 +54,8 @@ namespace structslim {
 namespace runtime {
 
 /// Predecoded opcodes. The leading block mirrors ir::Opcode one-to-one;
-/// the tail adds the split memory forms and the fused pairs.
+/// the tail adds the split memory forms, the fused pairs and the fused
+/// loop latches.
 enum class POpc : uint8_t {
   ConstI,
   Move,
@@ -75,23 +88,16 @@ enum class POpc : uint8_t {
   CondBr,
   Ret,
   // Fused pairs. T/C/Imm carry the first half; the rest is the second.
-  FusedAddILoad,   ///< R[T] = R[C] + Imm; then Load/LoadX fields
   FusedConstIStore,///< R[T] = Imm; then Store/StoreX fields
   FusedCmpLtBr,    ///< R[T] = (A < B signed); branch on R[C]
   FusedCmpLeBr,
   FusedCmpEqBr,
   FusedCmpNeBr,
-  // ALU pairs from hash/mix loop tails. The constant-shift forms
-  // require the shift amount register to be the ConstI's destination,
-  // so the amount is baked into Imm.
-  FusedConstIShl,  ///< R[T] = Imm; R[Dst] = R[A] << (Imm & 63)
-  FusedConstIShr,  ///< R[T] = Imm; R[Dst] = R[A] >> (Imm & 63)
-  FusedXorMulI,    ///< R[T] = R[C] ^ R[B]; R[Dst] = R[A] * Imm
-  FusedXorAddI,    ///< R[T] = R[C] ^ R[B]; R[Dst] = R[A] + Imm
-  FusedXorAdd,     ///< R[T] = R[C] ^ R[B]; R[Dst] = R[A] + R[Scale]
-                   ///< (Scale holds the Add's second register: both
-                   ///< halves have two sources, so the index field is
-                   ///< repurposed for the fourth one)
+  // Loop latches: the header's FusedCmpLtBr fields (T/A/B/C/Target/
+  // Target2) plus the increment R[Dst] += Imm; the Work form also
+  // charges Disp cycles first.
+  FusedLoopLatch,  ///< AddI; Br; CmpLt; CondBr (4 instructions)
+  FusedWorkLatch,  ///< Work; AddI; Br; CmpLt; CondBr (5 instructions)
   NumPOpcs
 };
 
@@ -112,7 +118,7 @@ struct POp {
   uint32_t Target2 = 0;  ///< CondBr(+fused): fall-through flat index
   uint32_t Aux = 0;      ///< Call: ArgRegs offset; Alloc: anchor index
   int64_t Imm = 0;
-  int64_t Disp = 0;
+  int64_t Disp = 0;      ///< memory ops: displacement; FusedWorkLatch: cycles
   uint64_t Ip = 0;
 };
 
@@ -143,15 +149,19 @@ public:
   /// Alloc op's Aux field.
   const ir::Instr &anchor(uint32_t Index) const { return *Anchors[Index]; }
 
-  /// Number of instruction pairs fused across all functions.
-  size_t getNumFusedPairs() const { return NumFusedPairs; }
+  /// Number of slots predecoded to the fused opcode \p Kind across all
+  /// functions (zero for unfused opcodes). Static counts: how often
+  /// each fusion applies in the code, not how often it executes.
+  size_t getNumFused(POpc Kind) const {
+    return NumFused[static_cast<size_t>(Kind)];
+  }
 
 private:
   const ir::Program *P;
   std::vector<PFunc> Funcs;
   std::vector<uint32_t> ArgRegs;
   std::vector<const ir::Instr *> Anchors;
-  size_t NumFusedPairs = 0;
+  std::array<size_t, NumPOpcs> NumFused{};
 };
 
 } // namespace runtime

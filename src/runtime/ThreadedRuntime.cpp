@@ -171,6 +171,7 @@ void ThreadedRuntime::runPhase(const ir::Program &P,
     Accum.QueueDepthMax = std::max(Accum.QueueDepthMax, Pipe->queueDepthMax());
     Accum.ProducerStalls += Queue->producerStalls();
     Accum.ConsumerBatches += Pipe->consumerBatches();
+    Accum.PipelineRecords += Queue->recordsPublished();
     Accum.ConsumerBusySeconds += Pipe->consumerBusySeconds();
     Accum.PipelineCapacity =
         std::max(Accum.PipelineCapacity,

@@ -105,6 +105,10 @@ struct RunResult {
   uint64_t QueueDepthMax = 0;   ///< Deepest drain batch seen (records).
   uint64_t ProducerStalls = 0;  ///< Ring-full backpressure events.
   uint64_t ConsumerBatches = 0; ///< Non-empty drain batches processed.
+  /// Access records the producer published (ring slots, so a sampled
+  /// access with its call path counts several). Records per
+  /// instruction is the producer's encoding cost per instruction.
+  uint64_t PipelineRecords = 0;
   /// Access-queue capacity (records); zero when every phase simulated
   /// inline.
   uint64_t PipelineCapacity = 0;

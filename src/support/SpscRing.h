@@ -75,6 +75,11 @@ public:
   /// consumer, atomically.
   void publish() { PubTail.store(Tail, std::memory_order_release); }
 
+  /// Slots published since construction.
+  uint64_t published() const {
+    return PubTail.load(std::memory_order_relaxed);
+  }
+
   /// Slots staged but not yet published.
   size_t unpublished() const {
     return Tail - PubTail.load(std::memory_order_relaxed);

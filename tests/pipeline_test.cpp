@@ -18,6 +18,7 @@
 #include "profile/MergeTree.h"
 #include "profile/ProfileIO.h"
 #include "runtime/AccessQueue.h"
+#include "runtime/Predecode.h"
 #include "runtime/SimPipeline.h"
 #include "runtime/ThreadedRuntime.h"
 #include "support/Random.h"
@@ -367,6 +368,69 @@ struct StrideProgram {
   }
 };
 
+/// Loop latches in every shape the predecoder fuses: an inner loop
+/// whose body ends in Work (the five-instruction latch), an outer latch
+/// whose block is `Work; AddI; Br` entered by a jump (the Work slot is
+/// a block start), and a loop whose body ends in a Store (the
+/// four-instruction latch). Each worker owns a partition of a shared
+/// array published through a static mailbox, and every inner
+/// iteration also bumps a racy shared ticket and folds the value it
+/// read into its sum, so the results record exactly how the threads'
+/// slices interleaved.
+struct LatchProgram {
+  ir::Program P;
+  uint32_t MainId = 0;
+  uint32_t WorkerId = 0;
+  uint64_t Mailbox = 0;
+
+  LatchProgram(Machine &M, int64_t N, unsigned Threads) {
+    Mailbox = M.defineStatic("mailbox", 64);
+    int64_t Part = N / Threads;
+    ir::Function &Main = P.addFunction("main", 0);
+    MainId = Main.Id;
+    {
+      ir::ProgramBuilder B(P, Main);
+      Reg Base = B.alloc(B.constI(N * 8), "latched");
+      B.forLoopI(0, N, 1, [&](Reg I) { B.store(I, Base, I, 8, 0, 8); });
+      Reg Mb = B.constI(static_cast<int64_t>(Mailbox));
+      B.store(Base, Mb, NoReg, 1, 0, 8);
+      B.ret();
+    }
+    ir::Function &Worker = P.addFunction("latcher", 1);
+    WorkerId = Worker.Id;
+    {
+      ir::ProgramBuilder B(P, Worker);
+      Reg Tid = 0;
+      Reg Mb = B.constI(static_cast<int64_t>(Mailbox));
+      Reg Base = B.load(Mb, NoReg, 1, 0, 8);
+      Reg Lo = B.mul(Tid, B.constI(Part));
+      Reg Hi = B.add(Lo, B.constI(Part));
+      Reg Acc = B.constI(0);
+      B.setLine(50);
+      B.forLoopI(0, 3, 1, [&](Reg Pass) {
+        B.forLoop(Lo, Hi, 1, [&](Reg I) {
+          B.setLine(51);
+          Reg V = B.load(Base, I, 8, 0, 8);
+          B.store(B.add(V, Pass), Base, I, 8, 0, 8);
+          Reg Ticket = B.load(Mb, NoReg, 1, 8, 8);
+          B.store(B.addI(Ticket, 1), Mb, NoReg, 1, 8, 8);
+          B.accumulate(Acc, B.mul(V, Ticket));
+          B.work(7);
+          B.setLine(50);
+        });
+        B.work(11);
+      });
+      B.setLine(52);
+      B.forLoop(Lo, Hi, 2, [&](Reg I) {
+        B.setLine(53);
+        B.store(Acc, Base, I, 8, 0, 8);
+        B.setLine(52);
+      });
+      B.ret(Acc);
+    }
+  }
+};
+
 /// One worker loading the same 8 bytes \p N times: with the profiler
 /// detached nothing breaks the run, so the stream spans several
 /// maximum-length run records.
@@ -603,6 +667,90 @@ TEST(PredecodedEngine, ThreeWayBitIdenticalWithReferenceCore) {
   expectIdenticalRuns(Ref, Pre);
   expectIdenticalRuns(Ref, PreInline);
   EXPECT_GT(Ref.Samples, 0u);
+}
+
+struct LatchOutcome {
+  RunResult Result;
+  std::vector<uint64_t> Memory; ///< The shared array after the run.
+};
+
+LatchOutcome runLatchProgram(bool Reference, uint64_t Quantum) {
+  constexpr int64_t N = 1536;
+  constexpr unsigned Threads = 3;
+  RunConfig Cfg = denseConfig(/*InlineSimulation=*/false);
+  Cfg.ReferenceInterpreter = Reference;
+  Cfg.Quantum = Quantum;
+  ThreadedRuntime RT(Cfg);
+  LatchProgram Program(RT.machine(), N, Threads);
+  analysis::CodeMap Map(Program.P);
+  RT.runPhase(Program.P, &Map, {ThreadSpec{Program.MainId, {}}});
+  std::vector<ThreadSpec> Workers;
+  for (uint64_t T = 0; T != Threads; ++T)
+    Workers.push_back(ThreadSpec{Program.WorkerId, {T}});
+  RT.runPhase(Program.P, &Map, Workers);
+  LatchOutcome Out;
+  Out.Result = RT.finish();
+  uint64_t Base = RT.machine().Memory.read(Program.Mailbox, 8);
+  for (int64_t I = 0; I != N; ++I)
+    Out.Memory.push_back(RT.machine().Memory.read(Base + I * 8, 8));
+  return Out;
+}
+
+// The fused latch retires four or five instructions in one op. A
+// quantum that runs out inside it must defuse to exactly the
+// reference core's slice: quanta 1..5 and 7 put the boundary at every
+// offset of the five-instruction group (and shift it between threads),
+// 64 is the production default.
+TEST(PredecodedEngine, LatchSplitAtEveryQuantumOffsetBitIdentical) {
+  {
+    Machine M;
+    LatchProgram Program(M, 1536, 3);
+    PredecodedProgram PP(Program.P);
+    ASSERT_EQ(PP.getNumFused(POpc::FusedLoopLatch), 4u);
+    ASSERT_EQ(PP.getNumFused(POpc::FusedWorkLatch), 2u);
+  }
+  for (uint64_t Quantum : {1ull, 2ull, 3ull, 4ull, 5ull, 7ull, 64ull}) {
+    SCOPED_TRACE("quantum " + std::to_string(Quantum));
+    LatchOutcome Ref = runLatchProgram(/*Reference=*/true, Quantum);
+    LatchOutcome Pre = runLatchProgram(/*Reference=*/false, Quantum);
+    expectIdenticalRuns(Ref.Result, Pre.Result);
+    EXPECT_EQ(Ref.Memory, Pre.Memory);
+    EXPECT_GT(Ref.Result.Samples, 0u);
+  }
+}
+
+// Static guard on the fusion itself: every paper workload has latches,
+// and the predecoder fuses each block that ends `AddI r,r,imm; Br H`
+// into a `CmpLt; CondBr` header H — the Work form exactly when a Work
+// precedes the AddI. A builder or predecoder change that stops the
+// fusion fails here rather than only showing up as lost throughput.
+TEST(PredecodedEngine, EveryPaperWorkloadFusesItsLoopLatches) {
+  for (const auto &W : workloads::makePaperWorkloads()) {
+    SCOPED_TRACE(W->name());
+    Machine M;
+    transform::FieldMap Layout(W->hotLayout());
+    workloads::BuiltWorkload Built = W->build(M, Layout, 0.08);
+    size_t Latches = 0, WorkLatches = 0;
+    for (const auto &F : Built.Program->functions())
+      for (const auto &BB : F->Blocks) {
+        const auto &Is = BB->Instrs;
+        size_t Size = Is.size();
+        if (Size < 2 || Is[Size - 2].Op != ir::Opcode::AddI ||
+            Is[Size - 2].Dst != Is[Size - 2].A ||
+            Is[Size - 1].Op != ir::Opcode::Br)
+          continue;
+        const auto &Header = F->Blocks[BB->Succs[0]]->Instrs;
+        if (Header.size() != 2 || Header[0].Op != ir::Opcode::CmpLt ||
+            Header[1].Op != ir::Opcode::CondBr)
+          continue;
+        ++Latches;
+        WorkLatches += Size >= 3 && Is[Size - 3].Op == ir::Opcode::Work;
+      }
+    PredecodedProgram PP(*Built.Program);
+    EXPECT_GT(Latches, 0u);
+    EXPECT_EQ(PP.getNumFused(POpc::FusedLoopLatch), Latches);
+    EXPECT_EQ(PP.getNumFused(POpc::FusedWorkLatch), WorkLatches);
+  }
 }
 
 //===----------------------------------------------------------------------===//

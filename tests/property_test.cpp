@@ -429,9 +429,9 @@ INSTANTIATE_TEST_SUITE_P(Random, MemorySemanticsProperty,
 // --- Predecoded engine vs reference interpreter ----------------------------
 //
 // Random programs hitting the predecoder's interesting corners — the
-// fusable adjacent pairs (AddI+Load, ConstI+Store, Cmp*+CondBr), mixed
-// access sizes, page-straddling accesses, calls, div/rem — run three
-// ways: reference interpreter, predecoded core, and predecoded core with
+// fusable adjacent pairs (ConstI+Store, Cmp*+CondBr), the fused loop
+// latch (every forLoop back edge), mixed access sizes, page-straddling
+// accesses, calls, div/rem — run three ways: reference interpreter, predecoded core, and predecoded core with
 // inline simulation. Every counter, every return value, every byte of
 // every serialized profile, and the final memory image must match the
 // reference exactly.
@@ -517,7 +517,7 @@ SweepOutcome runSweep(uint64_t Seed, bool Reference, bool InlineSimulation,
           B.store(V, PBase, ir::NoReg, 1, Disp, Size);
           break;
         }
-        case 1: { // AddI+Load fusion candidate
+        case 1: { // indexed load behind an AddI
           // Idx*8 stays under 256 bytes; keep the whole access inside
           // the partition so workers never share bytes.
           int64_t IdxDisp =
@@ -527,7 +527,7 @@ SweepOutcome runSweep(uint64_t Seed, bool Reference, bool InlineSimulation,
           B.accumulate(Acc, B.load(PBase, Idx, 8, IdxDisp, Size));
           break;
         }
-        case 2: { // Cmp+CondBr fusion candidate (loop backedges add more)
+        case 2: { // Cmp+CondBr fusion candidate (loop headers add more)
           Reg V = B.load(PBase, ir::NoReg, 1, Disp, Size);
           B.ifThen(B.cmpLt(V, B.constI(1 << 30)),
                    [&] { B.accumulate(Acc, V); });
@@ -596,8 +596,8 @@ class PredecodeProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(PredecodeProperty, RandomProgramsBitIdenticalAcrossCores) {
   uint64_t Seed = 555000 + GetParam();
-  // Quantum 1 forces the fused-pair defuse path (budget < 2) on every
-  // slice; 3 lands mid-pair; 64 is the production default.
+  // Quantum 1 forces the fused-pair and latch defuse paths on every
+  // slice; 3 lands mid-pair or mid-latch; 64 is the production default.
   const uint64_t Quanta[] = {1, 3, 64};
   uint64_t Quantum = Quanta[GetParam() % 3];
   SweepOutcome Ref = runSweep(Seed, /*Reference=*/true,
