@@ -10,13 +10,14 @@
 //
 //  - dense: many hot objects, each with many well-sampled streams over
 //    many loops and fields, so the per-object affinity pass dominates;
-//  - sparse: the same shape from a lossy bounded-reservoir run, with
-//    half of every object's strided streams below the Eq. 4 bar, so
-//    each of them pays for its Eq. 4 size-confidence discount.
+//  - sparse: the same shape with half of every object's strided
+//    streams below the Eq. 4 bar, so each of them pays for its Eq. 4
+//    size-confidence discount.
 //
 // Each case reports the median and quartiles over repeated runs, and
 // every repeat must render the same JSON document (exit 1 otherwise).
-// The sparse case also checks that it exercised the sparse path.
+// The sparse case also checks that it exercised the sparse path: at
+// least 100 streams counted in AnalysisStats::SparseStreams.
 //
 // Writes BENCH_analyzer.json (override the path with argv[1]).
 // --smoke shrinks the profiles for CI.
@@ -47,17 +48,12 @@ namespace {
 /// over \p Loops loops and \p Fields distinct field offsets, so the
 /// per-object affinity pass sees dense loop/field interaction. With
 /// \p Sparse, every other stream keeps only 2-9 unique addresses (below
-/// the default MinUniqueAddrs of 10) and the profile records reservoir
-/// evictions.
+/// the default MinUniqueAddrs of 10).
 Profile makeProfile(unsigned Objects, unsigned Streams, unsigned Loops,
                     unsigned Fields, bool Sparse) {
   Rng R(0xbe9c4);
   Profile Prof;
   Prof.SamplePeriod = 10000;
-  if (Sparse) {
-    Prof.ReservoirCapacity = 4096;
-    Prof.ReservoirEvictions = 1;
-  }
   for (unsigned Obj = 0; Obj != Objects; ++Obj) {
     std::string Name = "obj" + std::to_string(Obj);
     uint32_t Idx = Prof.getOrCreateObject(Name);
@@ -166,11 +162,9 @@ int main(int argc, char **argv) {
                 << " analysis rendered different documents\n";
       Ok = false;
     }
-    if (Sparse && (C.Stats.SparseStreams < 100 ||
-                   C.Stats.TruncatedStreams != C.Stats.SparseStreams)) {
-      std::cerr << "FAIL: the sparse case flagged " << C.Stats.SparseStreams
-                << " sparse / " << C.Stats.TruncatedStreams
-                << " truncated streams\n";
+    if (Sparse && C.Stats.SparseStreams < 100) {
+      std::cerr << "FAIL: the sparse case flagged only "
+                << C.Stats.SparseStreams << " sparse streams\n";
       Ok = false;
     }
     Table.addRow({Name, std::to_string(C.Stats.SparseStreams),

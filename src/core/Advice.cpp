@@ -141,8 +141,6 @@ structslim::core::renderAdviceText(const SplitPlan &Plan,
   Text += "// StructSlim advice: split '" + Plan.ObjectName + "' (size " +
           std::to_string(Plan.OriginalSize) + " bytes" +
           (Analysis.LowConfidenceSize ? ", low-confidence size" : "") +
-          (Analysis.ReservoirTruncated ? ", reservoir-truncated streams"
-                                       : "") +
           ") into " + std::to_string(Plan.ClusterOffsets.size()) +
           " structures\n";
   for (const ir::StructLayout &L :

@@ -50,10 +50,6 @@ AnalysisResult StructSlimAnalyzer::analyze(const profile::Profile &Merged) const
   for (const profile::StreamRecord &S : Merged.Streams)
     StreamsByObject[S.ObjectIndex].push_back(&S);
 
-  // A profile that recorded reservoir evictions is lossy: any sparse
-  // stream may owe its sparseness to the reservoir, not the program.
-  bool ReservoirLossy =
-      Merged.ReservoirCapacity != 0 && Merged.ReservoirEvictions != 0;
   AnalysisStats &Stats = Result.Stats;
   for (uint32_t ObjectIndex : Order) {
     const profile::ObjectAgg &Agg = Merged.Objects[ObjectIndex];
@@ -67,16 +63,13 @@ AnalysisResult StructSlimAnalyzer::analyze(const profile::Profile &Merged) const
     O.LatencySum = Agg.LatencySum;
     O.SampleCount = Agg.SampleCount;
     O.HotShare = Share;
-    analyzeObject(StreamsByObject[ObjectIndex], ReservoirLossy, O);
+    analyzeObject(StreamsByObject[ObjectIndex], O);
 
     Stats.StreamsAnalyzed += StreamsByObject[ObjectIndex].size();
     Stats.SkippedInconsistentStreams += O.SkippedStreams;
     if (O.LowConfidenceSize)
       ++Stats.LowConfidenceSizes;
     Stats.SparseStreams += O.SparseStreams;
-    Stats.TruncatedStreams += O.TruncatedStreams;
-    if (O.ReservoirTruncated)
-      ++Stats.ReservoirTruncatedObjects;
   }
   Stats.ObjectsAnalyzed = Result.Objects.size();
   return Result;
@@ -84,7 +77,7 @@ AnalysisResult StructSlimAnalyzer::analyze(const profile::Profile &Merged) const
 
 void StructSlimAnalyzer::analyzeObject(
     const std::vector<const profile::StreamRecord *> &Streams,
-    bool ReservoirLossy, ObjectAnalysis &Out) const {
+    ObjectAnalysis &Out) const {
   // --- Structure size (Eq. 5): GCD over trustworthy stream strides. --
   // A stream participates when it shows a non-unit constant stride
   // pattern (stride larger than its own access width) backed by enough
@@ -94,11 +87,6 @@ void StructSlimAnalyzer::analyzeObject(
   std::vector<uint64_t> Strides;
   Strides.reserve(Streams.size());
   for (const profile::StreamRecord *S : Streams) {
-    // A stream the reservoir demonstrably starved: more samples were
-    // offered than survived. Under a lossy profile every sparse stream
-    // is suspect — the reservoir cannot prove which evictions cost
-    // unique addresses, so the conservative reading flags all of them.
-    bool Truncated = S->OfferedSamples > S->SampleCount;
     if (S->UniqueAddrCount < Config.MinUniqueAddrs) {
       // Excluded from Eq. 5 — but not from the confidence model. A
       // sparse stream showing non-unit stride evidence still had a
@@ -110,10 +98,6 @@ void StructSlimAnalyzer::analyzeObject(
         ++Out.SparseStreams;
         SparsePenalty *=
             eq4LowerBound(std::max<uint64_t>(S->UniqueAddrCount, 2));
-      }
-      if ((Truncated || (ReservoirLossy && S->SampleCount != 0))) {
-        ++Out.TruncatedStreams;
-        Out.ReservoirTruncated = true;
       }
       continue;
     }
@@ -136,10 +120,7 @@ void StructSlimAnalyzer::analyzeObject(
   // The paper's bar: ~10 unique addresses put Eq. 4 above 99%. A size
   // inferred from sparser streams (config with MinUniqueAddrs < 10) is
   // still reported, but flagged so reports cannot present it as exact.
-  // Reservoir truncation forces the flag: the unique-address counts
-  // behind the size are reservoir-effective, not ground truth.
-  Out.LowConfidenceSize =
-      Size != 0 && (Out.SizeConfidence < 0.99 || Out.ReservoirTruncated);
+  Out.LowConfidenceSize = Size != 0 && Out.SizeConfidence < 0.99;
 
   const ir::StructLayout *Layout = nullptr;
   if (auto It = Layouts.find(Out.Name); It != Layouts.end())

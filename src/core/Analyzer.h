@@ -82,12 +82,6 @@ struct AnalysisStats {
   /// MinUniqueAddrs; their skipped stride evidence discounts the
   /// object's size confidence (see ObjectAnalysis::SizeConfidence).
   uint64_t SparseStreams = 0;
-  /// Streams the bounded reservoir demonstrably starved: more samples
-  /// were offered than kept, and the survivors fall below
-  /// MinUniqueAddrs.
-  uint64_t TruncatedStreams = 0;
-  /// Analyzed objects with at least one reservoir-starved stream.
-  uint64_t ReservoirTruncatedObjects = 0;
 };
 
 /// Latency decomposition for one inferred field (Table 5 row).
@@ -135,16 +129,6 @@ struct ObjectAnalysis {
   /// Strided streams of this object excluded from Eq. 5 for falling
   /// below MinUniqueAddrs (their mass discounts SizeConfidence).
   uint64_t SparseStreams = 0;
-  /// Streams of this object the bounded reservoir starved below
-  /// MinUniqueAddrs (OfferedSamples > SampleCount, or any sparse
-  /// stream when the profile records reservoir evictions — the
-  /// conservative reading: a lossy run cannot distinguish "naturally
-  /// sparse" from "truncated").
-  uint64_t TruncatedStreams = 0;
-  /// True when TruncatedStreams > 0: bounded sampling may have cost
-  /// this object Eq. 4 confidence. Reports and advice must surface it —
-  /// a reservoir run never silently changes a recommendation.
-  bool ReservoirTruncated = false;
   uint64_t TlbMissSamples = 0; ///< Summed over this object's streams.
   std::vector<FieldStat> Fields; ///< Sorted by offset.
   std::vector<LoopStat> Loops;   ///< Sorted by latency, descending.
@@ -208,7 +192,7 @@ public:
 
 private:
   void analyzeObject(const std::vector<const profile::StreamRecord *> &Streams,
-                     bool ReservoirLossy, ObjectAnalysis &Out) const;
+                     ObjectAnalysis &Out) const;
   void clusterFields(ObjectAnalysis &Out) const;
 
   const analysis::CodeMap *CodeMap = nullptr;

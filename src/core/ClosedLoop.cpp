@@ -114,8 +114,6 @@ structslim::core::verifyWorkload(const workloads::Workload &W,
     V.SizeConfidence = HotObj->SizeConfidence;
     V.HotShare = HotObj->HotShare;
     V.Samples = HotObj->SampleCount;
-    V.TruncatedStreams = HotObj->TruncatedStreams;
-    V.ReservoirTruncated = HotObj->ReservoirTruncated;
     BenefitEstimate Est =
         estimateSplitBenefit(*HotObj, V.Plan, Cfg.MemoryShare);
     V.PredictedSpeedup = Est.PredictedSpeedup;
@@ -229,12 +227,6 @@ std::string structslim::core::renderVerifyText(const VerifyReport &Report) {
     if (V.Mode != ApplyMode::IrSplit && !V.FallbackReason.empty())
       OS << V.Name << ": " << applyModeName(V.Mode) << " ("
          << V.FallbackReason << ")\n";
-  // A bounded-reservoir run that starved streams must say so: the size
-  // column's evidence is truncated, not merely sparse.
-  for (const WorkloadVerdict &V : Report.Workloads)
-    if (V.ReservoirTruncated)
-      OS << V.Name << ": reservoir truncated " << V.TruncatedStreams
-         << " stream(s); size evidence incomplete\n";
   OS << "\n"
      << Report.Workloads.size() << " workload(s): "
      << Report.countMode(ApplyMode::IrSplit) << " ir-split, "
@@ -319,23 +311,18 @@ structslim::core::renderVerifyJson(const VerifyReport &Report,
                                    const ClosedLoopConfig &Config) {
   std::ostringstream OS;
   OS << "{\n";
-  OS << "  \"schema_version\": 1,\n";
+  OS << "  \"schema_version\": 2,\n";
   OS << "  \"generator\": \"structslim-verify\",\n";
 
   const workloads::DriverConfig &D = Config.Driver;
   OS << "  \"config\": {\n";
   OS << "    \"scale\": " << jsonNumber(D.Scale) << ",\n";
   OS << "    \"sampling_period\": " << D.Run.Sampling.Period << ",\n";
-  OS << "    \"reservoir_capacity\": " << D.Run.Sampling.ReservoirCapacity
-     << ",\n";
-  OS << "    \"sample_budget_per_maccess\": "
-     << D.Run.Sampling.SampleBudgetPerMAccess << ",\n";
   OS << "    \"quantum\": " << D.Run.Quantum << ",\n";
   OS << "    \"affinity_threshold\": " << jsonNumber(D.Analysis.AffinityThreshold)
      << ",\n";
   OS << "    \"min_unique_addrs\": " << D.Analysis.MinUniqueAddrs << ",\n";
-  OS << "    \"memory_share\": " << jsonNumber(Config.MemoryShare) << ",\n";
-  OS << "    \"pipeline\": \"inline\"\n";
+  OS << "    \"memory_share\": " << jsonNumber(Config.MemoryShare) << "\n";
   OS << "  },\n";
 
   OS << "  \"workloads\": [\n";
@@ -357,10 +344,7 @@ structslim::core::renderVerifyJson(const VerifyReport &Report,
     OS << "        \"size_confidence\": " << jsonNumber(V.SizeConfidence)
        << ",\n";
     OS << "        \"hot_share\": " << jsonNumber(V.HotShare) << ",\n";
-    OS << "        \"samples\": " << V.Samples << ",\n";
-    OS << "        \"truncated_streams\": " << V.TruncatedStreams << ",\n";
-    OS << "        \"reservoir_truncated\": "
-       << jsonBool(V.ReservoirTruncated) << "\n";
+    OS << "        \"samples\": " << V.Samples << "\n";
     OS << "      },\n";
     OS << "      \"before\": ";
     renderCounters(OS, V.Before, "      ");

@@ -92,13 +92,6 @@ struct WorkloadVerdict {
   double SizeConfidence = 0;
   double HotShare = 0;
   uint64_t Samples = 0;
-  /// Streams of the hot object the bounded sampling reservoir starved
-  /// below the analyzer's unique-address bar. A nonzero count means the
-  /// inferred size (and hence the plan) rests on truncated evidence —
-  /// the text and JSON renderings surface it so a bounded run never
-  /// silently changes a recommendation.
-  uint64_t TruncatedStreams = 0;
-  bool ReservoirTruncated = false;
 
   // Before/after under the identical RunConfig and cache hierarchy.
   SimCounters Before;

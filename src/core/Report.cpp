@@ -50,8 +50,7 @@ structslim::core::renderHotObjects(const AnalysisResult &Result,
         O.StructSize ? std::to_string(O.StructSize) + " B" : "-"};
     // An inferred size always shows its Eq. 4 confidence; one the
     // model cannot vouch for (sparse streams) is marked instead of
-    // silently printed as exact, and one the bounded reservoir may
-    // have starved additionally says so.
+    // silently printed as exact.
     if (O.StructSize) {
       std::string Conf = O.SizeConfidence <= 0
                              ? std::string("conf n/a")
@@ -59,11 +58,7 @@ structslim::core::renderHotObjects(const AnalysisResult &Result,
       std::string Marks;
       if (O.SizeConfidence <= 0 || O.LowConfidenceSize)
         Marks += ", low";
-      if (O.ReservoirTruncated)
-        Marks += ", truncated";
       Row.back() += " (" + Conf + Marks + ")";
-    } else if (O.ReservoirTruncated) {
-      Row.back() += " (truncated)";
     }
     if (CodeMap) {
       std::vector<std::string> Sites;
@@ -218,7 +213,7 @@ std::string structslim::core::renderJsonReport(
     const std::vector<profile::ShardFailure> &Skipped) {
   std::ostringstream OS;
   OS << "{\n";
-  OS << "  \"schema_version\": 1,\n";
+  OS << "  \"schema_version\": 2,\n";
   OS << "  \"generator\": \"structslim-report\",\n";
 
   OS << "  \"profile\": {\n";
@@ -268,9 +263,6 @@ std::string structslim::core::renderJsonReport(
     OS << "      \"tlb_miss_samples\": " << O.TlbMissSamples << ",\n";
     OS << "      \"skipped_streams\": " << O.SkippedStreams << ",\n";
     OS << "      \"sparse_streams\": " << O.SparseStreams << ",\n";
-    OS << "      \"truncated_streams\": " << O.TruncatedStreams << ",\n";
-    OS << "      \"reservoir_truncated\": " << jsonBool(O.ReservoirTruncated)
-       << ",\n";
     OS << "      \"split_recommended\": " << jsonBool(O.splitRecommended())
        << ",\n";
 
@@ -334,11 +326,7 @@ std::string structslim::core::renderJsonReport(
      << Result.Stats.SkippedInconsistentStreams << ",\n";
   OS << "    \"low_confidence_sizes\": " << Result.Stats.LowConfidenceSizes
      << ",\n";
-  OS << "    \"sparse_streams\": " << Result.Stats.SparseStreams << ",\n";
-  OS << "    \"truncated_streams\": " << Result.Stats.TruncatedStreams
-     << ",\n";
-  OS << "    \"reservoir_truncated_objects\": "
-     << Result.Stats.ReservoirTruncatedObjects << "\n";
+  OS << "    \"sparse_streams\": " << Result.Stats.SparseStreams << "\n";
   OS << "  },\n";
 
   OS << "  \"timing\": {\n";
@@ -361,25 +349,6 @@ std::string structslim::core::renderJsonReport(
   OS << "    \"producer_stalls\": " << Stats.ProducerStalls << ",\n";
   OS << "    \"consumer_batches\": " << Stats.ConsumerBatches << ",\n";
   OS << "    \"queue_capacity\": " << Stats.PipelineCapacity << "\n";
-  OS << "  },\n";
-
-  // Bounded-reservoir sampling, recorded by the profiled run itself
-  // (all zero when the run kept every sample; schema-additive).
-  OS << "  \"sampling\": {\n";
-  OS << "    \"reservoir_capacity\": " << Stats.ReservoirCapacity << ",\n";
-  OS << "    \"reservoir_seen\": " << Stats.ReservoirSeen << ",\n";
-  OS << "    \"reservoir_evictions\": " << Stats.ReservoirEvictions << ",\n";
-  OS << "    \"reservoir_weight_seen\": " << Stats.ReservoirWeightSeen
-     << ",\n";
-  OS << "    \"reservoir_weight_kept\": " << Stats.ReservoirWeightKept
-     << ",\n";
-  OS << "    \"peak_resident_sample_bytes\": " << Stats.ReservoirPeakBytes
-     << ",\n";
-  OS << "    \"sample_budget_per_maccess\": " << Stats.SampleBudget << ",\n";
-  OS << "    \"effective_periods\": [";
-  for (size_t I = 0; I != Stats.EffectivePeriods.size(); ++I)
-    OS << (I ? ", " : "") << Stats.EffectivePeriods[I];
-  OS << "]\n";
   OS << "  }\n";
   OS << "}\n";
   return OS.str();
@@ -411,31 +380,11 @@ std::string structslim::core::renderStatsText(const AnalysisResult &Result,
       OS << ", queue capacity " << Stats.PipelineCapacity;
     OS << "\n";
   }
-  // Only reservoir-bounded runs record these; unbounded-run output
-  // stays byte-for-byte what it was before the reservoir existed.
-  if (Stats.ReservoirCapacity) {
-    OS << "reservoir: capacity " << Stats.ReservoirCapacity
-       << " sample(s)/thread, seen " << Stats.ReservoirSeen << ", evicted "
-       << Stats.ReservoirEvictions << ", peak resident sample bytes "
-       << Stats.ReservoirPeakBytes << "\n";
-    OS << "  weight: seen " << Stats.ReservoirWeightSeen << ", kept "
-       << Stats.ReservoirWeightKept << "\n";
-    if (Stats.SampleBudget) {
-      OS << "  governor: budget " << Stats.SampleBudget
-         << " sample(s)/Maccess, effective period";
-      for (size_t I = 0; I != Stats.EffectivePeriods.size(); ++I)
-        OS << (I ? " -> " : " ") << Stats.EffectivePeriods[I];
-      OS << "\n";
-    }
-  }
   if (Result.Stats.SkippedInconsistentStreams)
     OS << "skipped inconsistent streams: "
        << Result.Stats.SkippedInconsistentStreams << "\n";
   if (Result.Stats.LowConfidenceSizes)
     OS << "low-confidence sizes: " << Result.Stats.LowConfidenceSizes << "\n";
-  if (Result.Stats.TruncatedStreams)
-    OS << "reservoir-truncated streams: " << Result.Stats.TruncatedStreams
-       << " (" << Result.Stats.ReservoirTruncatedObjects << " object(s))\n";
   return OS.str();
 }
 

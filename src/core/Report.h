@@ -54,24 +54,6 @@ struct ReportStats {
   uint64_t ConsumerBatches = 0;
   /// Access-queue capacity (records); max across shards.
   uint64_t PipelineCapacity = 0;
-  /// Bounded-reservoir sampling counters carried in the merged profile
-  /// (all zero when the profiled run kept every sample). Unlike the
-  /// timing fields these are deterministic: reservoir behavior depends
-  /// only on the sample stream and seed, never on host timing.
-  uint64_t ReservoirCapacity = 0;  ///< Per-thread slot capacity (max).
-  uint64_t ReservoirSeen = 0;      ///< Samples offered to reservoirs.
-  uint64_t ReservoirEvictions = 0; ///< Samples the reservoirs dropped.
-  uint64_t ReservoirWeightSeen = 0; ///< Latency weight offered.
-  uint64_t ReservoirWeightKept = 0; ///< Latency weight of survivors.
-  /// Sum over threads of each reservoir's peak resident bytes — the
-  /// provable bound on sample memory.
-  uint64_t ReservoirPeakBytes = 0;
-  /// Overhead-governor target (samples per million accesses); zero when
-  /// the governor was off.
-  uint64_t SampleBudget = 0;
-  /// Governor effective-period trajectory (one entry per epoch
-  /// boundary; elementwise max across threads and shards).
-  std::vector<uint64_t> EffectivePeriods;
 };
 
 /// Hot data objects ranked by l_d (Eq. 1). When \p CodeMap is given,
@@ -101,7 +83,7 @@ std::string renderHotContexts(const profile::Profile &Merged,
                               size_t TopN = 10);
 
 /// The full analysis as one stable-schema JSON document
-/// ("schema_version": 1): profile totals, merge skip reasons, the
+/// ("schema_version": 2): profile totals, merge skip reasons, the
 /// analyzer configuration, every object with its fields, loops,
 /// affinity matrix, clusters and size confidence, the analysis
 /// counters, and the per-stage timings from \p Stats. Key order and

@@ -30,7 +30,6 @@
 #include "support/Random.h"
 
 #include <cstdint>
-#include <vector>
 
 namespace structslim {
 namespace pmu {
@@ -65,25 +64,6 @@ struct SamplingConfig {
   PmuFlavor Flavor = PmuFlavor::PebsLoadLatency;
   bool RandomizePeriod = true;
   uint64_t Seed = 0x5eed;
-
-  // --- Bounded-memory adaptive sampling (ROADMAP item 3) -------------
-  /// Per-thread weighted-reservoir capacity in samples. 0 keeps the
-  /// original unbounded buffering (every delivered sample reaches the
-  /// profile builder); nonzero caps resident samples per thread and
-  /// keeps a latency-weighted A-ES reservoir instead.
-  uint64_t ReservoirCapacity = 0;
-  /// Overhead-governor budget: target delivered samples per million
-  /// eligible accesses. 0 disables the governor (the nominal Period
-  /// stays in force for the whole run). When enabled, the effective
-  /// period is re-fit at every epoch boundary to hit this rate, clamped
-  /// to [GovernorMinPeriod, GovernorMaxPeriod]; the +/- 25% jitter is
-  /// applied around the *effective* period.
-  uint64_t SampleBudgetPerMAccess = 0;
-  /// Eligible accesses per governor epoch (adaptation granularity).
-  uint64_t EpochAccesses = 1ull << 20;
-  /// Clamp bounds for the governed effective period.
-  uint64_t GovernorMinPeriod = 16;
-  uint64_t GovernorMaxPeriod = 1ull << 26;
 };
 
 /// Receives samples from the PMU "interrupt handler".
@@ -144,11 +124,8 @@ public:
   bool tick(bool IsWrite) {
     if (!Sink || (SkipStores && IsWrite))
       return false;
-    if (GovernorOn && --EpochLeft == 0)
-      governorEpoch();
     if (--Countdown != 0)
       return false;
-    ++SamplesSelected;
     Countdown = nextCountdown();
     return true;
   }
@@ -175,20 +152,10 @@ public:
   const SamplingConfig &getConfig() const { return Config; }
   uint32_t getThreadId() const { return ThreadId; }
 
-  /// Current governed period (== Config.Period until the first governor
-  /// epoch boundary, or always when the governor is off).
-  uint64_t getEffectivePeriod() const { return EffectivePeriod; }
-  /// Effective period after each completed governor epoch, in order.
-  /// Empty when the governor is off or no epoch has completed.
-  const std::vector<uint64_t> &getPeriodTrajectory() const {
-    return PeriodTrajectory;
-  }
-
 private:
   void deliver(uint64_t Ip, uint64_t EffAddr, uint8_t AccessSize,
                bool IsWrite, const cache::AccessResult &Result);
   uint64_t nextCountdown();
-  void governorEpoch();
 
   SamplingConfig Config;
   uint32_t ThreadId;
@@ -198,14 +165,6 @@ private:
   uint64_t SamplesDelivered = 0;
   uint64_t SamplesDroppedDisarmed = 0;
   bool SkipStores; ///< Precomputed: PEBS-LL monitors loads only.
-  // Overhead governor state (all dormant when GovernorOn is false; the
-  // hot path then pays one predictable branch).
-  bool GovernorOn = false;
-  uint64_t EffectivePeriod;
-  uint64_t EpochLeft = 0;
-  uint64_t SamplesSelected = 0;
-  uint64_t EpochStartSelected = 0;
-  std::vector<uint64_t> PeriodTrajectory;
 };
 
 } // namespace pmu

@@ -120,20 +120,6 @@ void Profile::mergeBody(const Profile &Other,
   ProducerStalls += Other.ProducerStalls;
   ConsumerBatches += Other.ConsumerBatches;
   PipelineCapacity = std::max(PipelineCapacity, Other.PipelineCapacity);
-  ReservoirCapacity = std::max(ReservoirCapacity, Other.ReservoirCapacity);
-  ReservoirSeen += Other.ReservoirSeen;
-  ReservoirEvictions += Other.ReservoirEvictions;
-  ReservoirWeightSeen += Other.ReservoirWeightSeen;
-  ReservoirWeightKept += Other.ReservoirWeightKept;
-  // Sum of per-thread peaks: concurrent reservoirs coexist, so the sum
-  // is the honest bound on whole-process resident sample memory.
-  ReservoirPeakBytes += Other.ReservoirPeakBytes;
-  SampleBudget = std::max(SampleBudget, Other.SampleBudget);
-  if (EffectivePeriods.size() < Other.EffectivePeriods.size())
-    EffectivePeriods.resize(Other.EffectivePeriods.size(), 0);
-  for (size_t I = 0; I != Other.EffectivePeriods.size(); ++I)
-    EffectivePeriods[I] =
-        std::max(EffectivePeriods[I], Other.EffectivePeriods[I]);
   if (SamplePeriod == 0)
     SamplePeriod = Other.SamplePeriod;
   Contexts.merge(Other.Contexts);
@@ -170,8 +156,6 @@ void Profile::mergeBody(const Profile &Other,
     for (size_t L = 0; L != Ours.LevelSamples.size(); ++L)
       Ours.LevelSamples[L] += Theirs.LevelSamples[L];
     Ours.TlbMissSamples += Theirs.TlbMissSamples;
-    Ours.OfferedSamples += Theirs.OfferedSamples;
-    Ours.OfferedWeight += Theirs.OfferedWeight;
     // Strides combine by GCD (Sec. 4.4 adapts Eq. 5 across profiles).
     Ours.StrideGcd = gcd64(Ours.StrideGcd, Theirs.StrideGcd);
     // Two samples of the same stream on the same object instance also

@@ -66,13 +66,6 @@ struct StreamRecord {
   uint64_t ObjectStart = 0; ///< Object base, for the offset computation.
   std::array<uint64_t, 4> LevelSamples{}; ///< Indexed by cache::MemLevel.
   uint64_t TlbMissSamples = 0;
-  // Reservoir accounting (bounded-memory sampling; zero for unbounded
-  // runs and pre-extension files). OfferedSamples counts every PMU
-  // delivery the reservoir attributed to this stream — kept or evicted
-  // — so OfferedSamples > SampleCount marks a truncated stream and the
-  // analyzer treats UniqueAddrCount as reservoir-effective for Eq. 4.
-  uint64_t OfferedSamples = 0; ///< Merge: sum.
-  uint64_t OfferedWeight = 0;  ///< Latency mass offered; merge: sum.
 };
 
 /// Assigns u32 ids to object key strings, so a whole merge batch
@@ -132,27 +125,6 @@ public:
   /// Access-queue capacity in records; zero for inline runs and
   /// pre-extension files. Merge: max.
   uint64_t PipelineCapacity = 0;
-  // Bounded-memory sampling metadata (runtime/SampleReservoir + the PMU
-  // overhead governor), all zero/empty for unbounded runs and
-  // pre-extension files. Serialized as an optional sixth v3 section —
-  // schema-additive: older readers never see it on reservoir-free
-  // profiles.
-  uint64_t ReservoirCapacity = 0;   ///< Per-thread slots; merge: max.
-  uint64_t ReservoirSeen = 0;       ///< Samples offered; merge: sum.
-  uint64_t ReservoirEvictions = 0;  ///< Samples dropped; merge: sum.
-  uint64_t ReservoirWeightSeen = 0; ///< Latency mass offered; merge: sum.
-  uint64_t ReservoirWeightKept = 0; ///< Latency mass kept; merge: sum.
-  /// Peak resident reservoir bytes (slots + stored call paths). Merge:
-  /// sum — concurrent threads' peaks bound the whole-process peak.
-  uint64_t ReservoirPeakBytes = 0;
-  /// Governor budget (samples per million eligible accesses); zero when
-  /// the governor was off. Merge: max.
-  uint64_t SampleBudget = 0;
-  /// Effective sampling period after each governor epoch, in epoch
-  /// order. Merge: elementwise max, extending to the longer trajectory
-  /// (associative + commutative, so the merge tree shape cannot change
-  /// the result).
-  std::vector<uint64_t> EffectivePeriods;
 
   // --- Content ----------------------------------------------------------
   std::vector<ObjectAgg> Objects;

@@ -20,12 +20,8 @@ static constexpr std::string_view MagicV3 = "structslim-profile v3\n";
 static constexpr std::string_view VersionPrefix = "structslim-profile v";
 static constexpr std::string_view EndMarkerV3 = "end v3\n";
 
-// The sections of the binary v3 layout, in payload order. The first
-// five are always present; "rsvr" (bounded-memory sampling metadata) is
-// written only when a profile carries reservoir/governor data, so
-// reservoir-free profiles keep the original five-section byte layout —
-// the schema-additive contract, mirroring the meta trailing-varint
-// extensions.
+// The sections of the binary v3 layout, in payload order. Every v3
+// file carries exactly these five.
 namespace {
 enum SectionV3 : unsigned {
   V3Meta = 0,
@@ -33,23 +29,18 @@ enum SectionV3 : unsigned {
   V3Object,
   V3Stream,
   V3Cct,
-  V3Rsvr,
   NumV3Sections
 };
 } // namespace
-static constexpr unsigned NumV3SectionsBase = V3Rsvr;
 static constexpr const char *V3SectionNames[NumV3Sections] = {
-    "meta", "strtab", "object", "stream", "cct", "rsvr"};
+    "meta", "strtab", "object", "stream", "cct"};
 
 /// Bytes of the fixed binary header after the v3 magic line: a section
 /// count, per-section {bytes, records, crc32}, and a CRC over all of
-/// the preceding header bytes. The header size depends on the section
-/// count, which is why the reader decodes the count before anything
-/// else.
+/// the preceding header bytes.
 static constexpr size_t V3SectionEntryBytes = 8 + 8 + 4;
-static constexpr size_t v3HeaderBytes(unsigned Sections) {
-  return 4 + Sections * V3SectionEntryBytes + 4;
-}
+static constexpr size_t V3HeaderBytes =
+    4 + NumV3Sections * V3SectionEntryBytes + 4;
 
 //===----------------------------------------------------------------------===//
 // Writing
@@ -202,51 +193,16 @@ std::string structslim::profile::profileToString(const Profile &P) {
     Counts[V3Cct] = P.Contexts.size() - 1;
   }
 
-  // rsvr: bounded-memory sampling metadata, present only when any of
-  // it is nonzero. One profile-level record (totals + governor
-  // trajectory), then one {offered, offeredWeight} pair per stream, in
-  // stream order.
-  bool HasRsvr =
-      (P.ReservoirCapacity | P.ReservoirSeen | P.ReservoirEvictions |
-       P.ReservoirWeightSeen | P.ReservoirWeightKept | P.ReservoirPeakBytes |
-       P.SampleBudget) != 0 ||
-      !P.EffectivePeriods.empty();
-  if (!HasRsvr)
-    for (const StreamRecord &S : P.Streams)
-      if ((S.OfferedSamples | S.OfferedWeight) != 0) {
-        HasRsvr = true;
-        break;
-      }
-  if (HasRsvr) {
-    std::string &Out = Payload[V3Rsvr];
-    appendVarint(Out, P.ReservoirCapacity);
-    appendVarint(Out, P.ReservoirSeen);
-    appendVarint(Out, P.ReservoirEvictions);
-    appendVarint(Out, P.ReservoirWeightSeen);
-    appendVarint(Out, P.ReservoirWeightKept);
-    appendVarint(Out, P.ReservoirPeakBytes);
-    appendVarint(Out, P.SampleBudget);
-    appendVarint(Out, P.EffectivePeriods.size());
-    for (uint64_t E : P.EffectivePeriods)
-      appendVarint(Out, E);
-    for (const StreamRecord &S : P.Streams) {
-      appendVarint(Out, S.OfferedSamples);
-      appendVarint(Out, S.OfferedWeight);
-    }
-    Counts[V3Rsvr] = 1 + P.Streams.size();
-  }
-  unsigned SectionsOut = HasRsvr ? NumV3Sections : NumV3SectionsBase;
-
   // Assemble: magic line, fixed header, payloads, end marker.
   size_t PayloadBytes = 0;
   for (const std::string &S : Payload)
     PayloadBytes += S.size();
   std::string Out;
-  Out.reserve(32 + v3HeaderBytes(SectionsOut) + PayloadBytes + 8);
+  Out.reserve(32 + V3HeaderBytes + PayloadBytes + 8);
   Out += MagicV3;
   size_t HeaderStart = Out.size();
-  appendLE32(Out, SectionsOut);
-  for (unsigned S = 0; S != SectionsOut; ++S) {
+  appendLE32(Out, NumV3Sections);
+  for (unsigned S = 0; S != NumV3Sections; ++S) {
     appendLE64(Out, Payload[S].size());
     appendLE64(Out, Counts[S]);
     appendLE32(Out, support::crc32(Payload[S].data(), Payload[S].size()));
@@ -288,25 +244,27 @@ struct V3Header {
 static std::optional<Profile> readProfileV3(std::string_view Data,
                                             std::string *Error) {
   // Data starts after the magic line. The section count comes first
-  // (it fixes the header size: five base sections, optionally the
-  // reservoir section); then the header's own CRC gates every size
-  // field, so all later arithmetic works on trusted values.
+  // and must be 5: a shard with any other count (the retired
+  // bounded-sampling layer wrote a sixth section) fails by name. Then
+  // the header's own CRC gates every size field, so all later
+  // arithmetic works on trusted values.
   size_t EndLen = EndMarkerV3.size();
   if (Data.size() < 4)
     return failParse(Error, "truncated profile (missing end marker)");
   const char *H = Data.data();
   uint32_t SectionCount = readLE32(H);
-  if (SectionCount < NumV3SectionsBase || SectionCount > NumV3Sections)
-    return failParse(Error, "malformed v3 section header");
-  size_t HeaderBytes = v3HeaderBytes(SectionCount);
-  if (Data.size() < HeaderBytes + EndLen)
+  if (SectionCount != NumV3Sections)
+    return failParse(Error, "unsupported v3 section count " +
+                                std::to_string(SectionCount) +
+                                " (expected 5)");
+  if (Data.size() < V3HeaderBytes + EndLen)
     return failParse(Error, "truncated profile (missing end marker)");
-  uint32_t StoredHeaderCrc = readLE32(H + HeaderBytes - 4);
-  if (support::crc32(H, HeaderBytes - 4) != StoredHeaderCrc)
+  uint32_t StoredHeaderCrc = readLE32(H + V3HeaderBytes - 4);
+  if (support::crc32(H, V3HeaderBytes - 4) != StoredHeaderCrc)
     return failParse(Error, "header checksum mismatch");
   V3Header Header;
   uint64_t PayloadBytes = 0;
-  for (unsigned S = 0; S != SectionCount; ++S) {
+  for (unsigned S = 0; S != NumV3Sections; ++S) {
     const char *E = H + 4 + S * V3SectionEntryBytes;
     Header.Bytes[S] = readLE64(E);
     Header.Records[S] = readLE64(E + 8);
@@ -314,7 +272,7 @@ static std::optional<Profile> readProfileV3(std::string_view Data,
     PayloadBytes += Header.Bytes[S];
   }
 
-  uint64_t Expected = HeaderBytes + PayloadBytes + EndLen;
+  uint64_t Expected = V3HeaderBytes + PayloadBytes + EndLen;
   if (Data.size() < Expected || PayloadBytes > Data.size())
     return failParse(Error, "truncated profile (missing end marker)");
   if (Data.size() > Expected)
@@ -322,11 +280,10 @@ static std::optional<Profile> readProfileV3(std::string_view Data,
   if (Data.substr(Data.size() - EndLen) != EndMarkerV3)
     return failParse(Error, "truncated profile (missing end marker)");
 
-  // Slice and checksum every section before decoding anything. Absent
-  // optional sections keep empty slices and zero record counts.
+  // Slice and checksum every section before decoding anything.
   std::string_view Slice[NumV3Sections];
-  size_t Offset = HeaderBytes;
-  for (unsigned S = 0; S != SectionCount; ++S) {
+  size_t Offset = V3HeaderBytes;
+  for (unsigned S = 0; S != NumV3Sections; ++S) {
     Slice[S] = Data.substr(Offset, Header.Bytes[S]);
     Offset += Header.Bytes[S];
     if (support::crc32(Slice[S].data(), Slice[S].size()) != Header.Crc[S])
@@ -479,39 +436,6 @@ static std::optional<Profile> readProfileV3(std::string_view Data,
     }
     if (!R.atEnd())
       return SectionFail(V3Cct, "record count mismatch");
-  }
-
-  // rsvr (optional): one profile-level record, then one pair per
-  // stream. A five-section file leaves every reservoir field at its
-  // zero default.
-  if (SectionCount > V3Rsvr) {
-    if (Header.Records[V3Rsvr] != 1 + P.Streams.size())
-      return SectionFail(V3Rsvr, "record count mismatch");
-    support::VarintReader R(Slice[V3Rsvr].data(),
-                            Slice[V3Rsvr].data() + Slice[V3Rsvr].size());
-    P.ReservoirCapacity = R.readVarint();
-    P.ReservoirSeen = R.readVarint();
-    P.ReservoirEvictions = R.readVarint();
-    P.ReservoirWeightSeen = R.readVarint();
-    P.ReservoirWeightKept = R.readVarint();
-    P.ReservoirPeakBytes = R.readVarint();
-    P.SampleBudget = R.readVarint();
-    uint64_t TrajectoryLen = R.readVarint();
-    // Each trajectory entry takes at least one payload byte, which
-    // bounds the reserve against a crafted length.
-    if (!R.ok() || TrajectoryLen > R.remaining())
-      return SectionFail(V3Rsvr, "record malformed");
-    P.EffectivePeriods.reserve(TrajectoryLen);
-    for (uint64_t I = 0; I != TrajectoryLen; ++I)
-      P.EffectivePeriods.push_back(R.readVarint());
-    for (StreamRecord &S : P.Streams) {
-      S.OfferedSamples = R.readVarint();
-      S.OfferedWeight = R.readVarint();
-    }
-    if (!R.ok())
-      return SectionFail(V3Rsvr, "record malformed");
-    if (!R.atEnd())
-      return SectionFail(V3Rsvr, "record count mismatch");
   }
 
   // Indices rebuild lazily on first lookup; a shard that is only ever

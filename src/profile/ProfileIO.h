@@ -10,10 +10,10 @@
 /// back and merges. There is one on-disk format, binary v3:
 ///
 ///   structslim-profile v3\n
-///   u32 section-count (5, or 6 with "rsvr")    \  fixed-size binary
-///   N x { u64 bytes, u64 records, u32 crc32 }   } header, little
+///   u32 section-count (always 5)               \  fixed-size binary
+///   5 x { u64 bytes, u64 records, u32 crc32 }   } header, little
 ///   u32 header-crc32                           /  endian
-///   payload: meta | strtab | object | stream | cct [| rsvr]
+///   payload: meta | strtab | object | stream | cct
 ///   end v3\n
 ///
 /// The string table deduplicates object keys/names (length-prefixed,
@@ -28,7 +28,8 @@
 /// Torn, truncated, or bit-flipped shards are rejected with a
 /// descriptive error rather than merged as silently wrong data. Any
 /// other "structslim-profile vN" header (the retired v1/v2 text
-/// formats included) fails as an unsupported version.
+/// formats included) fails as an unsupported version, and a v3 header
+/// with any section count but 5 as an unsupported section count.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -85,10 +85,6 @@ void ProfileBuilder::attribute(const pmu::AddressSample &Sample,
   }
   ++Stream.SampleCount;
   Stream.LatencySum += Sample.Latency;
-  if (ReservoirActive) {
-    ++Stream.OfferedSamples;
-    Stream.OfferedWeight += Sample.Latency;
-  }
   Stream.LevelSamples[static_cast<size_t>(Sample.Served)] += 1;
   Stream.TlbMissSamples += Sample.TlbMiss ? 1 : 0;
   if (Sample.AccessSize > Stream.AccessSize)

@@ -52,14 +52,6 @@ public:
     this->Provider = Provider;
   }
 
-  /// Marks this builder as fed through a bounded SampleReservoir: each
-  /// attributed sample then also counts toward the stream's
-  /// OfferedSamples/OfferedWeight (the reservoir adds the evicted
-  /// remainder at flush time). Off by default so unbounded profiles
-  /// keep all reservoir fields zero, and with them the five-section v3
-  /// layout.
-  void setReservoirActive(bool Active) { ReservoirActive = Active; }
-
   void onSample(const pmu::AddressSample &Sample) override;
 
   /// Delivery with a captured call path (the decoupled pipeline
@@ -80,7 +72,6 @@ private:
   const analysis::CodeMap &CodeMap;
   const mem::DataObjectTable &Objects;
   const CallPathProvider *Provider = nullptr;
-  bool ReservoirActive = false;
   profile::Profile P;
 
   /// Per-stream sets of unique sampled addresses (bounded by the sample

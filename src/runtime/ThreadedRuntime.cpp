@@ -4,7 +4,6 @@
 
 #include "profile/ProfileIO.h"
 #include "runtime/ProfileBuilder.h"
-#include "runtime/SampleReservoir.h"
 #include "runtime/SimPipeline.h"
 #include "support/Error.h"
 #include "support/ThreadPool.h"
@@ -22,7 +21,6 @@ struct PhaseThread {
   std::unique_ptr<cache::MemoryHierarchy> Hierarchy;
   std::unique_ptr<pmu::PmuModel> Pmu;
   std::unique_ptr<ProfileBuilder> Builder;
-  std::unique_ptr<SampleReservoir> Reservoir; ///< Bounded-memory mode only.
   std::unique_ptr<Interpreter> Interp;
   bool Alive = true;
 };
@@ -102,17 +100,7 @@ void ThreadedRuntime::runPhase(const ir::Program &P,
     if (Config.AttachProfiler) {
       S.Builder = std::make_unique<ProfileBuilder>(*CodeMap, M.Objects, Tid,
                                                    Config.Sampling.Period);
-      if (Config.Sampling.ReservoirCapacity != 0) {
-        // Bounded-memory mode: the PMU feeds a fixed-capacity weighted
-        // reservoir that releases survivors to the builder at phase end.
-        S.Reservoir = std::make_unique<SampleReservoir>(
-            *S.Builder, Config.Sampling.ReservoirCapacity,
-            Config.Sampling.Seed + Tid);
-        S.Builder->setReservoirActive(true);
-        S.Pmu->setSink(S.Reservoir.get());
-      } else {
-        S.Pmu->setSink(S.Builder.get());
-      }
+      S.Pmu->setSink(S.Builder.get());
     }
     // A detached profiler arms no sink; skip the PMU on the per-access
     // path entirely (the "measure native speed" configuration).
@@ -121,8 +109,6 @@ void ThreadedRuntime::runPhase(const ir::Program &P,
         Tid, PP);
     if (S.Builder)
       S.Builder->setCallPathProvider(S.Interp.get());
-    if (S.Reservoir)
-      S.Reservoir->setCallPathProvider(S.Interp.get());
     if (Config.ReferenceInterpreter)
       S.Interp->setExecCore(ExecCore::Reference);
     if (Tracer)
@@ -204,25 +190,10 @@ void ThreadedRuntime::runPhase(const ir::Program &P,
     Accum.Misses[1] += S.Hierarchy->l2().getMisses();
 
     if (S.Builder) {
-      if (S.Reservoir)
-        // Release the surviving samples (arrival order) into the
-        // builder before finalizing its profile.
-        S.Reservoir->flush();
       profile::Profile Prof = S.Builder->take();
       Prof.Instructions = Stats.Instructions;
       Prof.MemoryAccesses = Stats.MemoryAccesses;
       Prof.Cycles = Stats.Cycles;
-      if (S.Reservoir) {
-        S.Reservoir->stampProfile(Prof);
-        Accum.ReservoirSeen += Prof.ReservoirSeen;
-        Accum.ReservoirEvictions += Prof.ReservoirEvictions;
-        Accum.ReservoirPeakBytes += Prof.ReservoirPeakBytes;
-      }
-      // Governor metadata is pipeline-invariant (per-thread tick order
-      // is the same either way), so it can live on the in-memory
-      // profile without breaking the identity comparisons.
-      Prof.SampleBudget = Config.Sampling.SampleBudgetPerMAccess;
-      Prof.EffectivePeriods = S.Pmu->getPeriodTrajectory();
       // Pipeline counters deliberately stay off the in-memory profiles:
       // the identity contract compares per-thread profiles
       // between the inline and decoupled simulators, and the counters

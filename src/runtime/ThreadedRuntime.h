@@ -112,14 +112,6 @@ struct RunResult {
   /// Access-queue capacity (records); zero when every phase simulated
   /// inline.
   uint64_t PipelineCapacity = 0;
-  // Bounded-memory sampling counters (zero when no reservoir was
-  // configured). Deterministic — reservoir behavior depends only on the
-  // per-thread sample stream and seed, never on host timing.
-  uint64_t ReservoirSeen = 0;      ///< Samples offered to reservoirs.
-  uint64_t ReservoirEvictions = 0; ///< Samples dropped by reservoirs.
-  /// Sum over threads of each reservoir's peak resident bytes — the
-  /// provable bound on sample memory (surfaced in --stats).
-  uint64_t ReservoirPeakBytes = 0;
 };
 
 /// Writes each profile in \p Profiles to its own shard file

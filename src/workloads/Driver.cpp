@@ -98,10 +98,6 @@ structslim::workloads::runEndToEnd(const Workload &W,
         static_cast<double>(Out.OriginalProfiled.ElapsedCycles) /
             static_cast<double>(Out.OriginalDetached.ElapsedCycles) -
         1.0;
-  if (Out.OriginalDetached.WallSeconds > 0)
-    Out.OverheadWall = Out.OriginalProfiled.WallSeconds /
-                           Out.OriginalDetached.WallSeconds -
-                       1.0;
   for (unsigned Level = 0; Level != 3; ++Level) {
     uint64_t Before = Out.OriginalDetached.Misses[Level];
     uint64_t After = Out.SplitDetached.Misses[Level];

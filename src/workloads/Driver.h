@@ -59,7 +59,6 @@ struct EndToEndResult {
   runtime::RunResult SplitDetached;
   double Speedup = 1.0;          ///< Simulated-time ratio.
   double OverheadSim = 0.0;      ///< Simulated profiler overhead.
-  double OverheadWall = 0.0;     ///< Host wall-clock overhead.
   double MissReduction[3] = {0, 0, 0}; ///< L1/L2/L3, fraction removed.
 };
 

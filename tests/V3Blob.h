@@ -26,7 +26,7 @@
 namespace structslim {
 
 /// The sections of a well-formed v3 blob, in payload order (meta,
-/// strtab, object, stream, cct[, rsvr]).
+/// strtab, object, stream, cct).
 struct V3Blob {
   static constexpr const char *Magic = "structslim-profile v3\n";
   static constexpr const char *EndMarker = "end v3\n";

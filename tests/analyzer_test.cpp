@@ -510,7 +510,7 @@ TEST_F(AnalyzerTest, AllZeroAffinitySplitsEveryField) {
   }
 }
 
-// --- Bounded-sampling confidence accounting (reservoir bugfix sweep) ---
+// --- Sparse-stream confidence accounting (Eq. 4 discount) ------------
 
 TEST_F(AnalyzerTest, SparseStridedStreamDiscountsSizeConfidence) {
   // Baseline: one trustworthy strided stream, nothing sparse.
@@ -539,11 +539,6 @@ TEST_F(AnalyzerTest, SparseStridedStreamDiscountsSizeConfidence) {
   EXPECT_GT(O.SizeConfidence, 0.0);
   EXPECT_TRUE(O.LowConfidenceSize);
   EXPECT_EQ(R.Stats.SparseStreams, 1u);
-  // No reservoir in play: sparse, but not truncated.
-  EXPECT_EQ(O.TruncatedStreams, 0u);
-  EXPECT_FALSE(O.ReservoirTruncated);
-  EXPECT_EQ(R.Stats.TruncatedStreams, 0u);
-  EXPECT_EQ(R.Stats.ReservoirTruncatedObjects, 0u);
 }
 
 TEST_F(AnalyzerTest, SparseUnitStrideStreamDoesNotDiscount) {
@@ -561,51 +556,3 @@ TEST_F(AnalyzerTest, SparseUnitStrideStreamDoesNotDiscount) {
   EXPECT_FALSE(R.Objects[0].LowConfidenceSize);
 }
 
-TEST_F(AnalyzerTest, OfferedSamplesAboveKeptMarksStreamTruncated) {
-  // A stream the reservoir demonstrably starved (more samples offered
-  // than survived) is flagged even without profile-level loss counters.
-  Profile Prof;
-  addStream(Prof, "arr", 1, 0, 100, 128, 0x10000, /*UniqueAddrs=*/16);
-  StreamRecord &Sparse =
-      addStream(Prof, "arr", 2, 0, 100, 192, 0x10008, /*UniqueAddrs=*/4);
-  Sparse.OfferedSamples = Sparse.SampleCount + 50;
-  StructSlimAnalyzer Analyzer(*Map);
-  AnalysisResult R = Analyzer.analyze(Prof);
-  ASSERT_EQ(R.Objects.size(), 1u);
-  const ObjectAnalysis &O = R.Objects[0];
-  EXPECT_EQ(O.TruncatedStreams, 1u);
-  EXPECT_TRUE(O.ReservoirTruncated);
-  EXPECT_TRUE(O.LowConfidenceSize);
-  EXPECT_EQ(R.Stats.TruncatedStreams, 1u);
-  EXPECT_EQ(R.Stats.ReservoirTruncatedObjects, 1u);
-}
-
-TEST_F(AnalyzerTest, LossyProfileFlagsEverySparseStreamConservatively) {
-  // A profile that recorded reservoir evictions cannot distinguish
-  // "naturally sparse" from "truncated": every sparse stream is
-  // suspect, and the object's size is flagged low-confidence even
-  // when the surviving evidence would otherwise clear the 99% bar.
-  Profile Prof;
-  addStream(Prof, "arr", 1, 0, 100, 128, 0x10000, /*UniqueAddrs=*/16);
-  addStream(Prof, "arr", 2, 0, 100, 192, 0x10008, /*UniqueAddrs=*/4);
-  Prof.ReservoirCapacity = 64;
-  Prof.ReservoirEvictions = 10;
-  StructSlimAnalyzer Analyzer(*Map);
-  AnalysisResult R = Analyzer.analyze(Prof);
-  ASSERT_EQ(R.Objects.size(), 1u);
-  const ObjectAnalysis &O = R.Objects[0];
-  EXPECT_EQ(O.TruncatedStreams, 1u);
-  EXPECT_TRUE(O.ReservoirTruncated);
-  EXPECT_TRUE(O.LowConfidenceSize);
-
-  // The identical streams under an eviction-free bounded run keep
-  // their truncation-free reading: capacity alone is not loss.
-  Profile Clean;
-  addStream(Clean, "arr", 1, 0, 100, 128, 0x10000, /*UniqueAddrs=*/16);
-  addStream(Clean, "arr", 2, 0, 100, 192, 0x10008, /*UniqueAddrs=*/4);
-  Clean.ReservoirCapacity = 64;
-  AnalysisResult RClean = Analyzer.analyze(Clean);
-  ASSERT_EQ(RClean.Objects.size(), 1u);
-  EXPECT_EQ(RClean.Objects[0].TruncatedStreams, 0u);
-  EXPECT_FALSE(RClean.Objects[0].ReservoirTruncated);
-}

@@ -113,7 +113,7 @@ TEST(ClosedLoop, ReportAggregatesAndRendersBothForms) {
   std::string Json = renderVerifyJson(Report, Config);
   EXPECT_EQ(Json.rfind('{', 0), 0u);
   for (const char *Key :
-       {"\"schema_version\": 1", "\"generator\": \"structslim-verify\"",
+       {"\"schema_version\": 2", "\"generator\": \"structslim-verify\"",
         "\"mode\": \"ir-split\"", "\"mode\": \"fieldmap-rebuild\"",
         "\"plan\":", "\"clusters\":", "\"agreement\":", "\"before\":",
         "\"after\":", "\"delta\":", "\"measured_speedup\":",

@@ -175,120 +175,6 @@ TEST(Pmu, DisarmDropsDeferredPendingSample) {
   EXPECT_EQ(Pmu.getSamplesDroppedDisarmed(), 1u);
 }
 
-// The overhead governor re-fits the effective period at the first
-// epoch boundary and is on budget from the second epoch on (the
-// one-epoch convergence contract).
-TEST(Pmu, GovernorConvergesWithinOneEpoch) {
-  SamplingConfig Cfg;
-  Cfg.Period = 10; // 100x oversampled against the budget below.
-  Cfg.RandomizePeriod = false;
-  Cfg.SampleBudgetPerMAccess = 1000;
-  Cfg.EpochAccesses = 100000; // Target: 100 samples per epoch.
-  PmuModel Pmu(Cfg, 0);
-  Collector Sink;
-  Pmu.setSink(&Sink);
-  for (uint64_t I = 0; I != 300000; ++I)
-    Pmu.onAccess(I, I, 8, false, l1Hit());
-  // Epoch 1 selected 9999 (the boundary access re-fits before its own
-  // countdown tick) -> 10 * 9999/100 = 999; every later epoch selects
-  // exactly 100 = budget, so the period never moves again.
-  ASSERT_EQ(Pmu.getPeriodTrajectory().size(), 3u);
-  for (uint64_t P : Pmu.getPeriodTrajectory())
-    EXPECT_EQ(P, 999u);
-  EXPECT_EQ(Pmu.getEffectivePeriod(), 999u);
-  // Epochs 2 and 3 delivered exactly the budget: 100 samples each.
-  uint64_t LateSamples = 0;
-  for (const AddressSample &S : Sink.Samples)
-    LateSamples += S.Ip >= 100000;
-  EXPECT_EQ(LateSamples, 200u);
-}
-
-// An epoch that selects nothing halves the period (multiplicative
-// re-fit has no signal to scale): the governor probes downward until
-// samples flow again or the clamp floor stops it.
-TEST(Pmu, GovernorHalvesPeriodOnSilentEpochs) {
-  SamplingConfig Cfg;
-  Cfg.Period = 1 << 20; // Far larger than the epoch: silent epochs.
-  Cfg.RandomizePeriod = false;
-  Cfg.SampleBudgetPerMAccess = 1000;
-  Cfg.EpochAccesses = 1000;
-  PmuModel Pmu(Cfg, 0);
-  Collector Sink;
-  Pmu.setSink(&Sink);
-  for (uint64_t I = 0; I != 8000; ++I)
-    Pmu.onAccess(I, I, 8, false, l1Hit());
-  const std::vector<uint64_t> &Traj = Pmu.getPeriodTrajectory();
-  ASSERT_EQ(Traj.size(), 8u);
-  EXPECT_EQ(Traj[0], (1u << 20) / 2);
-  for (size_t I = 1; I != Traj.size(); ++I)
-    EXPECT_EQ(Traj[I], Traj[I - 1] / 2);
-}
-
-// The governed period honors both clamp bounds.
-TEST(Pmu, GovernorRespectsClampBounds) {
-  {
-    SamplingConfig Cfg;
-    Cfg.Period = 100;
-    Cfg.RandomizePeriod = false;
-    Cfg.SampleBudgetPerMAccess = 1000000; // Wants period 1.
-    Cfg.EpochAccesses = 10000;
-    Cfg.GovernorMinPeriod = 16;
-    PmuModel Pmu(Cfg, 0);
-    Collector Sink;
-    Pmu.setSink(&Sink);
-    for (uint64_t I = 0; I != 10000; ++I)
-      Pmu.onAccess(I, I, 8, false, l1Hit());
-    ASSERT_EQ(Pmu.getPeriodTrajectory().size(), 1u);
-    EXPECT_EQ(Pmu.getPeriodTrajectory()[0], 16u);
-  }
-  {
-    SamplingConfig Cfg;
-    Cfg.Period = 1000;
-    Cfg.RandomizePeriod = false;
-    Cfg.SampleBudgetPerMAccess = 1; // Wants period 10000.
-    Cfg.EpochAccesses = 10000;
-    Cfg.GovernorMaxPeriod = 5000;
-    PmuModel Pmu(Cfg, 0);
-    Collector Sink;
-    Pmu.setSink(&Sink);
-    for (uint64_t I = 0; I != 10000; ++I)
-      Pmu.onAccess(I, I, 8, false, l1Hit());
-    ASSERT_EQ(Pmu.getPeriodTrajectory().size(), 1u);
-    EXPECT_EQ(Pmu.getPeriodTrajectory()[0], 5000u);
-  }
-}
-
-// With the governor active, the PEBS +/-25% jitter window applies
-// around the *effective* period, not the nominal one.
-TEST(Pmu, GovernorJitterTracksEffectivePeriod) {
-  SamplingConfig Cfg;
-  Cfg.Period = 10;
-  Cfg.RandomizePeriod = true;
-  Cfg.SampleBudgetPerMAccess = 1000;
-  Cfg.EpochAccesses = 100000;
-  PmuModel Pmu(Cfg, 0);
-  Collector Sink;
-  Pmu.setSink(&Sink);
-  for (uint64_t I = 0; I != 400000; ++I)
-    Pmu.onAccess(I, I, 8, false, l1Hit());
-  const std::vector<uint64_t> &Traj = Pmu.getPeriodTrajectory();
-  ASSERT_GE(Traj.size(), 2u);
-  // Samples in the final epoch ran under the second-to-last trajectory
-  // entry (the last entry is the re-fit at the run's final boundary).
-  uint64_t Effective = Traj[Traj.size() - 2];
-  // Check gaps in the final epoch (period long since converged).
-  std::vector<uint64_t> Late;
-  for (const AddressSample &S : Sink.Samples)
-    if (S.Ip >= 300000)
-      Late.push_back(S.Ip);
-  ASSERT_GT(Late.size(), 10u);
-  for (size_t I = 1; I != Late.size(); ++I) {
-    uint64_t Gap = Late[I] - Late[I - 1];
-    EXPECT_GE(Gap, Effective - Effective / 4);
-    EXPECT_LE(Gap, Effective + Effective / 4);
-  }
-}
-
 TEST(Pmu, DifferentThreadsJitterIndependently) {
   SamplingConfig Cfg;
   Cfg.Period = 1000;

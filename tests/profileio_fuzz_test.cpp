@@ -15,6 +15,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "V3Blob.h"
+
 #include "profile/Profile.h"
 #include "profile/ProfileIO.h"
 #include "support/Random.h"
@@ -87,26 +89,6 @@ Profile makeRandomProfile(Rng &R) {
     P.Contexts.attribute(P.Contexts.intern(Path), R.nextBelow(1u << 16));
   }
   return P;
-}
-
-/// Decorates \p P with bounded-reservoir accounting so serialization
-/// emits the optional sixth v3 section ("rsvr"): profile-level totals,
-/// a governor trajectory, and per-stream offered counts.
-void addReservoirFields(Profile &P, Rng &R) {
-  P.ReservoirCapacity = 1 + R.nextBelow(4096);
-  P.ReservoirSeen = R.nextBelow(1u << 20);
-  P.ReservoirEvictions = R.nextBelow(1u << 20);
-  P.ReservoirWeightSeen = R.nextBelow(1u << 24);
-  P.ReservoirWeightKept = R.nextBelow(1u << 24);
-  P.ReservoirPeakBytes = R.nextBelow(1u << 22);
-  P.SampleBudget = R.nextBelow(10000);
-  unsigned Epochs = static_cast<unsigned>(R.nextBelow(6));
-  for (unsigned E = 0; E != Epochs; ++E)
-    P.EffectivePeriods.push_back(1 + R.nextBelow(1u << 20));
-  for (StreamRecord &S : P.Streams) {
-    S.OfferedSamples = S.SampleCount + R.nextBelow(1000);
-    S.OfferedWeight = S.LatencySum + R.nextBelow(1u << 20);
-  }
 }
 
 /// The LE32 section count straight after the v3 magic line.
@@ -288,84 +270,12 @@ TEST_P(ProfileIoFuzz, V3SectionTargetedMutations) {
   EXPECT_NE(Error.find("missing end marker"), std::string::npos);
 }
 
-// The reservoir extension is strictly schema-additive: profiles without
-// reservoir data keep the original five-section byte layout, profiles
-// with it gain exactly one section.
-TEST_P(ProfileIoFuzz, ReservoirFreeProfilesKeepFiveSections) {
-  Rng R(7700 + GetParam());
-  Profile P = makeRandomProfile(R);
-  EXPECT_EQ(v3SectionCount(profileToString(P)), 5u);
-  addReservoirFields(P, R);
-  EXPECT_EQ(v3SectionCount(profileToString(P)), 6u);
-}
-
-// Reservoir-bearing blobs obey the same integrity contract as the base
-// format: exact round-trip, targeted header/payload corruption of all
-// six sections rejected, a flipped byte anywhere never silently
-// accepted.
-TEST_P(ProfileIoFuzz, V3ReservoirSectionTargetedMutations) {
-  Rng R(8800 + GetParam());
-  Profile P = makeRandomProfile(R);
-  addReservoirFields(P, R);
-  std::string Canonical = profileToString(P);
-  {
-    std::string Error;
-    auto Back = profileFromString(Canonical, &Error);
-    ASSERT_TRUE(Back.has_value()) << Error;
-    EXPECT_EQ(profileToString(*Back), Canonical);
-  }
-  const size_t MagicLen = std::string("structslim-profile v3\n").size();
-  const size_t NumSections = 6;
-  const size_t EntryBytes = 8 + 8 + 4;
-  ASSERT_EQ(v3SectionCount(Canonical), NumSections);
-  ASSERT_GT(Canonical.size(), MagicLen + 4 + NumSections * EntryBytes + 4);
-
-  auto ReadLE64 = [&](size_t Off) {
-    uint64_t V = 0;
-    for (unsigned I = 0; I != 8; ++I)
-      V |= static_cast<uint64_t>(
-               static_cast<uint8_t>(Canonical[Off + I]))
-           << (8 * I);
-    return V;
-  };
-  size_t HeaderStart = MagicLen;
-  size_t PayloadStart = HeaderStart + 4 + NumSections * EntryBytes + 4;
-  size_t SectionOffset = PayloadStart;
-  for (size_t S = 0; S != NumSections; ++S) {
-    size_t Entry = HeaderStart + 4 + S * EntryBytes;
-    uint64_t Bytes = ReadLE64(Entry);
-    for (size_t FieldOff : {Entry, Entry + 8, Entry + 16}) {
-      std::string Mutated = Canonical;
-      Mutated[FieldOff] = static_cast<char>(Mutated[FieldOff] ^ 0x5A);
-      checkMutation(Mutated, Canonical);
-    }
-    if (Bytes != 0) {
-      std::string Mutated = Canonical;
-      size_t Pos = SectionOffset + R.nextBelow(Bytes);
-      Mutated[Pos] = static_cast<char>(Mutated[Pos] ^ 0x5A);
-      checkMutation(Mutated, Canonical);
-      EXPECT_FALSE(profileFromString(Mutated).has_value());
-    }
-    SectionOffset += Bytes;
-  }
-  // Every single-byte flip: exact profile back or clean rejection.
-  for (size_t Pos = 0; Pos != Canonical.size(); ++Pos) {
-    std::string Mutated = Canonical;
-    Mutated[Pos] = static_cast<char>(Mutated[Pos] ^ 0xFF);
-    checkMutation(Mutated, Canonical);
-  }
-  // And truncation at every offset (mid-write crash).
-  for (size_t Cut = 0; Cut <= Canonical.size(); ++Cut)
-    checkMutation(Canonical.substr(0, Cut), Canonical);
-}
-
 // The file loader is the in-memory decoder behind one read: on intact
 // blobs and on truncated tails it must give the same verdict, the same
 // bytes and the same error.
 TEST_P(ProfileIoFuzz, FileLoaderMatchesInMemoryDecoder) {
   Rng R(6600 + GetParam());
   Profile P = makeRandomProfile(R);
-  addReservoirFields(P, R);
   std::string Canonical = profileToString(P);
   std::vector<std::string> Blobs = {Canonical};
   for (int Trial = 0; Trial != 16; ++Trial)
@@ -384,8 +294,27 @@ TEST_P(ProfileIoFuzz, FileLoaderMatchesInMemoryDecoder) {
   }
 }
 
+// A v3 file carries exactly five sections. A sixth (the retired
+// bounded-sampling layer's "rsvr" section had this shape: one profile
+// record plus one per stream) is refused by name, not ignored, on both
+// ingestion paths, even when every size and CRC in the header is right.
+TEST(ProfileIoSections, SixSectionBlobFailsWithNamedError) {
+  Rng R(5500);
+  V3Blob Blob = V3Blob::split(profileToString(makeRandomProfile(R)));
+  Blob.Payloads.push_back(std::string(8, '\0'));
+  Blob.Records.push_back(1);
+  std::string Sealed = Blob.seal();
+  ASSERT_EQ(v3SectionCount(Sealed), 6u);
+  const std::string Named = "unsupported v3 section count 6 (expected 5)";
+  std::string MemError, FileError;
+  EXPECT_FALSE(profileFromBytes(Sealed, &MemError).has_value());
+  EXPECT_EQ(MemError, Named);
+  EXPECT_FALSE(loadViaFile(Sealed, &FileError).has_value());
+  EXPECT_EQ(FileError, Named);
+}
+
 // 8 seeds x (|blob| truncations + |blob| flips + 400 random edits),
-// plus the targeted and reservoir families; every mutation runs through
+// plus the targeted family; every mutation runs through
 // both the in-memory reader and the file loader.
 INSTANTIATE_TEST_SUITE_P(Seeded, ProfileIoFuzz, ::testing::Range(0, 8));
 

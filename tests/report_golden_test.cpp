@@ -7,11 +7,13 @@
 // fixed profile cannot drift silently.
 //
 // Also exercises the tool's degradation contract end to end: a
-// truncated shard, a retired v1/v2 text shard and a directory are each
-// skipped with a specific warning by default, and --strict exits
-// nonzero naming the failing path.
+// truncated shard, a retired v1/v2 text shard, a v3 shard with a sixth
+// section and a directory are each skipped with a specific warning by
+// default, and --strict exits nonzero naming the failing path.
 //
 //===----------------------------------------------------------------------===//
+
+#include "V3Blob.h"
 
 #include <gtest/gtest.h>
 
@@ -123,17 +125,26 @@ TEST(ReportGolden, StrictExitsNonzeroNamingThePath) {
   EXPECT_EQ(R.Output.find("merged"), std::string::npos);
 }
 
-// A shard in a retired text format, or a directory passed by mistake,
-// is skipped with the reader's reason next to the good shards and
-// fails the run under --strict.
+// A shard in a retired text format, a v3 shard with a sixth section,
+// or a directory passed by mistake, is skipped with the reader's reason
+// next to the good shards and fails the run under --strict.
 TEST(ReportGolden, UnreadableInputsAreSkippedOrFailStrict) {
   std::string V1 = ::testing::TempDir() + "report_golden_v1.structslim";
   std::string V2 = ::testing::TempDir() + "report_golden_v2.structslim";
+  std::string Six = ::testing::TempDir() + "report_golden_six.structslim";
   std::ofstream(V1) << "structslim-profile v1\nmeta 0 1 0 0 0 0 0 0\n";
   std::ofstream(V2) << "structslim-profile v2\nmeta 0 1 0 0 0 0 0 0\n";
+  // A fixture shard re-sealed with a sixth section: every size and CRC
+  // checks out, only the section count is foreign.
+  structslim::V3Blob Blob =
+      structslim::V3Blob::split(readFileBytes(fixtureShards()[0]));
+  Blob.Payloads.push_back(std::string(8, '\0'));
+  Blob.Records.push_back(1);
+  std::ofstream(Six, std::ios::binary) << Blob.seal();
   const std::pair<std::string, std::string> Cases[] = {
       {V1, "unsupported profile format version '1'"},
       {V2, "unsupported profile format version '2'"},
+      {Six, "unsupported v3 section count 6 (expected 5)"},
       {STRUCTSLIM_TEST_DATA, "is a directory"}};
   for (const auto &[Path, Reason] : Cases) {
     std::vector<std::string> Args = {Path};
@@ -225,7 +236,7 @@ TEST(ReportJson, EmitsStableSchemaDocument) {
   CommandResult R = runReport(Args);
   ASSERT_EQ(R.ExitCode, 0) << R.Output;
   for (const char *Key :
-       {"\"schema_version\": 1", "\"generator\": \"structslim-report\"",
+       {"\"schema_version\": 2", "\"generator\": \"structslim-report\"",
         "\"profile\":", "\"shards_merged\": 5", "\"config\":", "\"objects\":",
         "\"_Zone\"", "\"affinity\":", "\"clusters\":", "\"stats\":",
         "\"timing\":", "\"analyze_seconds\":", "\"split_recommended\": true"})

@@ -164,7 +164,8 @@ TEST(VerifyCli, MalformedValuesExitTwoWithUsage) {
 }
 
 TEST(VerifyCli, UnknownOptionExitsTwoWithUsage) {
-  for (const char *Arg : {"--frobnicate", "--jobs=4"}) {
+  for (const char *Arg : {"--frobnicate", "--jobs=4", "--reservoir=8",
+                          "--sample-budget=1", "--epoch=1"}) {
     CommandResult R = runVerify({Arg});
     EXPECT_EQ(R.ExitCode, 2) << R.Output;
     EXPECT_NE(R.Output.find(std::string("error: unknown option '") + Arg +

@@ -212,16 +212,6 @@ int main(int argc, char **argv) {
   Stats.ProducerStalls = Merged.ProducerStalls;
   Stats.ConsumerBatches = Merged.ConsumerBatches;
   Stats.PipelineCapacity = Merged.PipelineCapacity;
-  // Bounded-reservoir counters travel the same way (merge rule:
-  // max/sum); zero for unbounded runs and pre-reservoir shards.
-  Stats.ReservoirCapacity = Merged.ReservoirCapacity;
-  Stats.ReservoirSeen = Merged.ReservoirSeen;
-  Stats.ReservoirEvictions = Merged.ReservoirEvictions;
-  Stats.ReservoirWeightSeen = Merged.ReservoirWeightSeen;
-  Stats.ReservoirWeightKept = Merged.ReservoirWeightKept;
-  Stats.ReservoirPeakBytes = Merged.ReservoirPeakBytes;
-  Stats.SampleBudget = Merged.SampleBudget;
-  Stats.EffectivePeriods = Merged.EffectivePeriods;
 
   auto AnalyzeBegin = std::chrono::steady_clock::now();
   core::AnalysisResult Result =

@@ -15,14 +15,8 @@
 //   structslim-verify [options] [workloads...]
 //     --scale=X      working-set scale factor (default 1.0)
 //     --period=N     PMU sampling period (default 10000)
-//     --reservoir=N  bound resident samples to N per thread via the
-//                    latency-weighted reservoir (default 0 = keep all)
-//     --sample-budget=N
-//                    overhead-governor target in samples per million
-//                    accesses (default 0 = governor off)
-//     --epoch=N      governor epoch length in accesses (default 2^20)
 //     --json         emit the machine-readable document (schema_version
-//                    1) on stdout instead of the text table
+//                    2) on stdout instead of the text table
 //     --smoke        quick CI mode: 179.ART and CLOMP at scale 0.1
 //                    (one serial ir-split path, one parallel fallback)
 //     --list         print the known workload names and exit
@@ -50,9 +44,6 @@ namespace {
 struct Options {
   double Scale = 1.0;
   uint64_t Period = 10000;
-  uint64_t Reservoir = 0;
-  uint64_t SampleBudget = 0;
-  uint64_t Epoch = 1ull << 20;
   bool Json = false;
   bool Smoke = false;
   bool List = false;
@@ -61,8 +52,7 @@ struct Options {
 
 int usage() {
   std::cerr << "usage: structslim-verify [--scale=X] [--period=N] "
-               "[--reservoir=N] [--sample-budget=N] [--epoch=N] [--json] "
-               "[--smoke] [--list] [workloads...]\n";
+               "[--json] [--smoke] [--list] [workloads...]\n";
   return 2;
 }
 
@@ -108,15 +98,6 @@ bool parseArgs(int argc, char **argv, Options &Opts) {
     } else if (Arg.rfind("--period=", 0) == 0) {
       if (!parseUnsigned(Arg.substr(9), Opts.Period) || Opts.Period == 0)
         return badValue("--period", Arg.substr(9));
-    } else if (Arg.rfind("--reservoir=", 0) == 0) {
-      if (!parseUnsigned(Arg.substr(12), Opts.Reservoir))
-        return badValue("--reservoir", Arg.substr(12));
-    } else if (Arg.rfind("--sample-budget=", 0) == 0) {
-      if (!parseUnsigned(Arg.substr(16), Opts.SampleBudget))
-        return badValue("--sample-budget", Arg.substr(16));
-    } else if (Arg.rfind("--epoch=", 0) == 0) {
-      if (!parseUnsigned(Arg.substr(8), Opts.Epoch) || Opts.Epoch == 0)
-        return badValue("--epoch", Arg.substr(8));
     } else if (Arg == "--json") {
       Opts.Json = true;
     } else if (Arg == "--smoke") {
@@ -172,9 +153,6 @@ int main(int argc, char **argv) {
   core::ClosedLoopConfig Config;
   Config.Driver.Scale = Opts.Scale;
   Config.Driver.Run.Sampling.Period = Opts.Period;
-  Config.Driver.Run.Sampling.ReservoirCapacity = Opts.Reservoir;
-  Config.Driver.Run.Sampling.SampleBudgetPerMAccess = Opts.SampleBudget;
-  Config.Driver.Run.Sampling.EpochAccesses = Opts.Epoch;
 
   core::VerifyReport Report = core::verifyWorkloads(Selected, Config);
   if (Opts.Json)
