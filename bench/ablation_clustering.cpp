@@ -17,12 +17,12 @@
 
 #include "analysis/CodeMap.h"
 #include "core/Advice.h"
+#include "core/ClosedLoop.h"
 #include "ir/ProgramBuilder.h"
 #include "profile/MergeTree.h"
 #include "runtime/ThreadedRuntime.h"
 #include "support/Format.h"
 #include "support/TablePrinter.h"
-#include "workloads/Driver.h"
 #include "workloads/Registry.h"
 
 #include <iostream>
@@ -105,11 +105,11 @@ int main(int argc, char **argv) {
       workloads::DriverConfig Config;
       Config.Scale = Scale;
       Config.Analysis.Clustering = Method;
-      workloads::EndToEndResult R = workloads::runEndToEnd(*W, Config);
+      core::WorkloadVerdict V = core::verifyWorkload(*W, Config);
       Table.addRow({Method == core::ClusteringMethod::Threshold
                         ? "threshold (paper)"
                         : "average linkage",
-                    planText(R.Plan), formatTimes(R.Speedup)});
+                    planText(V.Plan), formatTimes(V.MeasuredSpeedup)});
     }
     Table.print(std::cout);
     std::cout << "\n";

@@ -16,9 +16,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Advice.h"
+#include "core/ClosedLoop.h"
 #include "support/Format.h"
 #include "support/TablePrinter.h"
-#include "workloads/Driver.h"
 #include "workloads/Registry.h"
 
 #include <iostream>
@@ -46,25 +46,25 @@ int main(int argc, char **argv) {
     bool Prefetch;
     bool Tlb;
   };
-  for (const Variant &V :
+  for (const Variant &Var :
        {Variant{"baseline", false, false},
         Variant{"+prefetcher", true, false}, Variant{"+TLB", false, true},
         Variant{"+prefetcher +TLB", true, true}}) {
     workloads::DriverConfig Config;
     Config.Scale = Scale;
-    Config.Run.Hierarchy.EnablePrefetcher = V.Prefetch;
-    Config.Run.Hierarchy.EnableTlb = V.Tlb;
-    workloads::EndToEndResult R = workloads::runEndToEnd(*W, Config);
-    const core::ObjectAnalysis *Hot = R.Analysis.findObject("f1_neuron");
+    Config.Run.Hierarchy.EnablePrefetcher = Var.Prefetch;
+    Config.Run.Hierarchy.EnableTlb = Var.Tlb;
+    core::WorkloadVerdict V = core::verifyWorkload(*W, Config);
+    const core::ObjectAnalysis *Hot = V.Analysis.findObject("f1_neuron");
     // TLB miss ratio across the hot object's sampled accesses.
     std::string TlbCell = "-";
-    if (V.Tlb && Hot && Hot->SampleCount != 0)
+    if (Var.Tlb && Hot && Hot->SampleCount != 0)
       TlbCell = formatPercent(static_cast<double>(Hot->TlbMissSamples) /
                               Hot->SampleCount);
-    Table.addRow({V.Name, formatTimes(R.Speedup),
-                  std::to_string(R.Plan.ClusterOffsets.size()),
+    Table.addRow({Var.Name, formatTimes(V.MeasuredSpeedup),
+                  std::to_string(V.Plan.ClusterOffsets.size()),
                   Hot ? std::to_string(Hot->StructSize) + " B" : "-",
-                  formatPercent(R.MissReduction[0]), TlbCell});
+                  formatPercent(V.MissReduction[0]), TlbCell});
   }
   Table.print(std::cout);
   std::cout << "\n(advice — six clusters over a 64-byte structure — is "

@@ -14,9 +14,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Advice.h"
+#include "core/ClosedLoop.h"
 #include "support/Format.h"
 #include "support/TablePrinter.h"
-#include "workloads/Driver.h"
 #include "workloads/Registry.h"
 
 #include <iostream>
@@ -45,17 +45,17 @@ int main(int argc, char **argv) {
     workloads::DriverConfig Config;
     Config.Scale = Scale;
     Config.Run.Sampling.Period = Period;
-    workloads::EndToEndResult R = workloads::runEndToEnd(*W, Config);
+    core::WorkloadVerdict V = core::verifyWorkload(*W, Config);
 
-    const core::ObjectAnalysis *Hot = R.Analysis.findObject("f1_neuron");
+    const core::ObjectAnalysis *Hot = V.Analysis.findObject("f1_neuron");
     uint64_t Size = Hot ? Hot->StructSize : 0;
-    size_t Clusters = R.Plan.ClusterOffsets.size();
+    size_t Clusters = V.Plan.ClusterOffsets.size();
     // Fig. 7: {P} {I,U} {X,Q} {V} {W} {R} — six clusters with the I/U
     // and X/Q pairings.
     bool Fig7 = Clusters == 6 && Size == 64;
     if (Fig7) {
       auto Has = [&](std::vector<uint32_t> Want) {
-        for (const auto &C : R.Plan.ClusterOffsets)
+        for (const auto &C : V.Plan.ClusterOffsets)
           if (C == Want)
             return true;
         return false;
@@ -63,11 +63,11 @@ int main(int argc, char **argv) {
       Fig7 = Has({0, 32}) && Has({16, 48}) && Has({40});
     }
     Table.addRow({std::to_string(Period),
-                  std::to_string(R.OriginalProfiled.Samples),
-                  formatPercent(R.OverheadSim),
+                  std::to_string(V.Profiled.Samples),
+                  formatPercent(V.OverheadSim),
                   Size ? std::to_string(Size) + " B" : "-",
                   std::to_string(Clusters), Fig7 ? "yes" : "no",
-                  formatTimes(R.Speedup)});
+                  formatTimes(V.MeasuredSpeedup)});
   }
   Table.print(std::cout);
   std::cout << "\n(denser sampling buys nothing once the advice is "

@@ -16,9 +16,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/BenefitModel.h"
+#include "core/ClosedLoop.h"
 #include "support/Format.h"
 #include "support/TablePrinter.h"
-#include "workloads/Driver.h"
 #include "workloads/Registry.h"
 
 #include <algorithm>
@@ -43,27 +43,30 @@ int main(int argc, char **argv) {
   for (const auto &W : workloads::makePaperWorkloads()) {
     workloads::DriverConfig Config;
     Config.Scale = Scale;
-    workloads::EndToEndResult R = workloads::runEndToEnd(*W, Config);
+    core::WorkloadVerdict V = core::verifyWorkload(*W, Config);
     const core::ObjectAnalysis *Hot =
-        R.Analysis.findObject(W->hotObjectName());
+        V.Analysis.findObject(W->hotObjectName());
     if (!Hot) {
-      Table.addRow({W->name(), "-", "-", "-", formatTimes(R.Speedup)});
+      Table.addRow({W->name(), "-", "-", "-", formatTimes(V.MeasuredSpeedup)});
       continue;
     }
     // Sampled latency approximates 1/period of true memory latency.
     double MemCycles =
-        static_cast<double>(R.Analysis.TotalLatency) *
+        static_cast<double>(V.Analysis.TotalLatency) *
         static_cast<double>(Config.Run.Sampling.Period);
-    double MemShare = std::min(
-        1.0, MemCycles / static_cast<double>(
-                             R.OriginalDetached.TotalCycles));
+    // Total cycles as if detached: the sample-handler charge removed.
+    uint64_t DetachedCycles =
+        V.Profiled.TotalCycles -
+        V.Profiled.Samples * Config.Run.SampleHandlerCycles;
+    double MemShare =
+        std::min(1.0, MemCycles / static_cast<double>(DetachedCycles));
     core::BenefitEstimate Est =
-        core::estimateSplitBenefit(*Hot, R.Plan, MemShare);
+        core::estimateSplitBenefit(*Hot, V.Plan, MemShare);
     Table.addRow({W->name(),
                   formatPercent(Est.ObjectLatencyReduction),
                   formatPercent(MemShare),
                   formatTimes(Est.PredictedSpeedup),
-                  formatTimes(R.Speedup)});
+                  formatTimes(V.MeasuredSpeedup)});
   }
   Table.print(std::cout);
   std::cout << "\n(the estimate uses only the profile: per-field "

@@ -13,10 +13,10 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Advice.h"
+#include "core/ClosedLoop.h"
 #include "core/Report.h"
 #include "support/Format.h"
 #include "support/TablePrinter.h"
-#include "workloads/Driver.h"
 #include "workloads/Registry.h"
 
 #include <iostream>
@@ -39,20 +39,20 @@ int main(int argc, char **argv) {
   for (const auto &W : workloads::makeExtraWorkloads()) {
     workloads::DriverConfig Config;
     Config.Scale = Scale;
-    workloads::EndToEndResult R = workloads::runEndToEnd(*W, Config);
+    core::WorkloadVerdict V = core::verifyWorkload(*W, Config);
     const core::ObjectAnalysis *Hot =
-        R.Analysis.findObject(W->hotObjectName());
+        V.Analysis.findObject(W->hotObjectName());
     Table.addRow({W->name(), W->hotObjectName(),
                   Hot ? formatPercent(Hot->HotShare) : "-",
                   Hot && Hot->StructSize
                       ? std::to_string(Hot->StructSize) + " B"
                       : "-",
-                  std::to_string(R.Plan.ClusterOffsets.size()),
-                  formatTimes(R.Speedup)});
+                  std::to_string(V.Plan.ClusterOffsets.size()),
+                  formatTimes(V.MeasuredSpeedup)});
     if (Hot) {
       ir::StructLayout Layout = W->hotLayout();
       std::cout << "--- " << W->name() << " ---\n"
-                << core::renderAdviceText(R.Plan, *Hot, &Layout)
+                << core::renderAdviceText(V.Plan, *Hot, &Layout)
                 << core::renderFieldTable(*Hot) << "\n";
     }
   }

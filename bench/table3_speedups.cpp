@@ -17,11 +17,11 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Advice.h"
+#include "core/ClosedLoop.h"
 #include "core/Report.h"
 #include "support/Format.h"
 #include "support/Stats.h"
 #include "support/TablePrinter.h"
-#include "workloads/Driver.h"
 #include "workloads/Registry.h"
 
 #include <iostream>
@@ -85,23 +85,23 @@ int main(int argc, char **argv) {
   for (const auto &W : workloads::makePaperWorkloads()) {
     workloads::DriverConfig Config;
     Config.Scale = Scale;
-    workloads::EndToEndResult R = workloads::runEndToEnd(*W, Config);
-    Speedups.push_back(R.Speedup);
+    core::WorkloadVerdict V = core::verifyWorkload(*W, Config);
+    Speedups.push_back(V.MeasuredSpeedup);
 
-    Table.addRow({W->name(),
-                  formatDouble(R.OriginalDetached.ElapsedCycles / 1e6, 1),
-                  formatDouble(R.SplitDetached.ElapsedCycles / 1e6, 1),
-                  formatTimes(R.Speedup), formatTimes(paperSpeedup(W->name())),
-                  formatPercent(R.OverheadSim),
+    Table.addRow({W->name(), formatDouble(V.Before.ElapsedCycles / 1e6, 1),
+                  formatDouble(V.After.ElapsedCycles / 1e6, 1),
+                  formatTimes(V.MeasuredSpeedup),
+                  formatTimes(paperSpeedup(W->name())),
+                  formatPercent(V.OverheadSim),
                   formatDouble(paperOverhead(W->name()), 2) + "%",
-                  std::to_string(R.OriginalProfiled.Samples)});
+                  std::to_string(V.Profiled.Samples)});
 
     if (PrintAdvice) {
       std::cout << "--- " << W->name() << " (" << W->suite() << ") ---\n";
       if (const core::ObjectAnalysis *Hot =
-              R.Analysis.findObject(W->hotObjectName())) {
+              V.Analysis.findObject(W->hotObjectName())) {
         ir::StructLayout Layout = W->hotLayout();
-        std::cout << core::renderAdviceText(R.Plan, *Hot, &Layout);
+        std::cout << core::renderAdviceText(V.Plan, *Hot, &Layout);
         std::cout << core::renderFieldTable(*Hot) << "\n";
       } else {
         std::cout << "(hot object not found by the analysis)\n";

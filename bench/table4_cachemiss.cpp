@@ -12,9 +12,9 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "core/ClosedLoop.h"
 #include "support/Format.h"
 #include "support/TablePrinter.h"
-#include "workloads/Driver.h"
 #include "workloads/Registry.h"
 
 #include <iostream>
@@ -64,11 +64,11 @@ int main(int argc, char **argv) {
   for (const auto &W : workloads::makePaperWorkloads()) {
     workloads::DriverConfig Config;
     Config.Scale = Scale;
-    workloads::EndToEndResult R = workloads::runEndToEnd(*W, Config);
+    core::WorkloadVerdict V = core::verifyWorkload(*W, Config);
     const PaperRow *Paper = paperRow(W->name());
-    Table.addRow({W->name(), formatPercent(R.MissReduction[0]),
-                  formatPercent(R.MissReduction[1]),
-                  formatPercent(R.MissReduction[2]),
+    Table.addRow({W->name(), formatPercent(V.MissReduction[0]),
+                  formatPercent(V.MissReduction[1]),
+                  formatPercent(V.MissReduction[2]),
                   formatDouble(Paper->L1, 1) + "%",
                   formatDouble(Paper->L2, 1) + "%",
                   formatDouble(Paper->L3, 1) + "%"});

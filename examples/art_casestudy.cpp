@@ -16,9 +16,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Advice.h"
+#include "core/ClosedLoop.h"
 #include "core/Report.h"
 #include "support/Format.h"
-#include "workloads/Driver.h"
 #include "workloads/Registry.h"
 
 #include <iostream>
@@ -38,12 +38,12 @@ int main(int argc, char **argv) {
   Config.Scale = Scale;
 
   std::cout << "=== StructSlim case study: SPEC CPU2000 179.art ===\n\n";
-  workloads::EndToEndResult R = workloads::runEndToEnd(*W, Config);
+  core::WorkloadVerdict V = core::verifyWorkload(*W, Config);
 
   std::cout << "Step 1 - pinpointing hot data (Eq. 1):\n"
-            << core::renderHotObjects(R.Analysis) << "\n";
+            << core::renderHotObjects(V.Analysis) << "\n";
 
-  const core::ObjectAnalysis *Hot = R.Analysis.findObject("f1_neuron");
+  const core::ObjectAnalysis *Hot = V.Analysis.findObject("f1_neuron");
   if (!Hot) {
     std::cerr << "f1_neuron not surfaced; increase --scale\n";
     return 1;
@@ -61,20 +61,20 @@ int main(int argc, char **argv) {
 
   ir::StructLayout Layout = W->hotLayout();
   std::cout << "Step 4 - splitting advice (Fig. 7):\n"
-            << core::renderAdviceText(R.Plan, *Hot, &Layout) << "\n";
+            << core::renderAdviceText(V.Plan, *Hot, &Layout) << "\n";
 
   std::cout << "Step 5 - applying the split and re-running:\n"
-            << "  original: " << R.OriginalDetached.ElapsedCycles / 1000000
+            << "  original: " << V.Before.ElapsedCycles / 1000000
             << " Mcycles\n"
-            << "  split:    " << R.SplitDetached.ElapsedCycles / 1000000
+            << "  split:    " << V.After.ElapsedCycles / 1000000
             << " Mcycles\n"
-            << "  speedup:  " << formatTimes(R.Speedup)
+            << "  speedup:  " << formatTimes(V.MeasuredSpeedup)
             << "   (paper: 1.37x)\n"
-            << "  L1 miss reduction: " << formatPercent(R.MissReduction[0])
+            << "  L1 miss reduction: " << formatPercent(V.MissReduction[0])
             << "   (paper: 46.5%)\n"
-            << "  L2 miss reduction: " << formatPercent(R.MissReduction[1])
+            << "  L2 miss reduction: " << formatPercent(V.MissReduction[1])
             << "   (paper: 51.1%)\n"
-            << "  profiler overhead: " << formatPercent(R.OverheadSim)
+            << "  profiler overhead: " << formatPercent(V.OverheadSim)
             << "   (paper: 2.05%)\n";
   return 0;
 }

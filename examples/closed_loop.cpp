@@ -15,7 +15,7 @@
 //
 // The printed verdicts show what closing the loop adds over advice
 // alone: the measured speedup next to the BenefitModel's prediction,
-// per-level miss-rate reductions, and the semantic results_match check
+// per-level miss reductions, and the semantic results_match check
 // that the rewritten program computed the same answers.
 //
 // Build & run:
@@ -35,8 +35,8 @@
 using namespace structslim;
 
 int main() {
-  core::ClosedLoopConfig Config;
-  Config.Driver.Scale = 0.2; // Keep the demo under a second.
+  workloads::DriverConfig Config;
+  Config.Scale = 0.2; // Keep the demo under a second.
 
   std::vector<std::unique_ptr<workloads::Workload>> Workloads;
   Workloads.push_back(workloads::makeArt());   // Serial: IR-split path.

@@ -86,13 +86,7 @@ SimCounters countersOf(const runtime::RunResult &R) {
 
 WorkloadVerdict
 structslim::core::verifyWorkload(const workloads::Workload &W,
-                                 const ClosedLoopConfig &Config) {
-  ClosedLoopConfig Cfg = Config;
-  // Inline simulation is the checked oracle; its counters are
-  // schedule- and host-independent, which the JSON byte-determinism
-  // guarantee rests on.
-  Cfg.Driver.Run.InlineSimulation = true;
-
+                                 const workloads::DriverConfig &Config) {
   WorkloadVerdict V;
   V.Name = W.name();
   V.Suite = W.suite();
@@ -100,33 +94,32 @@ structslim::core::verifyWorkload(const workloads::Workload &W,
   V.ActualStructSize = Hot.getSize();
   transform::FieldMap Identity(Hot);
 
-  // 1-2. Profile the original layout and run the offline analyzer.
+  // 1-2. Profile the original layout and run the offline analyzer. The
+  // profiled run is also the baseline: its as-if-detached cycles are a
+  // detached run's, and every other counter is unperturbed.
   workloads::WorkloadRun Profiled =
-      workloads::runWorkload(W, Identity, Cfg.Driver, /*Attach=*/true);
-  StructSlimAnalyzer Analyzer(*Profiled.CodeMap, Cfg.Driver.Analysis);
+      workloads::runWorkload(W, Identity, Config, /*Attach=*/true);
+  StructSlimAnalyzer Analyzer(*Profiled.CodeMap, Config.Analysis);
   Analyzer.registerLayout(W.hotObjectName(), Hot);
-  AnalysisResult Analysis = Analyzer.analyze(Profiled.Merged);
+  V.Analysis = Analyzer.analyze(Profiled.Merged);
+  V.Profiled = std::move(Profiled.Result);
+  V.Before = countersOf(V.Profiled);
+  V.Before.ElapsedCycles = V.Profiled.DetachedElapsedCycles;
 
   // 3. Advice for the hot object, plus the what-if projection.
-  if (const ObjectAnalysis *HotObj = Analysis.findObject(W.hotObjectName())) {
+  if (const ObjectAnalysis *HotObj =
+          V.Analysis.findObject(W.hotObjectName())) {
     V.Plan = makeSplitPlan(*HotObj, &Hot);
     V.InferredStructSize = HotObj->StructSize;
     V.SizeConfidence = HotObj->SizeConfidence;
     V.HotShare = HotObj->HotShare;
     V.Samples = HotObj->SampleCount;
-    BenefitEstimate Est =
-        estimateSplitBenefit(*HotObj, V.Plan, Cfg.MemoryShare);
-    V.PredictedSpeedup = Est.PredictedSpeedup;
+    V.PredictedSpeedup = estimateSplitBenefit(*HotObj, V.Plan).PredictedSpeedup;
   } else {
     V.Plan.ObjectName = W.hotObjectName();
     V.FallbackReason =
         "hot object '" + W.hotObjectName() + "' not significant in the profile";
   }
-
-  // Baseline: the original layout, profiler detached.
-  workloads::WorkloadRun Baseline =
-      workloads::runWorkload(W, Identity, Cfg.Driver, /*Attach=*/false);
-  V.Before = countersOf(Baseline.Result);
 
   // 4. Apply the plan and re-simulate under the identical RunConfig.
   if (!V.Plan.isSplit()) {
@@ -136,11 +129,11 @@ structslim::core::verifyWorkload(const workloads::Workload &W,
     V.After = V.Before;
   } else {
     // Path 1: rewrite the built IR through the allocation token.
-    runtime::RunConfig DetachedCfg = Cfg.Driver.Run;
+    runtime::RunConfig DetachedCfg = Config.Run;
     DetachedCfg.AttachProfiler = false;
     runtime::ThreadedRuntime Runtime(DetachedCfg);
     workloads::BuiltWorkload Built =
-        W.build(Runtime.machine(), Identity, Cfg.Driver.Scale);
+        W.build(Runtime.machine(), Identity, Config.Scale);
 
     std::string Err;
     std::unique_ptr<ir::Program> Split;
@@ -156,6 +149,7 @@ structslim::core::verifyWorkload(const workloads::Workload &W,
         Err = "split program failed IR verification: " + VerifyErr;
       }
 
+    runtime::RunResult After;
     if (Split) {
       // cloneProgram preserves function ids, so the original phase
       // plan drives the rewritten program unchanged.
@@ -163,39 +157,40 @@ structslim::core::verifyWorkload(const workloads::Workload &W,
       analysis::CodeMap SplitMap(*Split);
       for (const auto &Phase : Built.Phases)
         Runtime.runPhase(*Split, &SplitMap, Phase);
-      runtime::RunResult After = Runtime.finish();
-      V.After = countersOf(After);
-      V.ResultsMatch = After.ReturnValues == Baseline.Result.ReturnValues;
+      After = Runtime.finish();
     } else {
       // Path 2: the paper's manual source transformation, mechanized —
       // rebuild the workload under the split FieldMap.
       V.Mode = ApplyMode::FieldMapRebuild;
       V.FallbackReason = Err;
       transform::FieldMap SplitMap(Hot, V.Plan);
-      workloads::WorkloadRun AfterRun =
-          workloads::runWorkload(W, SplitMap, Cfg.Driver, /*Attach=*/false);
-      V.After = countersOf(AfterRun.Result);
-      V.ResultsMatch =
-          AfterRun.Result.ReturnValues == Baseline.Result.ReturnValues;
+      After = workloads::runWorkload(W, SplitMap, Config, /*Attach=*/false)
+                  .Result;
     }
+    V.After = countersOf(After);
+    V.ResultsMatch = After.ReturnValues == V.Profiled.ReturnValues;
   }
 
   // 5. Deltas.
   if (V.After.ElapsedCycles != 0)
     V.MeasuredSpeedup = static_cast<double>(V.Before.ElapsedCycles) /
                         static_cast<double>(V.After.ElapsedCycles);
+  if (V.Before.ElapsedCycles != 0)
+    V.OverheadSim = static_cast<double>(V.Profiled.ElapsedCycles) /
+                        static_cast<double>(V.Before.ElapsedCycles) -
+                    1.0;
   for (unsigned Level = 0; Level != 3; ++Level) {
-    double BeforeRate = V.Before.missRate(Level);
-    if (BeforeRate > 0)
-      V.MissRateReduction[Level] =
-          (BeforeRate - V.After.missRate(Level)) / BeforeRate;
+    double Before = static_cast<double>(V.Before.Misses[Level]);
+    if (Before > 0)
+      V.MissReduction[Level] =
+          (Before - static_cast<double>(V.After.Misses[Level])) / Before;
   }
   return V;
 }
 
 VerifyReport structslim::core::verifyWorkloads(
     const std::vector<std::unique_ptr<workloads::Workload>> &Ws,
-    const ClosedLoopConfig &Config) {
+    const workloads::DriverConfig &Config) {
   VerifyReport Report;
   for (const auto &W : Ws)
     Report.Workloads.push_back(verifyWorkload(*W, Config));
@@ -215,9 +210,9 @@ std::string structslim::core::renderVerifyText(const VerifyReport &Report) {
     Table.addRow({V.Name, V.Suite, applyModeName(V.Mode), Size,
                   formatPercent(V.HotShare), formatTimes(V.PredictedSpeedup),
                   formatTimes(V.MeasuredSpeedup),
-                  formatPercent(V.MissRateReduction[0]),
-                  formatPercent(V.MissRateReduction[1]),
-                  formatPercent(V.MissRateReduction[2]),
+                  formatPercent(V.MissReduction[0]),
+                  formatPercent(V.MissReduction[1]),
+                  formatPercent(V.MissReduction[2]),
                   V.ok() ? "yes" : "NO"});
   }
   std::ostringstream OS;
@@ -308,21 +303,19 @@ void renderCounters(std::ostream &OS, const SimCounters &C,
 
 std::string
 structslim::core::renderVerifyJson(const VerifyReport &Report,
-                                   const ClosedLoopConfig &Config) {
+                                   const workloads::DriverConfig &D) {
   std::ostringstream OS;
   OS << "{\n";
-  OS << "  \"schema_version\": 2,\n";
+  OS << "  \"schema_version\": 3,\n";
   OS << "  \"generator\": \"structslim-verify\",\n";
 
-  const workloads::DriverConfig &D = Config.Driver;
   OS << "  \"config\": {\n";
   OS << "    \"scale\": " << jsonNumber(D.Scale) << ",\n";
   OS << "    \"sampling_period\": " << D.Run.Sampling.Period << ",\n";
   OS << "    \"quantum\": " << D.Run.Quantum << ",\n";
   OS << "    \"affinity_threshold\": " << jsonNumber(D.Analysis.AffinityThreshold)
      << ",\n";
-  OS << "    \"min_unique_addrs\": " << D.Analysis.MinUniqueAddrs << ",\n";
-  OS << "    \"memory_share\": " << jsonNumber(Config.MemoryShare) << "\n";
+  OS << "    \"min_unique_addrs\": " << D.Analysis.MinUniqueAddrs << "\n";
   OS << "  },\n";
 
   OS << "  \"workloads\": [\n";
@@ -362,10 +355,9 @@ structslim::core::renderVerifyJson(const VerifyReport &Report,
                          ? V.PredictedSpeedup / V.MeasuredSpeedup
                          : 0)
        << ",\n";
-    OS << "        \"miss_rate_reduction\": ["
-       << jsonNumber(V.MissRateReduction[0]) << ", "
-       << jsonNumber(V.MissRateReduction[1]) << ", "
-       << jsonNumber(V.MissRateReduction[2]) << "]\n";
+    OS << "        \"miss_reduction\": [" << jsonNumber(V.MissReduction[0])
+       << ", " << jsonNumber(V.MissReduction[1]) << ", "
+       << jsonNumber(V.MissReduction[2]) << "]\n";
     OS << "      },\n";
     OS << "      \"results_match\": " << jsonBool(V.ResultsMatch) << ",\n";
     OS << "      \"improved\": " << jsonBool(V.improved()) << ",\n";

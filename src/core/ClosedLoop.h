@@ -5,10 +5,19 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Closes the paper's loop mechanically: profile a workload under the
-/// cache model, analyze, turn the hottest object's SplitPlan into an
-/// actual program rewrite, and re-run the rewritten program under the
-/// identical configuration to measure what the advice bought.
+/// The paper's measurement loop, and the only one in the repository:
+/// profile a workload under the cache model, analyze, turn the hottest
+/// object's SplitPlan into an actual program rewrite, and re-run the
+/// rewritten program under the identical configuration to measure what
+/// the advice bought. Tables 3 and 4, the ablations, the case studies
+/// and structslim-verify all read their numbers from this loop.
+///
+/// Each program is simulated twice. The profiled run supplies the
+/// analyzer's input and the "before" counters: its as-if-detached
+/// cycles (RunResult::DetachedElapsedCycles) are a detached run's
+/// elapsed cycles, because the sample-handler charge is the profiler's
+/// only effect on simulated state. The split run supplies the "after"
+/// counters.
 ///
 /// Two application paths, tried in order:
 ///  1. IR split: transform::splitArrayOfStructs rewrites the built
@@ -23,10 +32,9 @@
 ///     split FieldMap — the paper's manual source transformation. The
 ///     splitter's diagnostic is preserved as the fallback reason.
 ///
-/// Every run is forced onto the inline simulation pipeline (the
-/// checked oracle): its counters are schedule- and host-independent,
-/// so before/after deltas — and the JSON rendering — are byte-stable
-/// across pipeline modes and --jobs values.
+/// Runs take the caller's RunConfig as is. Every simulation placement
+/// is bit-identical to the inline oracle, so the counters — and the
+/// JSON rendering — do not depend on STRUCTSLIM_THREADS or the host.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -53,14 +61,6 @@ enum class ApplyMode : uint8_t {
 
 /// Stable identifier used in text and JSON output.
 const char *applyModeName(ApplyMode Mode);
-
-/// Closed-loop knobs. Driver.Run.InlineSimulation is forced on for
-/// every run (see file comment).
-struct ClosedLoopConfig {
-  workloads::DriverConfig Driver;
-  /// Memory share handed to the BenefitModel's Amdahl damping.
-  double MemoryShare = 1.0;
-};
 
 /// The schedule-independent counters of one simulated run (the subset
 /// of RunResult that is bit-stable across hosts).
@@ -94,6 +94,7 @@ struct WorkloadVerdict {
   uint64_t Samples = 0;
 
   // Before/after under the identical RunConfig and cache hierarchy.
+  /// The profiled run's counters, with its as-if-detached cycles.
   SimCounters Before;
   SimCounters After;
   /// Thread return values identical before/after (semantic check).
@@ -102,9 +103,17 @@ struct WorkloadVerdict {
   // Derived deltas.
   double MeasuredSpeedup = 1.0;  ///< Before/After elapsed cycles.
   double PredictedSpeedup = 1.0; ///< BenefitModel projection.
-  /// Per level: fraction of the demand miss *rate* removed (negative
-  /// when the split made it worse).
-  std::array<double, 3> MissRateReduction{};
+  /// Per level: fraction of the demand misses removed (negative when
+  /// the split added misses) — the paper's Table 4 metric.
+  std::array<double, 3> MissReduction{};
+  /// Simulated profiler overhead: the profiled run's elapsed cycles
+  /// over its as-if-detached cycles, minus one.
+  double OverheadSim = 0;
+
+  // In memory only (not rendered): what the paper harnesses read.
+  AnalysisResult Analysis;
+  /// The profiled run. Its Profiles were moved into the merge.
+  runtime::RunResult Profiled;
 
   bool sizeExact() const {
     return InferredStructSize == ActualStructSize && InferredStructSize != 0;
@@ -128,12 +137,12 @@ struct VerifyReport {
 
 /// Runs the full loop on one workload.
 WorkloadVerdict verifyWorkload(const workloads::Workload &W,
-                               const ClosedLoopConfig &Config);
+                               const workloads::DriverConfig &Config);
 
 /// Runs the loop over \p Workloads in order.
 VerifyReport
 verifyWorkloads(const std::vector<std::unique_ptr<workloads::Workload>> &Ws,
-                const ClosedLoopConfig &Config);
+                const workloads::DriverConfig &Config);
 
 /// Human-readable table (one row per workload) plus a summary line.
 std::string renderVerifyText(const VerifyReport &Report);
@@ -145,7 +154,7 @@ std::string renderVerifyText(const VerifyReport &Report);
 /// JSON: shared spellings ("hot_share", "size_confidence", ...) keep
 /// their meaning.
 std::string renderVerifyJson(const VerifyReport &Report,
-                             const ClosedLoopConfig &Config);
+                             const workloads::DriverConfig &Config);
 
 } // namespace core
 } // namespace structslim

@@ -166,12 +166,14 @@ void ThreadedRuntime::runPhase(const ir::Program &P,
 
   // Fold this phase's results into the accumulated run result.
   uint64_t PhaseMaxCycles = 0;
+  uint64_t PhaseMaxDetachedCycles = 0;
   for (size_t T = 0; T != States.size(); ++T) {
     PhaseThread &S = States[T];
     RunStats Stats = S.Interp->getStats();
     if (Pipe) // Latency cycles the consumer accrued on this thread's
               // behalf; the inline engine adds them in memAccess.
       Stats.Cycles += Pipe->cyclesFor(T);
+    PhaseMaxDetachedCycles = std::max(PhaseMaxDetachedCycles, Stats.Cycles);
     // Charge the simulated sampling-interrupt cost to the thread that
     // took the samples.
     uint64_t Samples = S.Pmu->getSamplesDelivered();
@@ -203,6 +205,7 @@ void ThreadedRuntime::runPhase(const ir::Program &P,
     }
   }
   Accum.ElapsedCycles += PhaseMaxCycles;
+  Accum.DetachedElapsedCycles += PhaseMaxDetachedCycles;
 }
 
 std::vector<std::string>

@@ -87,6 +87,12 @@ struct RunResult {
   std::vector<profile::Profile> Profiles; ///< One per thread (attached).
   std::vector<uint64_t> ReturnValues;     ///< Per thread, phase order.
   uint64_t ElapsedCycles = 0; ///< Sum over phases of max thread cycles.
+  /// ElapsedCycles as if the profiler were detached: the same sum over
+  /// phases, of each thread's cycles before its sample-handler charge.
+  /// That charge is the profiler's only effect on simulated state (the
+  /// PMU never touches the hierarchy, and instruction quanta fix the
+  /// interleave), so this equals a detached run's ElapsedCycles.
+  uint64_t DetachedElapsedCycles = 0;
   uint64_t TotalCycles = 0;   ///< Sum over all threads.
   uint64_t Instructions = 0;
   uint64_t MemoryAccesses = 0;

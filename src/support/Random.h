@@ -68,9 +68,6 @@ public:
     return Lo + nextBelow(Hi - Lo + 1);
   }
 
-  /// Returns a uniform double in [0, 1).
-  double nextDouble() { return (next() >> 11) * 0x1.0p-53; }
-
 private:
   static uint64_t rotl(uint64_t X, int K) {
     return (X << K) | (X >> (64 - K));

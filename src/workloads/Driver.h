@@ -1,25 +1,24 @@
-//===- workloads/Driver.h - End-to-end experiment driver -------*- C++ -*-===//
+//===- workloads/Driver.h - Simulated workload runs ------------*- C++ -*-===//
 //
 // Part of the StructSlim reproduction of Roy & Liu, CGO 2016.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Orchestrates the paper's end-to-end methodology on a workload:
-///   1. run the original program under the StructSlim profiler,
-///   2. merge the per-thread profiles and run the offline analyzer,
-///   3. derive the split plan from the field-affinity clusters,
-///   4. rebuild the program under the split layout (the paper's manual
-///      source transformation, mechanized through FieldMap) and re-run,
-///   5. report speedup, measurement overhead, and per-level cache-miss
-///      reductions (Tables 3 and 4).
+/// Runs a workload on the simulated machine: build it under a layout
+/// (transform::FieldMap), simulate its phases with the StructSlim
+/// profiler attached or detached, and merge the per-thread profiles.
+/// runProcesses repeats that over several independent processes.
+///
+/// The paper's whole loop (profile, analyze, split, re-run, report
+/// Tables 3 and 4) is core::verifyWorkload in core/ClosedLoop.h,
+/// which builds on runWorkload.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef STRUCTSLIM_WORKLOADS_DRIVER_H
 #define STRUCTSLIM_WORKLOADS_DRIVER_H
 
-#include "core/Advice.h"
 #include "core/Analyzer.h"
 #include "runtime/ThreadedRuntime.h"
 #include "workloads/Workload.h"
@@ -49,21 +48,6 @@ struct WorkloadRun {
 WorkloadRun runWorkload(const Workload &W, const transform::FieldMap &Map,
                         const DriverConfig &Config, bool Attach,
                         runtime::TraceSink *Tracer = nullptr);
-
-/// Everything Tables 3/4 need for one benchmark row.
-struct EndToEndResult {
-  core::AnalysisResult Analysis;
-  core::SplitPlan Plan;
-  runtime::RunResult OriginalDetached;
-  runtime::RunResult OriginalProfiled;
-  runtime::RunResult SplitDetached;
-  double Speedup = 1.0;          ///< Simulated-time ratio.
-  double OverheadSim = 0.0;      ///< Simulated profiler overhead.
-  double MissReduction[3] = {0, 0, 0}; ///< L1/L2/L3, fraction removed.
-};
-
-/// Runs the full profile -> advise -> split -> re-run pipeline.
-EndToEndResult runEndToEnd(const Workload &W, const DriverConfig &Config);
 
 /// Multi-process profiling (paper Sec. 4.4: "multiple threads or/and
 /// processes"): runs \p NumProcesses independent instances of the

@@ -132,18 +132,6 @@ TEST(Rng, RangeInclusive) {
   EXPECT_EQ(Seen.size(), 4u); // All values reachable.
 }
 
-TEST(Rng, DoubleUnit) {
-  Rng R(11);
-  double Sum = 0;
-  for (int I = 0; I < 10000; ++I) {
-    double D = R.nextDouble();
-    ASSERT_GE(D, 0.0);
-    ASSERT_LT(D, 1.0);
-    Sum += D;
-  }
-  EXPECT_NEAR(Sum / 10000, 0.5, 0.02);
-}
-
 // --- TablePrinter -----------------------------------------------------------
 
 TEST(TablePrinter, AlignsColumns) {

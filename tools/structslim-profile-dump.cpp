@@ -113,11 +113,10 @@ int main(int argc, char **argv) {
     return 1;
   }
 
-  // The pinned deterministic configuration the golden tests use:
-  // inline simulation — byte-stable output.
+  // Every simulation placement is bit-identical to the inline oracle,
+  // so the shards are byte-stable under any STRUCTSLIM_THREADS.
   workloads::DriverConfig Config;
   Config.Scale = Scale;
-  Config.Run.InlineSimulation = true;
 
   for (const auto &W : Selected) {
     transform::FieldMap Identity(W->hotLayout());

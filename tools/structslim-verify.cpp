@@ -16,7 +16,7 @@
 //     --scale=X      working-set scale factor (default 1.0)
 //     --period=N     PMU sampling period (default 10000)
 //     --json         emit the machine-readable document (schema_version
-//                    2) on stdout instead of the text table
+//                    3) on stdout instead of the text table
 //     --smoke        quick CI mode: 179.ART and CLOMP at scale 0.1
 //                    (one serial ir-split path, one parallel fallback)
 //     --list         print the known workload names and exit
@@ -150,9 +150,9 @@ int main(int argc, char **argv) {
     }
   }
 
-  core::ClosedLoopConfig Config;
-  Config.Driver.Scale = Opts.Scale;
-  Config.Driver.Run.Sampling.Period = Opts.Period;
+  workloads::DriverConfig Config;
+  Config.Scale = Opts.Scale;
+  Config.Run.Sampling.Period = Opts.Period;
 
   core::VerifyReport Report = core::verifyWorkloads(Selected, Config);
   if (Opts.Json)
