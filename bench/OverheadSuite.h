@@ -13,6 +13,7 @@
 #ifndef STRUCTSLIM_BENCH_OVERHEADSUITE_H
 #define STRUCTSLIM_BENCH_OVERHEADSUITE_H
 
+#include "HarnessArgs.h"
 #include "analysis/CodeMap.h"
 #include "runtime/ThreadedRuntime.h"
 #include "support/Format.h"
@@ -43,11 +44,7 @@ inline int runOverheadSuite(const std::vector<workloads::SyntheticSpec> &Suite,
                             const char *Title, double PaperAverage,
                             int argc, char **argv) {
   double Scale = 1.0;
-  for (int I = 1; I < argc; ++I) {
-    std::string Arg = argv[I];
-    if (Arg.rfind("--scale=", 0) == 0)
-      Scale = std::stod(Arg.substr(8));
-  }
+  parseHarnessArgs(argc, argv, {{"--scale", &Scale}});
 
   std::cout << Title << "\n\n";
   TablePrinter Table;

@@ -16,6 +16,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "HarnessArgs.h"
 #include "analysis/CodeMap.h"
 #include "baseline/FullTraceAffinity.h"
 #include "core/Advice.h"
@@ -85,11 +86,7 @@ int main(int argc, char **argv) {
   int64_t N = 80000;
   int64_t HotReps = 12000; // 64 * 12000 = 768k cheap f+g pairs.
   int64_t ColdReps = 6;    // 80k * 6 = 480k expensive f+h pairs.
-  for (int I = 1; I < argc; ++I) {
-    std::string Arg = argv[I];
-    if (Arg.rfind("--n=", 0) == 0)
-      N = std::stoll(Arg.substr(4));
-  }
+  benchutil::parseHarnessArgs(argc, argv, {{"--n", &N}});
 
   auto P = buildAdversarial(N, HotReps, ColdReps);
   analysis::CodeMap Map(*P);

@@ -15,6 +15,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "HarnessArgs.h"
 #include "analysis/CodeMap.h"
 #include "core/Advice.h"
 #include "core/ClosedLoop.h"
@@ -86,11 +87,7 @@ std::string planText(const core::SplitPlan &Plan) {
 
 int main(int argc, char **argv) {
   double Scale = 0.5;
-  for (int I = 1; I < argc; ++I) {
-    std::string Arg = argv[I];
-    if (Arg.rfind("--scale=", 0) == 0)
-      Scale = std::stod(Arg.substr(8));
-  }
+  benchutil::parseHarnessArgs(argc, argv, {{"--scale", &Scale}});
 
   std::cout << "Ablation: threshold (paper) vs average-linkage "
                "hierarchical clustering\n\n";

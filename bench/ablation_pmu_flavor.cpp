@@ -15,6 +15,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "HarnessArgs.h"
 #include "core/Advice.h"
 #include "support/Format.h"
 #include "support/TablePrinter.h"
@@ -67,11 +68,7 @@ std::set<std::string> observedFields(const FlavorResult &R,
 
 int main(int argc, char **argv) {
   double Scale = 0.6;
-  for (int I = 1; I < argc; ++I) {
-    std::string Arg = argv[I];
-    if (Arg.rfind("--scale=", 0) == 0)
-      Scale = std::stod(Arg.substr(8));
-  }
+  benchutil::parseHarnessArgs(argc, argv, {{"--scale", &Scale}});
 
   auto W = workloads::makeArt();
   FlavorResult Pebs = runFlavor(*W, pmu::PmuFlavor::PebsLoadLatency, Scale);

@@ -17,6 +17,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "HarnessArgs.h"
 #include "analysis/CodeMap.h"
 #include "core/Advice.h"
 #include "ir/ProgramBuilder.h"
@@ -125,11 +126,7 @@ runtime::RunResult run(const ir::Program &P, bool Attach,
 int main(int argc, char **argv) {
   int64_t N = 40000; // 128 B * 40000 = 5 MB, beyond L2.
   int64_t Reps = 16;
-  for (int I = 1; I < argc; ++I) {
-    std::string Arg = argv[I];
-    if (Arg.rfind("--n=", 0) == 0)
-      N = std::stoll(Arg.substr(4));
-  }
+  benchutil::parseHarnessArgs(argc, argv, {{"--n", &N}});
 
   ir::StructLayout Layout = recLayout();
   transform::FieldMap Original(Layout);

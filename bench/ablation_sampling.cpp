@@ -13,6 +13,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "HarnessArgs.h"
 #include "core/Advice.h"
 #include "core/ClosedLoop.h"
 #include "support/Format.h"
@@ -25,11 +26,7 @@ using namespace structslim;
 
 int main(int argc, char **argv) {
   double Scale = 0.6;
-  for (int I = 1; I < argc; ++I) {
-    std::string Arg = argv[I];
-    if (Arg.rfind("--scale=", 0) == 0)
-      Scale = std::stod(Arg.substr(8));
-  }
+  benchutil::parseHarnessArgs(argc, argv, {{"--scale", &Scale}});
 
   auto W = workloads::makeArt();
   ir::StructLayout Layout = W->hotLayout();

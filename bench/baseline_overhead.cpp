@@ -16,6 +16,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "HarnessArgs.h"
 #include "analysis/CodeMap.h"
 #include "baseline/AslopCounting.h"
 #include "baseline/BurstySampling.h"
@@ -115,13 +116,7 @@ double timedRun(const DemoProgram &D, const analysis::CodeMap &Map,
 int main(int argc, char **argv) {
   int64_t N = 40000;
   int64_t Reps = 24;
-  for (int I = 1; I < argc; ++I) {
-    std::string Arg = argv[I];
-    if (Arg.rfind("--n=", 0) == 0)
-      N = std::stoll(Arg.substr(4));
-    else if (Arg.rfind("--reps=", 0) == 0)
-      Reps = std::stoll(Arg.substr(7));
-  }
+  benchutil::parseHarnessArgs(argc, argv, {{"--n", &N}, {"--reps", &Reps}});
 
   DemoProgram D = buildDemo(N, Reps);
   analysis::CodeMap Map(*D.P);

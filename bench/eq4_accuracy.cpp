@@ -16,6 +16,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "HarnessArgs.h"
 #include "core/AccuracyModel.h"
 #include "support/Format.h"
 #include "support/Random.h"
@@ -29,13 +30,7 @@ using namespace structslim::core;
 int main(int argc, char **argv) {
   uint64_t N = 4096;
   unsigned Trials = 20000;
-  for (int I = 1; I < argc; ++I) {
-    std::string Arg = argv[I];
-    if (Arg.rfind("--n=", 0) == 0)
-      N = std::stoull(Arg.substr(4));
-    else if (Arg.rfind("--trials=", 0) == 0)
-      Trials = static_cast<unsigned>(std::stoul(Arg.substr(9)));
-  }
+  benchutil::parseHarnessArgs(argc, argv, {{"--n", &N}, {"--trials", &Trials}});
 
   std::cout << "Eq. 4: GCD stride-recovery accuracy vs sample count k "
                "(n = " << N << " addresses per stream)\n"

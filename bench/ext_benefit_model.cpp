@@ -15,6 +15,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "HarnessArgs.h"
 #include "core/BenefitModel.h"
 #include "core/ClosedLoop.h"
 #include "support/Format.h"
@@ -28,11 +29,7 @@ using namespace structslim;
 
 int main(int argc, char **argv) {
   double Scale = 0.5;
-  for (int I = 1; I < argc; ++I) {
-    std::string Arg = argv[I];
-    if (Arg.rfind("--scale=", 0) == 0)
-      Scale = std::stod(Arg.substr(8));
-  }
+  benchutil::parseHarnessArgs(argc, argv, {{"--scale", &Scale}});
 
   std::cout << "What-if benefit model: predicted (profile-only) vs "
                "measured split speedup\n\n";

@@ -12,6 +12,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "HarnessArgs.h"
 #include "core/Advice.h"
 #include "core/ClosedLoop.h"
 #include "core/Report.h"
@@ -25,11 +26,7 @@ using namespace structslim;
 
 int main(int argc, char **argv) {
   double Scale = 0.5;
-  for (int I = 1; I < argc; ++I) {
-    std::string Arg = argv[I];
-    if (Arg.rfind("--scale=", 0) == 0)
-      Scale = std::stod(Arg.substr(8));
-  }
+  benchutil::parseHarnessArgs(argc, argv, {{"--scale", &Scale}});
 
   std::cout << "Extra case studies (beyond the paper's Table 2)\n\n";
   TablePrinter Table;

@@ -14,6 +14,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "HarnessArgs.h"
 #include "analysis/CodeMap.h"
 #include "core/Regrouping.h"
 #include "ir/ProgramBuilder.h"
@@ -117,11 +118,7 @@ runtime::RunResult run(const ir::Program &P, bool Attach,
 int main(int argc, char **argv) {
   int64_t N = 120000;
   int64_t Reps = 12;
-  for (int I = 1; I < argc; ++I) {
-    std::string Arg = argv[I];
-    if (Arg.rfind("--n=", 0) == 0)
-      N = std::stoll(Arg.substr(4));
-  }
+  benchutil::parseHarnessArgs(argc, argv, {{"--n", &N}});
 
   auto Split = buildParticles(N, Reps, /*Regrouped=*/false);
   auto Grouped = buildParticles(N, Reps, /*Regrouped=*/true);

@@ -13,6 +13,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "HarnessArgs.h"
 #include "analysis/CodeMap.h"
 #include "core/Advice.h"
 #include "ir/ProgramBuilder.h"
@@ -96,11 +97,7 @@ ScaledClomp buildScaled(runtime::Machine &M, int64_t N, unsigned Threads,
 int main(int argc, char **argv) {
   int64_t N = 64000;
   int64_t Reps = 12;
-  for (int I = 1; I < argc; ++I) {
-    std::string Arg = argv[I];
-    if (Arg.rfind("--n=", 0) == 0)
-      N = std::stoll(Arg.substr(4));
-  }
+  benchutil::parseHarnessArgs(argc, argv, {{"--n", &N}});
 
   std::cout << "Scalability: CLOMP-shaped run at 1..16 worker threads "
                "(per-thread unsynchronized profiles + reduction-tree "

@@ -16,6 +16,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "HarnessArgs.h"
 #include "core/Advice.h"
 #include "core/ClosedLoop.h"
 #include "core/Report.h"
@@ -63,13 +64,8 @@ double paperOverhead(const std::string &Name) {
 int main(int argc, char **argv) {
   double Scale = 0.5;
   bool PrintAdvice = false;
-  for (int I = 1; I < argc; ++I) {
-    std::string Arg = argv[I];
-    if (Arg.rfind("--scale=", 0) == 0)
-      Scale = std::stod(Arg.substr(8));
-    else if (Arg == "--advice")
-      PrintAdvice = true;
-  }
+  benchutil::parseHarnessArgs(
+      argc, argv, {{"--scale", &Scale}, {"--advice", &PrintAdvice}});
 
   std::cout << "Table 3: speedups from StructSlim-guided structure "
                "splitting and measurement overhead\n"

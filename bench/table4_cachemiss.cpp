@@ -12,6 +12,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "HarnessArgs.h"
 #include "core/ClosedLoop.h"
 #include "support/Format.h"
 #include "support/TablePrinter.h"
@@ -47,11 +48,7 @@ const PaperRow *paperRow(const std::string &Name) {
 
 int main(int argc, char **argv) {
   double Scale = 0.5;
-  for (int I = 1; I < argc; ++I) {
-    std::string Arg = argv[I];
-    if (Arg.rfind("--scale=", 0) == 0)
-      Scale = std::stod(Arg.substr(8));
-  }
+  benchutil::parseHarnessArgs(argc, argv, {{"--scale", &Scale}});
 
   std::cout << "Table 4: cache miss reduction after structure splitting\n"
             << "(negative = more misses; the paper attributes its "

@@ -11,6 +11,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "HarnessArgs.h"
 #include "core/Report.h"
 #include "support/Format.h"
 #include "support/TablePrinter.h"
@@ -24,11 +25,7 @@ using namespace structslim;
 
 int main(int argc, char **argv) {
   double Scale = 1.0;
-  for (int I = 1; I < argc; ++I) {
-    std::string Arg = argv[I];
-    if (Arg.rfind("--scale=", 0) == 0)
-      Scale = std::stod(Arg.substr(8));
-  }
+  benchutil::parseHarnessArgs(argc, argv, {{"--scale", &Scale}});
 
   auto W = workloads::makeArt();
   workloads::DriverConfig Config;

@@ -19,6 +19,7 @@
 #include "core/ClosedLoop.h"
 #include "core/Report.h"
 #include "support/Format.h"
+#include "support/ParseNumber.h"
 #include "workloads/Registry.h"
 
 #include <iostream>
@@ -29,8 +30,11 @@ int main(int argc, char **argv) {
   double Scale = 0.6;
   for (int I = 1; I < argc; ++I) {
     std::string Arg = argv[I];
-    if (Arg.rfind("--scale=", 0) == 0)
-      Scale = std::stod(Arg.substr(8));
+    if (Arg.rfind("--scale=", 0) != 0 ||
+        !support::parseDouble(Arg.substr(8), Scale) || Scale <= 0) {
+      std::cerr << "usage: art_casestudy [--scale=<f>]\n";
+      return 2;
+    }
   }
 
   auto W = workloads::makeArt();

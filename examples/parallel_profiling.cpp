@@ -20,6 +20,7 @@
 #include "profile/MergeTree.h"
 #include "profile/ProfileIO.h"
 #include "support/Format.h"
+#include "support/ParseNumber.h"
 #include "workloads/Driver.h"
 #include "workloads/Registry.h"
 
@@ -33,8 +34,11 @@ int main(int argc, char **argv) {
   double Scale = 0.4;
   for (int I = 1; I < argc; ++I) {
     std::string Arg = argv[I];
-    if (Arg.rfind("--scale=", 0) == 0)
-      Scale = std::stod(Arg.substr(8));
+    if (Arg.rfind("--scale=", 0) != 0 ||
+        !support::parseDouble(Arg.substr(8), Scale) || Scale <= 0) {
+      std::cerr << "usage: parallel_profiling [--scale=<f>]\n";
+      return 2;
+    }
   }
 
   auto W = workloads::makeClomp();

@@ -213,7 +213,7 @@ std::string structslim::core::renderJsonReport(
     const std::vector<profile::ShardFailure> &Skipped) {
   std::ostringstream OS;
   OS << "{\n";
-  OS << "  \"schema_version\": 2,\n";
+  OS << "  \"schema_version\": 3,\n";
   OS << "  \"generator\": \"structslim-report\",\n";
 
   OS << "  \"profile\": {\n";
@@ -340,15 +340,6 @@ std::string structslim::core::renderJsonReport(
   OS << "    \"analyze_seconds\": " << jsonNumber(Stats.AnalyzeSeconds)
      << ",\n";
   OS << "    \"render_seconds\": " << jsonNumber(Stats.RenderSeconds) << "\n";
-  OS << "  },\n";
-
-  // Online-pipeline health, recorded by the profiled run itself
-  // (schema-additive: absent counters decode as zero).
-  OS << "  \"pipeline\": {\n";
-  OS << "    \"queue_depth_max\": " << Stats.QueueDepthMax << ",\n";
-  OS << "    \"producer_stalls\": " << Stats.ProducerStalls << ",\n";
-  OS << "    \"consumer_batches\": " << Stats.ConsumerBatches << ",\n";
-  OS << "    \"queue_capacity\": " << Stats.PipelineCapacity << "\n";
   OS << "  }\n";
   OS << "}\n";
   return OS.str();
@@ -370,16 +361,6 @@ std::string structslim::core::renderStatsText(const AnalysisResult &Result,
      << Result.Stats.ObjectsAnalyzed << "/" << Result.Stats.ObjectsConsidered
      << " object(s), " << Result.Stats.StreamsAnalyzed << " stream(s))\n";
   OS << "render:  " << formatDouble(Stats.RenderSeconds, 6) << "s\n";
-  // Only decoupled-pipeline runs record these; keep inline-run output
-  // byte-for-byte what it was before the counters existed.
-  if (Stats.ConsumerBatches) {
-    OS << "pipeline: max queue depth " << Stats.QueueDepthMax
-       << ", producer stalls " << Stats.ProducerStalls
-       << ", consumer batches " << Stats.ConsumerBatches;
-    if (Stats.PipelineCapacity)
-      OS << ", queue capacity " << Stats.PipelineCapacity;
-    OS << "\n";
-  }
   if (Result.Stats.SkippedInconsistentStreams)
     OS << "skipped inconsistent streams: "
        << Result.Stats.SkippedInconsistentStreams << "\n";

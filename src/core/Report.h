@@ -46,14 +46,6 @@ struct ReportStats {
   uint64_t ShardsSkipped = 0;
   /// High-water mark of decoded profiles resident during the merge.
   uint64_t PeakResidentProfiles = 0;
-  /// Online decoupled-pipeline counters carried in the merged profile
-  /// (zero when the profiled run simulated inline or the shards predate
-  /// the pipeline); schema-additive, mirroring PeakResidentProfiles.
-  uint64_t QueueDepthMax = 0;
-  uint64_t ProducerStalls = 0;
-  uint64_t ConsumerBatches = 0;
-  /// Access-queue capacity (records); max across shards.
-  uint64_t PipelineCapacity = 0;
 };
 
 /// Hot data objects ranked by l_d (Eq. 1). When \p CodeMap is given,
@@ -83,7 +75,7 @@ std::string renderHotContexts(const profile::Profile &Merged,
                               size_t TopN = 10);
 
 /// The full analysis as one stable-schema JSON document
-/// ("schema_version": 2): profile totals, merge skip reasons, the
+/// ("schema_version": 3): profile totals, merge skip reasons, the
 /// analyzer configuration, every object with its fields, loops,
 /// affinity matrix, clusters and size confidence, the analysis
 /// counters, and the per-stage timings from \p Stats. Key order and

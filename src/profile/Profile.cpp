@@ -116,10 +116,6 @@ void Profile::mergeBody(const Profile &Other,
   Instructions += Other.Instructions;
   MemoryAccesses += Other.MemoryAccesses;
   Cycles += Other.Cycles; // Aggregate work across threads.
-  QueueDepthMax = std::max(QueueDepthMax, Other.QueueDepthMax);
-  ProducerStalls += Other.ProducerStalls;
-  ConsumerBatches += Other.ConsumerBatches;
-  PipelineCapacity = std::max(PipelineCapacity, Other.PipelineCapacity);
   if (SamplePeriod == 0)
     SamplePeriod = Other.SamplePeriod;
   Contexts.merge(Other.Contexts);

@@ -113,18 +113,6 @@ public:
   uint64_t Instructions = 0;       ///< Executed instruction count.
   uint64_t MemoryAccesses = 0;
   uint64_t Cycles = 0;             ///< Simulated execution cycles.
-  // Decoupled-pipeline health counters (runtime/SimPipeline), zero for
-  // inline-simulation runs. Host-timing dependent: serialized as a
-  // schema-additive v3 meta extension, but stamped only onto one dumped
-  // shard per run (runtime::dumpProfiles; the merge then reproduces run
-  // totals), so in-memory profiles keep them zero and their v3 bytes
-  // stay comparable in the bit-identity tests.
-  uint64_t QueueDepthMax = 0;   ///< Deepest drain batch (records); merge: max.
-  uint64_t ProducerStalls = 0;  ///< Ring-full backpressure events; merge: sum.
-  uint64_t ConsumerBatches = 0; ///< Drain batches processed; merge: sum.
-  /// Access-queue capacity in records; zero for inline runs and
-  /// pre-extension files. Merge: max.
-  uint64_t PipelineCapacity = 0;
 
   // --- Content ----------------------------------------------------------
   std::vector<ObjectAgg> Objects;

@@ -96,10 +96,7 @@ std::string structslim::profile::profileToString(const Profile &P) {
   std::string Payload[NumV3Sections];
   uint64_t Counts[NumV3Sections] = {};
 
-  // meta: one record of eight varints, plus the schema-additive
-  // pipeline-counter triple (readers of the original layout stop after
-  // eight; this reader detects the extension by the section not being
-  // exhausted, so old files decode with zero counters).
+  // meta: one record of eight varints.
   {
     std::string &Out = Payload[V3Meta];
     appendVarint(Out, P.ThreadId);
@@ -110,10 +107,6 @@ std::string structslim::profile::profileToString(const Profile &P) {
     appendVarint(Out, P.Instructions);
     appendVarint(Out, P.MemoryAccesses);
     appendVarint(Out, P.Cycles);
-    appendVarint(Out, P.QueueDepthMax);
-    appendVarint(Out, P.ProducerStalls);
-    appendVarint(Out, P.ConsumerBatches);
-    appendVarint(Out, P.PipelineCapacity);
     Counts[V3Meta] = 1;
   }
 
@@ -313,16 +306,14 @@ static std::optional<Profile> readProfileV3(std::string_view Data,
     P.MemoryAccesses = R.readVarint();
     P.Cycles = R.readVarint();
     if (R.ok() && !R.atEnd()) {
-      // Schema-additive extension: pipeline counters. Files written
-      // before the decoupled pipeline end after the eight base fields
-      // and keep the zero defaults.
-      P.QueueDepthMax = R.readVarint();
-      P.ProducerStalls = R.readVarint();
-      P.ConsumerBatches = R.readVarint();
+      // Older writers appended three decoupled-pipeline counters, then
+      // a fourth (the queue capacity): host-timing diagnostics that no
+      // longer have a home in a profile. Skip them, so 11- and 12-field
+      // records still decode.
+      for (unsigned Field = 0; Field != 3; ++Field)
+        R.readVarint();
       if (R.ok() && !R.atEnd())
-        // Second extension step: the resolved access-queue capacity.
-        // Files from the first extension end after eleven fields.
-        P.PipelineCapacity = R.readVarint();
+        R.readVarint();
     }
     if (!R.ok() || ThreadId > 0xffffffffull)
       return SectionFail(V3Meta, "record malformed");

@@ -38,11 +38,9 @@
 /// every poll and cost it a coherence miss per record.
 ///
 /// Backpressure: when the ring fills, the producer publishes what it
-/// has and either yields until the consumer thread catches up or — on
-/// single-core hosts, where a consumer thread would just time-share
-/// with the producer — drains the ring inline through a hook. Either
-/// way the stall is counted (ProducerStalls, surfaced through
-/// structslim-report --stats).
+/// has and yields until the consumer thread catches up. The stall is
+/// counted (RunResult::ProducerStalls, a host-timing diagnostic that
+/// never reaches a profile or report).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -80,17 +78,6 @@ struct AccessRec {
   uint8_t Flags = 0; ///< Bit 0: write.
 };
 
-/// Inline-drain port for the single-core configuration: the consumer
-/// registers itself here and the producer calls drainInline() instead
-/// of spinning when the ring fills (and at sync points).
-class AccessDrainHook {
-public:
-  virtual ~AccessDrainHook() = default;
-  /// Processes every published record; returns only when the ring's
-  /// published region is empty.
-  virtual void drainInline() = 0;
-};
-
 /// The per-phase access queue: one ring, written by the one OS thread
 /// the phase engine runs on (records carry the logical-thread index),
 /// read by one simulation consumer.
@@ -109,8 +96,6 @@ public:
     if (Capacity < 1024 || (Capacity & (Capacity - 1)) != 0)
       fatalError("access queue capacity must be a power of two >= 1024");
   }
-
-  void setDrainHook(AccessDrainHook *H) { Hook = H; }
 
   //===--------------------------------------------------------------===//
   // Producer side.
@@ -170,12 +155,8 @@ public:
   void sync() {
     Last = nullptr;
     Ring.publish();
-    while (!Ring.drained()) {
-      if (Hook)
-        Hook->drainInline();
-      else
-        std::this_thread::yield();
-    }
+    while (!Ring.drained())
+      std::this_thread::yield();
   }
 
   /// Publishes everything and marks the stream complete; the consumer
@@ -189,7 +170,6 @@ public:
   uint64_t producerStalls() const { return ProducerStalls; }
   /// Records published so far; after close(), every record produced.
   uint64_t recordsPublished() const { return Ring.published(); }
-  size_t capacity() const { return Ring.capacity(); }
 
   //===--------------------------------------------------------------===//
   // Consumer side (used by SimPipeline).
@@ -216,10 +196,7 @@ private:
       Ring.publish();
     }
     for (;;) {
-      if (Hook)
-        Hook->drainInline();
-      else
-        std::this_thread::yield();
+      std::this_thread::yield();
       R = Ring.push();
       if (R)
         return R;
@@ -227,10 +204,6 @@ private:
   }
 
   void maybePublish() {
-    // With an inline-drain hook there is no consumer waiting for data;
-    // publishing lazily (on full, at sync) maximizes drain batch size.
-    if (Hook)
-      return;
     if (++Staged >= PublishBatch) {
       Staged = 0;
       Last = nullptr;
@@ -270,7 +243,6 @@ private:
   support::SpscRing<AccessRec> Ring;
   unsigned LineShift;
   bool Collapse;
-  AccessDrainHook *Hook = nullptr;
 
   // Producer-local state, on a line of its own.
   alignas(64) AccessRec *Last = nullptr; ///< Open run record (unpublished).

@@ -9,9 +9,8 @@
 using namespace structslim;
 using namespace structslim::runtime;
 
-SimPipeline::SimPipeline(AccessQueue &Q, std::vector<Lane> Lanes,
-                         bool Threaded)
-    : Q(Q), Lanes(std::move(Lanes)), Threaded(Threaded) {
+SimPipeline::SimPipeline(AccessQueue &Q, std::vector<Lane> Lanes)
+    : Q(Q), Lanes(std::move(Lanes)) {
   if (this->Lanes.empty())
     fatalError("sim pipeline needs at least one lane");
   LineShift = this->Lanes[0].Hierarchy->lineShift();
@@ -27,21 +26,12 @@ SimPipeline::~SimPipeline() {
 }
 
 void SimPipeline::start() {
-  if (Threaded)
-    Consumer = std::thread([this] { consumerLoop(); });
-  else
-    Q.setDrainHook(this);
+  Consumer = std::thread([this] { consumerLoop(); });
 }
 
 void SimPipeline::finish() {
   Q.close();
-  if (Consumer.joinable()) {
-    Consumer.join();
-  } else {
-    while (drainOnce()) {
-    }
-    Q.setDrainHook(nullptr);
-  }
+  Consumer.join();
 }
 
 void SimPipeline::consumerLoop() {

@@ -11,13 +11,11 @@
 /// bit-identically to the inline engine (DESIGN.md Sec. 12 carries the
 /// full argument).
 ///
-/// Two consumption modes:
-///  - *threaded* (multi-core hosts): a dedicated consumer thread
-///    overlaps simulation with execution;
-///  - *inline drain* (single-core hosts): no consumer thread — the
-///    producer drains the ring itself whenever it fills and at sync
-///    points, keeping the run-length-collapsed replay without context
-///    switches.
+/// The consumer runs on a dedicated thread, overlapping simulation
+/// with execution. ThreadedRuntime decouples a phase only when the
+/// process may use more than one CPU; with one CPU it runs the phase on
+/// the inline oracle path (RunConfig::InlineSimulation) instead, since
+/// a consumer thread would only time-share with the producer.
 ///
 /// Replay is one in-order pass: ring order is the serial schedule, so
 /// each record goes through the same MemoryHierarchy::access() the
@@ -41,7 +39,7 @@ namespace structslim {
 namespace runtime {
 
 /// Drains one AccessQueue for one phase.
-class SimPipeline : public AccessDrainHook {
+class SimPipeline {
 public:
   /// One logical thread's simulation targets. \p Pmu may be null
   /// (profiler detached — no Sampled records are produced then).
@@ -50,27 +48,22 @@ public:
     pmu::PmuModel *Pmu = nullptr;
   };
 
-  /// \p Threaded selects the dedicated consumer thread; otherwise the
-  /// pipeline registers itself as the queue's inline-drain hook.
-  SimPipeline(AccessQueue &Q, std::vector<Lane> Lanes, bool Threaded);
+  SimPipeline(AccessQueue &Q, std::vector<Lane> Lanes);
   ~SimPipeline();
 
-  /// Starts consumption (spawns the consumer thread in threaded mode).
+  /// Spawns the consumer thread.
   void start();
 
   /// Closes the queue and completes all pending simulation. Counters
   /// and cycle totals are valid after this returns.
   void finish();
 
-  /// AccessDrainHook: producer-side inline drain (single-core mode).
-  void drainInline() override { drainOnce(); }
-
   /// Deferred simulation cycles accrued by logical thread \p Tid.
   uint64_t cyclesFor(size_t Tid) const { return Cycles[Tid]; }
 
   uint64_t queueDepthMax() const { return QueueDepthMaxV; }
   uint64_t consumerBatches() const { return ConsumerBatchesV; }
-  /// Host seconds spent replaying records (either placement).
+  /// Host seconds the consumer spent replaying records.
   double consumerBusySeconds() const { return BusySeconds; }
 
 private:
@@ -82,7 +75,6 @@ private:
 
   AccessQueue &Q;
   std::vector<Lane> Lanes;
-  bool Threaded;
   unsigned LineShift;
   unsigned L1Latency;
   std::thread Consumer;

@@ -117,17 +117,16 @@ void ThreadedRuntime::runPhase(const ir::Program &P,
     States.push_back(std::move(S));
   }
 
-  // Pipeline selection. A tracer forces inline simulation: it observes
-  // the per-access outcome at access time. Decoupled records carry an
-  // 8-bit thread index, which every realistic phase fits (fall back
-  // inline otherwise).
+  // Pipeline selection. The consumer gets its own thread only when the
+  // process may use more than one CPU; on one it would merely time-share
+  // with the producer, so the phase simulates inline. A tracer forces
+  // inline simulation: it observes the per-access outcome at access
+  // time. Decoupled records carry an 8-bit thread index, which every
+  // realistic phase fits (fall back inline otherwise).
   std::unique_ptr<AccessQueue> Queue;
   std::unique_ptr<SimPipeline> Pipe;
-  if (!Config.InlineSimulation && !Tracer && States.size() <= 256) {
-    // The consumer runs on its own thread only when the host actually
-    // has a core for it; on one core it would merely time-share with
-    // the producer, so the producer drains the ring inline in batches.
-    bool ThreadedConsumer = support::ThreadPool::defaultThreadCount() > 1;
+  if (!Config.InlineSimulation && !Tracer && States.size() <= 256 &&
+      support::ThreadPool::defaultThreadCount() > 1) {
     Queue = std::make_unique<AccessQueue>(
         PipelineQueueCapacity, States[0].Hierarchy->lineShift(),
         /*CollapseRuns=*/States[0].Hierarchy->mode() == 0);
@@ -136,8 +135,7 @@ void ThreadedRuntime::runPhase(const ir::Program &P,
     for (PhaseThread &S : States)
       Lanes.push_back(
           {S.Hierarchy.get(), Config.AttachProfiler ? S.Pmu.get() : nullptr});
-    Pipe = std::make_unique<SimPipeline>(*Queue, std::move(Lanes),
-                                         ThreadedConsumer);
+    Pipe = std::make_unique<SimPipeline>(*Queue, std::move(Lanes));
     Pipe->start();
     for (size_t T = 0; T != States.size(); ++T)
       States[T].Interp->setAccessQueue(Queue.get(), static_cast<uint8_t>(T));
@@ -159,9 +157,6 @@ void ThreadedRuntime::runPhase(const ir::Program &P,
     Accum.ConsumerBatches += Pipe->consumerBatches();
     Accum.PipelineRecords += Queue->recordsPublished();
     Accum.ConsumerBusySeconds += Pipe->consumerBusySeconds();
-    Accum.PipelineCapacity =
-        std::max(Accum.PipelineCapacity,
-                 static_cast<uint64_t>(Queue->capacity()));
   }
 
   // Fold this phase's results into the accumulated run result.
@@ -196,11 +191,9 @@ void ThreadedRuntime::runPhase(const ir::Program &P,
       Prof.Instructions = Stats.Instructions;
       Prof.MemoryAccesses = Stats.MemoryAccesses;
       Prof.Cycles = Stats.Cycles;
-      // Pipeline counters deliberately stay off the in-memory profiles:
-      // the identity contract compares per-thread profiles
-      // between the inline and decoupled simulators, and the counters
-      // are host-timing diagnostics (like WallSeconds). dumpProfiles
-      // stamps them onto the first shard when given the RunResult.
+      // Pipeline counters stay off the profiles: they are host-timing
+      // diagnostics (like WallSeconds), and profiles must not depend on
+      // where the simulation ran.
       Accum.Profiles.push_back(std::move(Prof));
     }
   }
@@ -212,33 +205,14 @@ std::vector<std::string>
 structslim::runtime::dumpProfiles(const std::vector<profile::Profile> &Profiles,
                                   const std::string &Dir,
                                   const std::string &Prefix,
-                                  std::vector<std::string> *Failures,
-                                  const RunResult *Run) {
+                                  std::vector<std::string> *Failures) {
   std::vector<std::string> Written;
   Written.reserve(Profiles.size());
-  for (size_t I = 0; I != Profiles.size(); ++I) {
-    const profile::Profile &P = Profiles[I];
+  for (const profile::Profile &P : Profiles) {
     std::string Path = Dir + "/" + Prefix + "thread" +
                        std::to_string(P.ThreadId) + ".structslim";
     std::string Error;
-    bool Ok;
-    if (I == 0 && Run &&
-        (Run->QueueDepthMax | Run->ProducerStalls | Run->ConsumerBatches |
-         Run->PipelineCapacity)) {
-      // Stamp the run's pipeline counters onto exactly one shard (the
-      // merge rule max/sum/sum/max then reproduces the run totals).
-      // Done here rather than in the runtime so in-memory profiles
-      // stay comparable across simulation modes.
-      profile::Profile Stamped = P;
-      Stamped.QueueDepthMax = Run->QueueDepthMax;
-      Stamped.ProducerStalls = Run->ProducerStalls;
-      Stamped.ConsumerBatches = Run->ConsumerBatches;
-      Stamped.PipelineCapacity = Run->PipelineCapacity;
-      Ok = profile::writeProfileFile(Stamped, Path, &Error);
-    } else {
-      Ok = profile::writeProfileFile(P, Path, &Error);
-    }
-    if (Ok)
+    if (profile::writeProfileFile(P, Path, &Error))
       Written.push_back(std::move(Path));
     else if (Failures)
       Failures->push_back(Path + ": " + Error);

@@ -73,11 +73,13 @@ struct RunConfig {
   /// the checked oracle: every access drives the hierarchy and sample
   /// delivery before the next instruction executes. The default
   /// decoupled mode turns the interpreter into a producer of compact
-  /// access records (runtime/AccessQueue) drained by a simulation
-  /// consumer (runtime/SimPipeline) — a dedicated consumer thread on
-  /// multi-core hosts, a batched inline drain on single-core hosts.
-  /// Results are bit-identical either way (the differential pipeline
-  /// tests assert it). An instrumentation TraceSink forces inline
+  /// access records (runtime/AccessQueue) replayed by a consumer thread
+  /// (runtime/SimPipeline). It applies only when the process may use
+  /// more than one CPU (support::ThreadPool::defaultThreadCount() > 1):
+  /// with one worker, by STRUCTSLIM_THREADS=1 or a one-CPU affinity
+  /// mask, every phase runs inline as if this flag were set. Results
+  /// are bit-identical either way (the differential pipeline tests
+  /// assert it). An instrumentation TraceSink forces inline
   /// simulation: tracers need each access's outcome at access time.
   bool InlineSimulation = false;
 };
@@ -107,7 +109,7 @@ struct RunResult {
   uint64_t Misses[3] = {0, 0, 0};   ///< L1, L2, L3 demand misses.
   // Decoupled-pipeline health counters (zero when every phase ran
   // inline). Host-timing dependent — excluded from bit-identity
-  // comparisons, like WallSeconds.
+  // comparisons and never written to shards, like WallSeconds.
   uint64_t QueueDepthMax = 0;   ///< Deepest drain batch seen (records).
   uint64_t ProducerStalls = 0;  ///< Ring-full backpressure events.
   uint64_t ConsumerBatches = 0; ///< Non-empty drain batches processed.
@@ -115,9 +117,6 @@ struct RunResult {
   /// access with its call path counts several). Records per
   /// instruction is the producer's encoding cost per instruction.
   uint64_t PipelineRecords = 0;
-  /// Access-queue capacity (records); zero when every phase simulated
-  /// inline.
-  uint64_t PipelineCapacity = 0;
 };
 
 /// Writes each profile in \p Profiles to its own shard file
@@ -128,16 +127,11 @@ struct RunResult {
 /// open or tear a write exactly as a crashing production run would.
 /// Returns the paths written, in profile order; shards that failed are
 /// reported as "<path>: <reason>" in \p Failures when non-null and are
-/// absent from the returned list. When \p Run is given and carries
-/// decoupled-pipeline counters, they are stamped onto the first shard
-/// only (the profile merge rule — max/sum/sum — then reproduces the
-/// run totals), keeping the in-memory profiles free of host-timing
-/// diagnostics.
+/// absent from the returned list.
 std::vector<std::string>
 dumpProfiles(const std::vector<profile::Profile> &Profiles,
              const std::string &Dir, const std::string &Prefix = "",
-             std::vector<std::string> *Failures = nullptr,
-             const RunResult *Run = nullptr);
+             std::vector<std::string> *Failures = nullptr);
 
 /// Owns the Machine and runs phases of threads over it.
 class ThreadedRuntime {

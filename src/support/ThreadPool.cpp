@@ -6,6 +6,8 @@
 #include <cstdlib>
 #include <string_view>
 
+#include <sched.h>
+
 using namespace structslim;
 using namespace structslim::support;
 
@@ -22,6 +24,11 @@ unsigned ThreadPool::defaultThreadCount() {
         return static_cast<unsigned>(std::min(Value, 256ul));
     }
   }
+  // The affinity mask, not the host: under taskset or a cpuset the
+  // host's other CPUs are not ours to use.
+  cpu_set_t Set;
+  if (sched_getaffinity(0, sizeof(Set), &Set) == 0 && CPU_COUNT(&Set) > 0)
+    return static_cast<unsigned>(CPU_COUNT(&Set));
   unsigned Hw = std::thread::hardware_concurrency();
   return Hw == 0 ? 1 : Hw;
 }

@@ -14,8 +14,9 @@
 /// shards.
 ///
 /// The default worker count comes from the STRUCTSLIM_THREADS
-/// environment variable when set, otherwise from
-/// std::thread::hardware_concurrency().
+/// environment variable when set, otherwise from the number of CPUs
+/// the process may run on. The same count decides whether a simulated
+/// phase gets a consumer thread (runtime/ThreadedRuntime).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -50,7 +51,8 @@ public:
   static ThreadPool &global();
 
   /// STRUCTSLIM_THREADS when it is a positive decimal number (clamped
-  /// to 256), otherwise hardware_concurrency(), never 0.
+  /// to 256), otherwise the CPUs in the process's affinity mask (so a
+  /// `taskset -c 0` run counts 1), never 0.
   static unsigned defaultThreadCount();
 
 private:

@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 //
 // support::ThreadPool::defaultThreadCount() reads STRUCTSLIM_THREADS on
-// every call, so a test can flip the simulation consumer's placement
-// (inline drains on one core vs a dedicated consumer thread) and the
+// every call, so a test can flip the simulation placement (inline with
+// one worker vs a dedicated consumer thread from two on) and the
 // loader's default decode look-ahead at will on any host.
 //
 //===----------------------------------------------------------------------===//

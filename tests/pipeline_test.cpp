@@ -5,9 +5,11 @@
 // threaded producer/consumer pair under TSan against a serial replay
 // oracle, run multithreaded phases (read-only workers, partitioned
 // writers, odd thread counts, Alloc/Free churn, quantum variations, a
-// {1,2,4,8}-thread sweep) under both consumer placements, then sweep
-// every paper workload under both interpreter cores — diffing every
-// counter and every serialized profile byte against the oracle.
+// {1,2,4,8}-thread sweep) with the consumer on its own thread, then
+// sweep every paper workload under both interpreter cores — diffing
+// every counter and every serialized profile byte against the oracle.
+// Decoupled runs pin STRUCTSLIM_THREADS=4 so they take the consumer
+// thread on any host; with one worker a phase simulates inline.
 //
 //===----------------------------------------------------------------------===//
 
@@ -15,13 +17,13 @@
 #include "analysis/CodeMap.h"
 #include "cache/Hierarchy.h"
 #include "ir/ProgramBuilder.h"
-#include "profile/MergeTree.h"
 #include "profile/ProfileIO.h"
 #include "runtime/AccessQueue.h"
 #include "runtime/Predecode.h"
 #include "runtime/SimPipeline.h"
 #include "runtime/ThreadedRuntime.h"
 #include "support/Random.h"
+#include "support/ThreadPool.h"
 #include "workloads/Driver.h"
 #include "workloads/Registry.h"
 
@@ -29,8 +31,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -91,7 +91,7 @@ TEST(SimPipelineStress, ThreadedConsumerMatchesInlineReplay) {
   std::vector<SimPipeline::Lane> Lanes;
   Lanes.push_back({&P0, nullptr});
   Lanes.push_back({&P1, nullptr});
-  SimPipeline Pipe(Q, std::move(Lanes), /*Threaded=*/true);
+  SimPipeline Pipe(Q, std::move(Lanes));
   Pipe.start();
 
   auto RefL3 = std::make_unique<cache::SetAssocCache>(HC.L3);
@@ -150,7 +150,7 @@ TEST(SimPipelineStress, SyncHeavyStreamStaysIdentical) {
   AccessQueue Q(1024, P0.lineShift(), true); // The capacity floor.
   std::vector<SimPipeline::Lane> Lanes;
   Lanes.push_back({&P0, nullptr});
-  SimPipeline Pipe(Q, std::move(Lanes), /*Threaded=*/true);
+  SimPipeline Pipe(Q, std::move(Lanes));
   Pipe.start();
 
   auto RefL3 = std::make_unique<cache::SetAssocCache>(HC.L3);
@@ -493,6 +493,7 @@ RunResult runMainThenWorkers(RunConfig Cfg, unsigned Threads, int64_t N) {
 template <typename Prog>
 RunResult expectDecoupledMatchesInline(unsigned Threads, int64_t N,
                                        uint64_t Quantum = 64) {
+  ThreadsEnv MultiCore("4");
   RunConfig Inline = denseConfig(/*InlineSimulation=*/true);
   RunConfig Decoupled = denseConfig(/*InlineSimulation=*/false);
   Inline.Quantum = Decoupled.Quantum = Quantum;
@@ -518,15 +519,6 @@ RunResult runChurn(bool InlineSimulation, unsigned Threads) {
   return RT.finish();
 }
 
-void sweepThreadCounts() {
-  for (unsigned Threads : {1u, 2u, 4u, 8u}) {
-    SCOPED_TRACE(std::to_string(Threads) + " threads");
-    RunResult Run = expectDecoupledMatchesInline<WriterProgram>(
-        Threads, static_cast<int64_t>(Threads) * 512);
-    EXPECT_EQ(Run.PipelineCapacity, PipelineQueueCapacity);
-  }
-}
-
 TEST(ParallelDecoupled, ReadOnlyWorkersBitIdentical) {
   expectDecoupledMatchesInline<ReaderProgram>(4, 4096);
 }
@@ -546,91 +538,98 @@ TEST(ParallelDecoupled, QuantumVariationsStayIdentical) {
   }
 }
 
-// Single-core placement: the producer drains the ring inline whenever
-// it fills and at sync points.
-TEST(ParallelDecoupled, ThreadSweepInlineDrainsBitIdentical) {
-  ThreadsEnv SingleCore("1");
-  sweepThreadCounts();
+// A dedicated consumer thread drains the ring — the TSan target for
+// multithreaded phases.
+TEST(ParallelDecoupled, ThreadSweepThreadedConsumerBitIdentical) {
+  for (unsigned Threads : {1u, 2u, 4u, 8u}) {
+    SCOPED_TRACE(std::to_string(Threads) + " threads");
+    expectDecoupledMatchesInline<WriterProgram>(
+        Threads, static_cast<int64_t>(Threads) * 512);
+  }
 }
 
-// Multi-core placement: a dedicated consumer thread drains the ring —
-// the TSan target for multithreaded phases.
-TEST(ParallelDecoupled, ThreadSweepThreadedConsumerBitIdentical) {
-  ThreadsEnv FourCores("4");
-  sweepThreadCounts();
+// The placement rule: with one worker (STRUCTSLIM_THREADS=1, or a
+// one-CPU affinity mask) a decoupled configuration runs the inline
+// oracle path and publishes no record; from two workers on it starts
+// the consumer thread.
+TEST(ParallelDecoupled, OneWorkerSelectsInlineSimulation) {
+  RunResult Oracle =
+      runMainThenWorkers<WriterProgram>(denseConfig(true), 4, 2048);
+  for (const char *Workers : {"1", "2"}) {
+    ThreadsEnv Env(Workers);
+    SCOPED_TRACE(std::string("STRUCTSLIM_THREADS=") + Workers);
+    RunResult Run =
+        runMainThenWorkers<WriterProgram>(denseConfig(false), 4, 2048);
+    expectIdenticalRuns(Oracle, Run);
+    bool Decoupled = Workers[0] != '1';
+    EXPECT_EQ(Run.PipelineRecords > 0, Decoupled);
+    EXPECT_EQ(Run.ConsumerBatches > 0, Decoupled);
+  }
 }
 
 // Runs, straddles and samples from four threads, interleaved at a
 // quantum of 17 on a miss-heavy stream: the one-pass replay must hand
-// the shared L3 the schedule's exact demand order under both consumer
-// placements. The L3 (80 sets, modulo indexing) is far smaller than
-// the 800 KB array, so its contents, and which thread pays each miss,
-// depend on that order.
+// the shared L3 the schedule's exact demand order. The L3 (80 sets,
+// modulo indexing) is far smaller than the 800 KB array, so its
+// contents, and which thread pays each miss, depend on that order.
 TEST(ParallelDecoupled, MissHeavyInterleavedStreamBitIdentical) {
-  for (const char *Cores : {"1", "4"}) {
-    ThreadsEnv Env(Cores);
-    SCOPED_TRACE(std::string("host-threads=") + Cores);
-    RunConfig Inline = denseConfig(/*InlineSimulation=*/true);
-    RunConfig Decoupled = denseConfig(/*InlineSimulation=*/false);
-    for (RunConfig *Cfg : {&Inline, &Decoupled}) {
-      Cfg->Quantum = 17;
-      Cfg->Hierarchy.L1 = {"L1d", 4096, 4, 64, 4};
-      Cfg->Hierarchy.L2 = {"L2", 16384, 8, 64, 12};
-      Cfg->Hierarchy.L3 = {"L3", 80 * 12 * 64, 12, 64, 40};
-    }
-    RunResult Oracle = runMainThenWorkers<StrideProgram>(Inline, 4, 4096);
-    RunResult Run = runMainThenWorkers<StrideProgram>(Decoupled, 4, 4096);
-    expectIdenticalRuns(Oracle, Run);
-    EXPECT_GT(Oracle.Samples, 0u);
-    EXPECT_GT(Run.ConsumerBatches, 0u);
-    EXPECT_GT(Run.Misses[2], 0u);
-    EXPECT_GT(Run.Accesses[2] - Run.Misses[2], 0u)
-        << "threads must hit lines other threads brought into the L3";
+  ThreadsEnv MultiCore("4");
+  RunConfig Inline = denseConfig(/*InlineSimulation=*/true);
+  RunConfig Decoupled = denseConfig(/*InlineSimulation=*/false);
+  for (RunConfig *Cfg : {&Inline, &Decoupled}) {
+    Cfg->Quantum = 17;
+    Cfg->Hierarchy.L1 = {"L1d", 4096, 4, 64, 4};
+    Cfg->Hierarchy.L2 = {"L2", 16384, 8, 64, 12};
+    Cfg->Hierarchy.L3 = {"L3", 80 * 12 * 64, 12, 64, 40};
   }
+  RunResult Oracle = runMainThenWorkers<StrideProgram>(Inline, 4, 4096);
+  RunResult Run = runMainThenWorkers<StrideProgram>(Decoupled, 4, 4096);
+  expectIdenticalRuns(Oracle, Run);
+  EXPECT_GT(Oracle.Samples, 0u);
+  EXPECT_GT(Run.ConsumerBatches, 0u);
+  EXPECT_GT(Run.Misses[2], 0u);
+  EXPECT_GT(Run.Accesses[2] - Run.Misses[2], 0u)
+      << "threads must hit lines other threads brought into the L3";
 }
 
 // A same-line stream longer than three maximum-length run records:
 // every split run must replay as its first access plus L1 hits.
 TEST(ParallelDecoupled, LongSingleLineLoopBitIdentical) {
   const int64_t N = 3 * int64_t(AccessQueue::MaxRunLength) + 7;
-  for (const char *Cores : {"1", "4"}) {
-    ThreadsEnv Env(Cores);
-    SCOPED_TRACE(std::string("host-threads=") + Cores);
-    RunConfig Inline, Decoupled;
-    Inline.AttachProfiler = Decoupled.AttachProfiler = false;
-    Inline.InlineSimulation = true;
-    RunResult Oracle = runMainThenWorkers<SameLineProgram>(Inline, 1, N);
-    RunResult Run = runMainThenWorkers<SameLineProgram>(Decoupled, 1, N);
-    expectIdenticalRuns(Oracle, Run);
-    EXPECT_GT(Run.ConsumerBatches, 0u);
-    EXPECT_GE(Run.Accesses[0] - Run.Misses[0], uint64_t(N) - 1);
-  }
+  ThreadsEnv MultiCore("4");
+  RunConfig Inline, Decoupled;
+  Inline.AttachProfiler = Decoupled.AttachProfiler = false;
+  Inline.InlineSimulation = true;
+  RunResult Oracle = runMainThenWorkers<SameLineProgram>(Inline, 1, N);
+  RunResult Run = runMainThenWorkers<SameLineProgram>(Decoupled, 1, N);
+  expectIdenticalRuns(Oracle, Run);
+  EXPECT_GT(Run.ConsumerBatches, 0u);
+  EXPECT_GE(Run.Accesses[0] - Run.Misses[0], uint64_t(N) - 1);
 }
 
 // Alloc/Free churn serializes through AccessQueue::sync(): the
 // producing thread must observe every prior record delivered before
-// the DataObjectTable mutates. Sweep both placements and widths.
+// the DataObjectTable mutates. Sweep the phase widths.
 TEST(ParallelDecoupled, AllocFreeChurnThroughDeliverySync) {
-  for (const char *Cores : {"1", "4"}) {
-    ThreadsEnv Env(Cores);
-    for (unsigned Threads : {2u, 4u, 8u}) {
-      SCOPED_TRACE(std::string("host-threads=") + Cores + " workers=" +
-                   std::to_string(Threads));
-      RunResult Oracle = runChurn(/*InlineSimulation=*/true, Threads);
-      RunResult Run = runChurn(/*InlineSimulation=*/false, Threads);
-      expectIdenticalRuns(Oracle, Run);
-      EXPECT_GT(Run.ConsumerBatches, 0u);
-      EXPECT_GT(Oracle.Samples, 0u);
-    }
+  ThreadsEnv MultiCore("4");
+  for (unsigned Threads : {2u, 4u, 8u}) {
+    SCOPED_TRACE("workers=" + std::to_string(Threads));
+    RunResult Oracle = runChurn(/*InlineSimulation=*/true, Threads);
+    RunResult Run = runChurn(/*InlineSimulation=*/false, Threads);
+    expectIdenticalRuns(Oracle, Run);
+    EXPECT_GT(Run.ConsumerBatches, 0u);
+    EXPECT_GT(Oracle.Samples, 0u);
   }
 }
 
-// The four-worker churn case at the host's own consumer placement.
+// The four-worker churn case at the host's own placement: decoupled
+// when the process may use more than one CPU, inline otherwise.
 TEST(ParallelEngine, AllocFreeChurnBitIdentical) {
   RunResult Oracle = runChurn(/*InlineSimulation=*/true, 4);
   RunResult Run = runChurn(/*InlineSimulation=*/false, 4);
   expectIdenticalRuns(Oracle, Run);
-  EXPECT_GT(Run.ConsumerBatches, 0u);
+  EXPECT_EQ(Run.ConsumerBatches > 0,
+            support::ThreadPool::defaultThreadCount() > 1);
   EXPECT_GT(Oracle.Samples, 0u);
 }
 
@@ -638,17 +637,14 @@ TEST(ParallelEngine, AllocFreeChurnBitIdentical) {
 // replays every record exactly, in ring order; multithreaded phases
 // must stay bit-identical on that path too.
 TEST(ParallelDecoupled, NonZeroHierarchyModeReplaysExactly) {
-  for (const char *Cores : {"1", "4"}) {
-    ThreadsEnv Env(Cores);
-    SCOPED_TRACE(std::string("host-threads=") + Cores);
-    RunConfig Inline = denseConfig(/*InlineSimulation=*/true);
-    RunConfig Decoupled = denseConfig(/*InlineSimulation=*/false);
-    Inline.Hierarchy.EnableTlb = Decoupled.Hierarchy.EnableTlb = true;
-    RunResult Oracle = runMainThenWorkers<WriterProgram>(Inline, 4, 2048);
-    RunResult Run = runMainThenWorkers<WriterProgram>(Decoupled, 4, 2048);
-    expectIdenticalRuns(Oracle, Run);
-    EXPECT_GT(Run.ConsumerBatches, 0u);
-  }
+  ThreadsEnv MultiCore("4");
+  RunConfig Inline = denseConfig(/*InlineSimulation=*/true);
+  RunConfig Decoupled = denseConfig(/*InlineSimulation=*/false);
+  Inline.Hierarchy.EnableTlb = Decoupled.Hierarchy.EnableTlb = true;
+  RunResult Oracle = runMainThenWorkers<WriterProgram>(Inline, 4, 2048);
+  RunResult Run = runMainThenWorkers<WriterProgram>(Decoupled, 4, 2048);
+  expectIdenticalRuns(Oracle, Run);
+  EXPECT_GT(Run.ConsumerBatches, 0u);
 }
 
 // Three-way identity: the reference interpreter (direct ir::Instr
@@ -770,6 +766,7 @@ workloads::WorkloadRun runWith(const workloads::Workload &W,
 }
 
 TEST(PipelineDifferential, PaperWorkloadsDecoupledMatchesInlineOracle) {
+  ThreadsEnv MultiCore("4");
   for (const auto &W : workloads::makePaperWorkloads()) {
     for (bool Reference : {false, true}) {
       SCOPED_TRACE(W->name() +
@@ -793,7 +790,7 @@ TEST(PipelineDifferential, PaperWorkloadsDecoupledMatchesInlineOracle) {
 // parallel workloads run their native four-thread phases round-robin
 // through one ring drained by the dedicated consumer thread.
 TEST(ParallelDecoupled, PaperWorkloadsMatchSerialInlineOracle) {
-  ThreadsEnv FourCores("4");
+  ThreadsEnv MultiCore("4");
   for (const auto &W : workloads::makePaperWorkloads()) {
     SCOPED_TRACE(W->name());
     workloads::WorkloadRun Oracle =
@@ -812,6 +809,7 @@ TEST(ParallelDecoupled, PaperWorkloadsMatchSerialInlineOracle) {
 // larger scale: the merged profile a user sees must not depend on
 // whether simulation runs inline or decoupled.
 void expectMultithreadedWorkloadIdentical(const workloads::Workload &W) {
+  ThreadsEnv MultiCore("4");
   workloads::WorkloadRun Oracle = runWith(W, /*InlineSimulation=*/true,
                                           /*Reference=*/false, /*Scale=*/0.1);
   workloads::WorkloadRun Decoupled = runWith(W, /*InlineSimulation=*/false,
@@ -828,56 +826,6 @@ TEST(ParallelEngine, ClompWorkloadBitIdentical) {
 
 TEST(ParallelEngine, HealthWorkloadBitIdentical) {
   expectMultithreadedWorkloadIdentical(*workloads::makeHealth());
-}
-
-// The counter reporting path end to end: dumpProfiles stamps the run's
-// pipeline counters onto the first shard only, shard merging (rule:
-// max / sum / sum) reconstructs the run totals, and the in-memory
-// profiles themselves stay clean (they feed bit-identity comparisons).
-TEST(PipelineCounters, StampedShardMergeReproducesRunTotals) {
-  // runWorkload merges (and consumes) the per-thread profiles, so
-  // drive the runtime directly to keep RunResult::Profiles around.
-  auto W = workloads::makeTsp();
-  RunConfig Cfg;
-  Cfg.Sampling.Period = 2000;
-  ThreadedRuntime RT(Cfg);
-  transform::FieldMap Map(W->hotLayout());
-  workloads::BuiltWorkload Built = W->build(RT.machine(), Map, /*Scale=*/0.08);
-  analysis::CodeMap CodeMap(*Built.Program);
-  for (const auto &Phase : Built.Phases)
-    RT.runPhase(*Built.Program, &CodeMap, Phase);
-  RunResult Run = RT.finish();
-
-  ASSERT_FALSE(Run.Profiles.empty());
-  ASSERT_GT(Run.ConsumerBatches, 0u);
-  for (const profile::Profile &P : Run.Profiles) {
-    EXPECT_EQ(P.QueueDepthMax, 0u);
-    EXPECT_EQ(P.ProducerStalls, 0u);
-    EXPECT_EQ(P.ConsumerBatches, 0u);
-  }
-
-  namespace fs = std::filesystem;
-  fs::path Dir = fs::temp_directory_path() / "ss_pipeline_counters_test";
-  fs::remove_all(Dir);
-  fs::create_directories(Dir);
-  std::vector<std::string> Files =
-      runtime::dumpProfiles(Run.Profiles, Dir.string(), "tsp.", nullptr, &Run);
-  ASSERT_EQ(Files.size(), Run.Profiles.size());
-
-  std::vector<profile::Profile> Loaded;
-  for (const std::string &Name : Files) {
-    std::ifstream In(Name, std::ios::binary);
-    std::string Error;
-    auto P = profile::readProfile(In, &Error);
-    ASSERT_TRUE(P) << Name << ": " << Error;
-    Loaded.push_back(std::move(*P));
-  }
-  profile::Profile Merged = profile::mergeProfiles(std::move(Loaded));
-  EXPECT_GT(Merged.TotalSamples, 0u);
-  EXPECT_EQ(Merged.QueueDepthMax, Run.QueueDepthMax);
-  EXPECT_EQ(Merged.ProducerStalls, Run.ProducerStalls);
-  EXPECT_EQ(Merged.ConsumerBatches, Run.ConsumerBatches);
-  fs::remove_all(Dir);
 }
 
 } // namespace

@@ -20,6 +20,7 @@
 #include "profile/Profile.h"
 #include "profile/ProfileIO.h"
 #include "support/Random.h"
+#include "support/VarInt.h"
 
 #include <gtest/gtest.h>
 
@@ -311,6 +312,51 @@ TEST(ProfileIoSections, SixSectionBlobFailsWithNamedError) {
   EXPECT_EQ(MemError, Named);
   EXPECT_FALSE(loadViaFile(Sealed, &FileError).has_value());
   EXPECT_EQ(FileError, Named);
+}
+
+// The meta record is eight varints. Older writers appended three
+// decoupled-pipeline counters (11 fields), then the queue capacity (12
+// fields); such shards still decode, with the extra fields ignored,
+// on both ingestion paths. Other lengths stay malformed.
+TEST(ProfileIoSections, LegacyPipelineCounterMetaFieldsAreIgnored) {
+  Rng R(5501);
+  Profile P = makeRandomProfile(R);
+  std::string Canonical = profileToString(P);
+  V3Blob Blob = V3Blob::split(Canonical);
+  const std::string Meta = Blob.Payloads[V3Blob::Meta];
+  support::VarintReader Fields(Meta.data(), Meta.data() + Meta.size());
+  unsigned Count = 0;
+  for (; !Fields.atEnd(); ++Count)
+    Fields.readVarint();
+  ASSERT_TRUE(Fields.ok());
+  EXPECT_EQ(Count, 8u) << "a fresh shard carries no pipeline counters";
+
+  for (unsigned Extra : {3u, 4u}) {
+    SCOPED_TRACE(std::to_string(8 + Extra) + " meta fields");
+    V3Blob Legacy = Blob;
+    // Counter values as an old decoupled run stamped them.
+    const uint64_t Counters[] = {8192, 17, 40961, 8192};
+    for (unsigned F = 0; F != Extra; ++F)
+      support::appendVarint(Legacy.Payloads[V3Blob::Meta], Counters[F]);
+    std::string Sealed = Legacy.seal();
+    std::string MemError, FileError;
+    auto InMemory = profileFromBytes(Sealed, &MemError);
+    auto ViaFile = loadViaFile(Sealed, &FileError);
+    ASSERT_TRUE(InMemory.has_value()) << MemError;
+    ASSERT_TRUE(ViaFile.has_value()) << FileError;
+    EXPECT_EQ(profileToString(*InMemory), Canonical);
+    EXPECT_EQ(profileToString(*ViaFile), Canonical);
+  }
+
+  for (unsigned Extra : {1u, 2u, 5u}) {
+    SCOPED_TRACE(std::to_string(8 + Extra) + " meta fields");
+    V3Blob Bad = Blob;
+    for (unsigned F = 0; F != Extra; ++F)
+      support::appendVarint(Bad.Payloads[V3Blob::Meta], 1);
+    std::string Error;
+    EXPECT_FALSE(profileFromBytes(Bad.seal(), &Error).has_value());
+    EXPECT_EQ(Error.rfind("section 'meta' record ", 0), 0u) << Error;
+  }
 }
 
 // 8 seeds x (|blob| truncations + |blob| flips + 400 random edits),

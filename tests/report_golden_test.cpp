@@ -236,11 +236,14 @@ TEST(ReportJson, EmitsStableSchemaDocument) {
   CommandResult R = runReport(Args);
   ASSERT_EQ(R.ExitCode, 0) << R.Output;
   for (const char *Key :
-       {"\"schema_version\": 2", "\"generator\": \"structslim-report\"",
+       {"\"schema_version\": 3", "\"generator\": \"structslim-report\"",
         "\"profile\":", "\"shards_merged\": 5", "\"config\":", "\"objects\":",
         "\"_Zone\"", "\"affinity\":", "\"clusters\":", "\"stats\":",
         "\"timing\":", "\"analyze_seconds\":", "\"split_recommended\": true"})
     EXPECT_NE(R.Output.find(Key), std::string::npos) << Key << "\n" << R.Output;
+  // Host-timing pipeline counters never reach a report.
+  EXPECT_EQ(R.Output.find("\"pipeline\""), std::string::npos);
+  EXPECT_EQ(R.Output.find("queue_depth_max"), std::string::npos);
   // JSON mode owns stdout completely: no text preamble leaks in.
   EXPECT_EQ(R.Output.find("merged 5 profile(s)"), std::string::npos);
   EXPECT_EQ(R.Output.rfind('{', 0), 0u) << "document must start with '{'";

@@ -3,7 +3,7 @@
 // Unit and property tests for the decoupled pipeline's transport: the
 // lock-free SPSC ring (batch publish, wraparound, capacity bounds) and
 // the AccessQueue record encoding (run collapse, straddles, atomic
-// sampled groups, backpressure).
+// sampled groups, backpressure against a consumer thread, sync).
 //
 //===----------------------------------------------------------------------===//
 
@@ -13,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
 #include <vector>
 
 using namespace structslim;
@@ -199,56 +201,99 @@ TEST(AccessQueue, SampledGroupCarriesPathWords) {
   EXPECT_EQ(Q.at(2).B, 0u);
 }
 
-/// Drain hook that copies out every published record — the single-core
-/// consumer shape, used here to exercise backpressure deterministically.
-struct CopyingHook : runtime::AccessDrainHook {
-  runtime::AccessQueue *Q = nullptr;
+/// Reads the ring directly on its own thread, as SimPipeline's consumer
+/// does, copying every record out. It first waits for the producer to
+/// fill all \p Capacity slots, so the producer must stall at least once.
+std::vector<runtime::AccessRec> consumeAfterFirstFill(runtime::AccessQueue &Q,
+                                                      size_t Capacity) {
   std::vector<runtime::AccessRec> Got;
-  void drainInline() override {
-    size_t N = Q->available();
+  while (Q.available() != Capacity)
+    std::this_thread::yield();
+  for (;;) {
+    bool Closed = Q.isClosed(); // Read before draining: no record lost.
+    size_t N = Q.available();
     for (size_t I = 0; I != N; ++I)
-      Got.push_back(Q->at(I));
-    Q->pop(N);
+      Got.push_back(Q.at(I));
+    Q.pop(N);
+    if (Closed && N == 0)
+      return Got;
+    if (N == 0)
+      std::this_thread::yield();
   }
-};
+}
 
-TEST(AccessQueue, BackpressureDrainsInlineWithoutLossOrTearing) {
-  runtime::AccessQueue Q(1024, 6, true);
-  CopyingHook Hook;
-  Hook.Q = &Q;
-  Q.setDrainHook(&Hook);
+TEST(AccessQueue, BackpressureStallsUntilTheRingIsReadWithoutLossOrTearing) {
+  const size_t Capacity = 1024;
+  runtime::AccessQueue Q(Capacity, 6, true);
+  std::vector<runtime::AccessRec> Got;
+  std::thread Consumer([&] { Got = consumeAfterFirstFill(Q, Capacity); });
   // Distinct lines defeat collapsing, so this overfills the ring
-  // several times; every 16th access is sampled with a path, whose
-  // group must never be observed torn.
+  // several times. Every 16th access after the first fill is sampled
+  // with a path, whose group must never be observed torn; the first
+  // Capacity accesses are one record each, so they fill the ring exactly.
   std::vector<uint64_t> Path = {1, 2, 3, 4, 5};
   const size_t N = 5000;
   for (size_t I = 0; I != N; ++I) {
-    bool Sampled = I % 16 == 0;
+    bool Sampled = I >= 2 * Capacity && I % 16 == 0;
     Q.noteAccess(0, 0x400 + I, (0x10000 + 64 * I), 8, false, Sampled,
                  Sampled ? Path : NoPath);
   }
-  Q.sync();
+  Q.close();
+  Consumer.join();
   EXPECT_GT(Q.producerStalls(), 0u) << "test must actually overfill";
+  EXPECT_EQ(Got.size(), Q.recordsPublished());
   // Replay the received stream: every record accounted for, in order,
   // and every Sampled record followed by exactly its path records.
   size_t Accesses = 0;
-  for (size_t I = 0; I != Hook.Got.size(); ++I) {
-    const runtime::AccessRec &R = Hook.Got[I];
+  for (size_t I = 0; I != Got.size(); ++I) {
+    const runtime::AccessRec &R = Got[I];
     if (R.Kind == runtime::RecRun) {
+      EXPECT_EQ(R.A, (0x10000 + 64 * Accesses) >> 6);
       Accesses += R.Count;
     } else if (R.Kind == runtime::RecSampled) {
+      EXPECT_EQ(R.A, 0x10000 + 64 * Accesses);
       ++Accesses;
       size_t PathRecs = (R.Count + 1) / 2;
-      ASSERT_LE(I + PathRecs, Hook.Got.size()) << "torn sampled group";
+      ASSERT_LE(I + PathRecs, Got.size()) << "torn sampled group";
       for (size_t P = 1; P <= PathRecs; ++P)
-        ASSERT_EQ(Hook.Got[I + P].Kind, runtime::RecPath);
-      EXPECT_EQ(Hook.Got[I + 1].A, 1u);
+        ASSERT_EQ(Got[I + P].Kind, runtime::RecPath);
+      EXPECT_EQ(Got[I + 1].A, 1u);
       I += PathRecs;
     } else {
       FAIL() << "unexpected kind " << unsigned(R.Kind);
     }
   }
   EXPECT_EQ(Accesses, N);
+}
+
+// sync() returns only once the consumer has popped every record, and
+// the records staged before it are all published by then.
+TEST(AccessQueue, SyncWaitsUntilTheRingIsRead) {
+  runtime::AccessQueue Q(1024, 6, true);
+  std::atomic<size_t> Consumed{0};
+  std::thread Consumer([&] {
+    for (;;) {
+      bool Closed = Q.isClosed();
+      size_t N = Q.available();
+      // Counted before the pop that lets sync() return.
+      Consumed.fetch_add(N, std::memory_order_relaxed);
+      Q.pop(N);
+      if (Closed && N == 0)
+        return;
+      if (N == 0)
+        std::this_thread::yield();
+    }
+  });
+  for (size_t Round = 1; Round != 6; ++Round) {
+    for (size_t I = 0; I != 100; ++I)
+      Q.noteAccess(0, 0x400, 0x10000 + 64 * (Round * 100 + I), 8, false,
+                   false, NoPath);
+    Q.sync();
+    EXPECT_EQ(Q.recordsPublished(), Round * 100);
+    EXPECT_EQ(Consumed.load(std::memory_order_relaxed), Round * 100);
+  }
+  Q.close();
+  Consumer.join();
 }
 
 } // namespace

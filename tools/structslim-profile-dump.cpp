@@ -23,13 +23,11 @@
 //===----------------------------------------------------------------------===//
 
 #include "profile/ProfileIO.h"
+#include "support/ParseNumber.h"
 #include "transform/FieldMap.h"
 #include "workloads/Driver.h"
 #include "workloads/Registry.h"
 
-#include <cerrno>
-#include <cmath>
-#include <cstdlib>
 #include <filesystem>
 #include <iostream>
 #include <string>
@@ -45,21 +43,6 @@ int usage() {
   return 2;
 }
 
-/// Strict full-string double parse; rejects "", "abc", "0.5x", "nan",
-/// "inf".
-bool parseDouble(const std::string &Text, double &Out) {
-  if (Text.empty())
-    return false;
-  errno = 0;
-  char *End = nullptr;
-  double Value = std::strtod(Text.c_str(), &End);
-  if (errno != 0 || End != Text.c_str() + Text.size() ||
-      !std::isfinite(Value))
-    return false;
-  Out = Value;
-  return true;
-}
-
 } // namespace
 
 int main(int argc, char **argv) {
@@ -69,7 +52,7 @@ int main(int argc, char **argv) {
   for (int I = 1; I < argc; ++I) {
     std::string Arg = argv[I];
     if (Arg.rfind("--scale=", 0) == 0) {
-      if (!parseDouble(Arg.substr(8), Scale) || Scale <= 0) {
+      if (!support::parseDouble(Arg.substr(8), Scale) || Scale <= 0) {
         std::cerr << "error: invalid value '" << Arg.substr(8)
                   << "' for --scale\n";
         return usage();

@@ -25,7 +25,7 @@
 //     --contexts       also print the hottest sampled calling contexts
 //                      (HPCToolkit-style CCT view)
 //     --json           emit the full analysis as JSON on stdout
-//                      (schema_version 1) instead of the text report
+//                      (schema_version 3) instead of the text report
 //     --stats          print per-stage timings/counters (text mode:
 //                      after the report; JSON mode: they are embedded
 //                      in the document anyway, --stats adds the table
@@ -56,12 +56,10 @@
 #include "core/Report.h"
 #include "profile/MergeTree.h"
 #include "support/Format.h"
+#include "support/ParseNumber.h"
 #include "support/ThreadPool.h"
 
-#include <cerrno>
 #include <chrono>
-#include <cmath>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -89,35 +87,6 @@ int usage() {
   return 2;
 }
 
-/// Strict full-string unsigned parse; rejects "", "abc", "1x", "-1".
-bool parseUnsigned(const std::string &Text, unsigned &Out) {
-  if (Text.empty() || Text[0] == '-' || Text[0] == '+')
-    return false;
-  errno = 0;
-  char *End = nullptr;
-  unsigned long Value = std::strtoul(Text.c_str(), &End, 10);
-  if (errno != 0 || End != Text.c_str() + Text.size() ||
-      Value > 0xffffffffUL)
-    return false;
-  Out = static_cast<unsigned>(Value);
-  return true;
-}
-
-/// Strict full-string double parse; rejects "", "abc", "0.5x", "nan",
-/// "inf".
-bool parseDouble(const std::string &Text, double &Out) {
-  if (Text.empty())
-    return false;
-  errno = 0;
-  char *End = nullptr;
-  double Value = std::strtod(Text.c_str(), &End);
-  if (errno != 0 || End != Text.c_str() + Text.size() ||
-      !std::isfinite(Value))
-    return false;
-  Out = Value;
-  return true;
-}
-
 /// Reports a malformed option value and returns false (the caller
 /// falls through to usage()).
 bool badValue(const std::string &Flag, const std::string &Value) {
@@ -129,13 +98,14 @@ bool parseArgs(int argc, char **argv, Options &Opts) {
   for (int I = 1; I < argc; ++I) {
     std::string Arg = argv[I];
     if (Arg.rfind("--top=", 0) == 0) {
-      if (!parseUnsigned(Arg.substr(6), Opts.Analysis.TopObjects))
+      if (!support::parseUnsigned(Arg.substr(6), Opts.Analysis.TopObjects))
         return badValue("--top", Arg.substr(6));
     } else if (Arg.rfind("--threshold=", 0) == 0) {
-      if (!parseDouble(Arg.substr(12), Opts.Analysis.AffinityThreshold))
+      if (!support::parseDouble(Arg.substr(12),
+                                Opts.Analysis.AffinityThreshold))
         return badValue("--threshold", Arg.substr(12));
     } else if (Arg.rfind("--min-unique=", 0) == 0) {
-      if (!parseUnsigned(Arg.substr(13), Opts.Analysis.MinUniqueAddrs))
+      if (!support::parseUnsigned(Arg.substr(13), Opts.Analysis.MinUniqueAddrs))
         return badValue("--min-unique", Arg.substr(13));
     } else if (Arg.rfind("--dot=", 0) == 0) {
       Opts.DotObject = Arg.substr(6);
@@ -150,7 +120,7 @@ bool parseArgs(int argc, char **argv, Options &Opts) {
     } else if (Arg == "--stats") {
       Opts.Stats = true;
     } else if (Arg.rfind("--jobs=", 0) == 0) {
-      if (!parseUnsigned(Arg.substr(7), Opts.Jobs))
+      if (!support::parseUnsigned(Arg.substr(7), Opts.Jobs))
         return badValue("--jobs", Arg.substr(7));
     } else if (Arg.rfind("--", 0) == 0) {
       std::cerr << "error: unknown option '" << Arg << "'\n";
@@ -205,13 +175,6 @@ int main(int argc, char **argv) {
     return 1;
   }
   profile::Profile Merged = std::move(Load.Merged);
-  // Decoupled-pipeline health counters travel inside the profiles
-  // (merge rule: max/sum/sum), so the merged profile already holds the
-  // run totals; zero for inline-simulation runs and pre-pipeline shards.
-  Stats.QueueDepthMax = Merged.QueueDepthMax;
-  Stats.ProducerStalls = Merged.ProducerStalls;
-  Stats.ConsumerBatches = Merged.ConsumerBatches;
-  Stats.PipelineCapacity = Merged.PipelineCapacity;
 
   auto AnalyzeBegin = std::chrono::steady_clock::now();
   core::AnalysisResult Result =

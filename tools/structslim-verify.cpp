@@ -28,11 +28,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/ClosedLoop.h"
+#include "support/ParseNumber.h"
 #include "workloads/Registry.h"
 
-#include <cerrno>
-#include <cmath>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -56,34 +54,6 @@ int usage() {
   return 2;
 }
 
-/// Strict full-string unsigned parse; rejects "", "abc", "1x", "-1".
-bool parseUnsigned(const std::string &Text, uint64_t &Out) {
-  if (Text.empty() || Text[0] == '-' || Text[0] == '+')
-    return false;
-  errno = 0;
-  char *End = nullptr;
-  unsigned long long Value = std::strtoull(Text.c_str(), &End, 10);
-  if (errno != 0 || End != Text.c_str() + Text.size())
-    return false;
-  Out = Value;
-  return true;
-}
-
-/// Strict full-string double parse; rejects "", "abc", "0.5x", "nan",
-/// "inf".
-bool parseDouble(const std::string &Text, double &Out) {
-  if (Text.empty())
-    return false;
-  errno = 0;
-  char *End = nullptr;
-  double Value = std::strtod(Text.c_str(), &End);
-  if (errno != 0 || End != Text.c_str() + Text.size() ||
-      !std::isfinite(Value))
-    return false;
-  Out = Value;
-  return true;
-}
-
 bool badValue(const std::string &Flag, const std::string &Value) {
   std::cerr << "error: invalid value '" << Value << "' for " << Flag << "\n";
   return false;
@@ -93,10 +63,11 @@ bool parseArgs(int argc, char **argv, Options &Opts) {
   for (int I = 1; I < argc; ++I) {
     std::string Arg = argv[I];
     if (Arg.rfind("--scale=", 0) == 0) {
-      if (!parseDouble(Arg.substr(8), Opts.Scale) || Opts.Scale <= 0)
+      if (!support::parseDouble(Arg.substr(8), Opts.Scale) || Opts.Scale <= 0)
         return badValue("--scale", Arg.substr(8));
     } else if (Arg.rfind("--period=", 0) == 0) {
-      if (!parseUnsigned(Arg.substr(9), Opts.Period) || Opts.Period == 0)
+      if (!support::parseUnsigned(Arg.substr(9), Opts.Period) ||
+          Opts.Period == 0)
         return badValue("--period", Arg.substr(9));
     } else if (Arg == "--json") {
       Opts.Json = true;
