@@ -41,12 +41,13 @@ struct BenefitEstimate {
 };
 
 /// Estimates \p Plan's benefit for \p Analysis. \p MemoryShare is the
-/// fraction of total execution time that is sampled memory latency
-/// (1.0 treats the program as purely memory bound; smaller values
-/// dampen the Amdahl projection accordingly).
+/// fraction of total execution time that is memory latency, measured
+/// from the profiled run (verifyWorkload derives it); it damps the
+/// Amdahl projection, so a program that is not purely memory bound
+/// gains less than its object reduction alone suggests.
 BenefitEstimate estimateSplitBenefit(const ObjectAnalysis &Analysis,
                                      const SplitPlan &Plan,
-                                     double MemoryShare = 1.0);
+                                     double MemoryShare);
 
 } // namespace core
 } // namespace structslim

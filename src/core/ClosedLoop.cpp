@@ -7,6 +7,7 @@
 #include "support/TablePrinter.h"
 #include "transform/StructSplitter.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <sstream>
@@ -114,7 +115,18 @@ structslim::core::verifyWorkload(const workloads::Workload &W,
     V.SizeConfidence = HotObj->SizeConfidence;
     V.HotShare = HotObj->HotShare;
     V.Samples = HotObj->SampleCount;
-    V.PredictedSpeedup = estimateSplitBenefit(*HotObj, V.Plan).PredictedSpeedup;
+    // Memory share of the run: sampled latency stands for 1/period of
+    // the true memory latency, over the thread-summed cycles with the
+    // sample-handler charge removed. The per-phase-max detached elapsed
+    // cycles would overcount the parallel programs' share.
+    double MemCycles = static_cast<double>(V.Analysis.TotalLatency) *
+                       static_cast<double>(Config.Run.Sampling.Period);
+    uint64_t BusyCycles = V.Profiled.TotalCycles -
+                          V.Profiled.Samples * Config.Run.SampleHandlerCycles;
+    double MemoryShare =
+        std::min(1.0, MemCycles / static_cast<double>(BusyCycles));
+    V.PredictedSpeedup =
+        estimateSplitBenefit(*HotObj, V.Plan, MemoryShare).PredictedSpeedup;
   } else {
     V.Plan.ObjectName = W.hotObjectName();
     V.FallbackReason =

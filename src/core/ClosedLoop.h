@@ -102,7 +102,7 @@ struct WorkloadVerdict {
 
   // Derived deltas.
   double MeasuredSpeedup = 1.0;  ///< Before/After elapsed cycles.
-  double PredictedSpeedup = 1.0; ///< BenefitModel projection.
+  double PredictedSpeedup = 1.0; ///< Amdahl-damped BenefitModel projection.
   /// Per level: fraction of the demand misses removed (negative when
   /// the split added misses) — the paper's Table 4 metric.
   std::array<double, 3> MissReduction{};

@@ -76,21 +76,28 @@ TEST(MultiProcess, IndependentSamplingPhases) {
   EXPECT_GT(R.Processes[1].Samples, 0u);
 }
 
+// The advice does not depend on how many worker profiles merge: 1, 3
+// and 4 processes of four CLOMP workers each give 4, 12 and 16 worker
+// profiles, 16 being the paper machine's core count.
 TEST(MultiProcess, MergedAnalysisMatchesPaperAdvice) {
   auto W = makeClomp();
   transform::FieldMap Map(W->hotLayout());
-  MultiProcessResult R = runProcesses(*W, Map, testConfig(), 3);
-  core::StructSlimAnalyzer Analyzer(*R.CodeMap);
   ir::StructLayout Layout = W->hotLayout();
-  Analyzer.registerLayout(W->hotObjectName(), Layout);
-  core::AnalysisResult Analysis = Analyzer.analyze(R.Merged);
-  const core::ObjectAnalysis *Hot = Analysis.findObject("_Zone");
-  ASSERT_NE(Hot, nullptr);
-  EXPECT_EQ(Hot->StructSize, 32u);
-  core::SplitPlan Plan = core::makeSplitPlan(*Hot, &Layout);
-  ASSERT_TRUE(Plan.isSplit());
-  // Fig. 11: {value, nextZone} is the hot cluster.
-  EXPECT_EQ(Plan.ClusterOffsets[0], (std::vector<uint32_t>{16, 24}));
+  for (unsigned Processes : {1u, 3u, 4u}) {
+    SCOPED_TRACE(std::to_string(Processes) + " processes");
+    MultiProcessResult R = runProcesses(*W, Map, testConfig(), Processes);
+    ASSERT_EQ(R.Processes.size(), Processes);
+    core::StructSlimAnalyzer Analyzer(*R.CodeMap);
+    Analyzer.registerLayout(W->hotObjectName(), Layout);
+    core::AnalysisResult Analysis = Analyzer.analyze(R.Merged);
+    const core::ObjectAnalysis *Hot = Analysis.findObject("_Zone");
+    ASSERT_NE(Hot, nullptr);
+    EXPECT_EQ(Hot->StructSize, 32u);
+    core::SplitPlan Plan = core::makeSplitPlan(*Hot, &Layout);
+    ASSERT_TRUE(Plan.isSplit());
+    // Fig. 11: {value, nextZone} is the hot cluster.
+    EXPECT_EQ(Plan.ClusterOffsets[0], (std::vector<uint32_t>{16, 24}));
+  }
 }
 
 namespace {

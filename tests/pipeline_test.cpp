@@ -786,25 +786,6 @@ TEST(PipelineDifferential, PaperWorkloadsDecoupledMatchesInlineOracle) {
   }
 }
 
-// All seven paper workloads under the threaded consumer placement: the
-// parallel workloads run their native four-thread phases round-robin
-// through one ring drained by the dedicated consumer thread.
-TEST(ParallelDecoupled, PaperWorkloadsMatchSerialInlineOracle) {
-  ThreadsEnv MultiCore("4");
-  for (const auto &W : workloads::makePaperWorkloads()) {
-    SCOPED_TRACE(W->name());
-    workloads::WorkloadRun Oracle =
-        runWith(*W, /*InlineSimulation=*/true, /*Reference=*/false);
-    workloads::WorkloadRun Decoupled =
-        runWith(*W, /*InlineSimulation=*/false, /*Reference=*/false);
-    expectIdenticalRuns(Oracle.Result, Decoupled.Result);
-    EXPECT_EQ(profileText(Oracle.Merged), profileText(Decoupled.Merged));
-    EXPECT_EQ(Oracle.Result.ConsumerBatches, 0u);
-    EXPECT_GT(Decoupled.Result.ConsumerBatches, 0u);
-    EXPECT_GT(Oracle.Result.Samples, 0u);
-  }
-}
-
 // The full pipeline on the paper's two multithreaded workloads at a
 // larger scale: the merged profile a user sees must not depend on
 // whether simulation runs inline or decoupled.

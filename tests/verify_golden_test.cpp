@@ -5,6 +5,7 @@
 //  - the JSON deltas match the checked-in golden byte for byte
 //    (tests/data/golden_verify.json; regenerate with
 //    tests/regen_advice_goldens.sh after intentional changes),
+//  - every prediction_ratio in the golden is within [0.85, 1.15],
 //  - no workload regresses modeled latency and every one keeps its
 //    results (the never-regress contract, parsed from the document),
 //  - the document is byte-identical for STRUCTSLIM_THREADS=1 and =4,
@@ -89,6 +90,24 @@ TEST(VerifyGolden, SevenWorkloadJsonDeltasMatchGolden) {
   EXPECT_EQ(R.Output, Golden)
       << "closed-loop deltas drifted from " << Path
       << "; regenerate via tests/regen_advice_goldens.sh if intentional";
+}
+
+// The benefit predictor is calibrated: on every paper workload the
+// Amdahl-damped prediction lands within 15% of the measured speedup.
+TEST(VerifyGolden, PredictionRatiosStayInBand) {
+  std::istringstream Golden(readFileBytes(dataPath("golden_verify.json")));
+  const std::string Key = "\"prediction_ratio\": ";
+  unsigned Ratios = 0;
+  for (std::string Line; std::getline(Golden, Line);) {
+    size_t At = Line.find(Key);
+    if (At == std::string::npos)
+      continue;
+    double Ratio = std::stod(Line.substr(At + Key.size()));
+    EXPECT_GE(Ratio, 0.85) << Line;
+    EXPECT_LE(Ratio, 1.15) << Line;
+    ++Ratios;
+  }
+  EXPECT_EQ(Ratios, 7u);
 }
 
 TEST(VerifyGolden, NoWorkloadRegressesAndAllResultsMatch) {

@@ -9,8 +9,8 @@
 // wrote, merges them with the reduction tree, analyzes the top objects,
 // and prints the hot-data ranking, per-object field/loop
 // decompositions, affinity matrices and splitting advice. Optionally
-// emits the affinity graph as Graphviz dot, the array-regrouping
-// extension's advice, or the whole analysis as stable-schema JSON.
+// emits the affinity graph as Graphviz dot or the whole analysis as
+// stable-schema JSON.
 //
 // Usage:
 //   structslim-report [options] <profile files...>
@@ -21,7 +21,6 @@
 //                      bar; sizes from sparser streams are flagged
 //                      low-confidence)
 //     --dot=<object>   print the object's affinity graph as dot
-//     --regroup        also print array-regrouping advice
 //     --contexts       also print the hottest sampled calling contexts
 //                      (HPCToolkit-style CCT view)
 //     --json           emit the full analysis as JSON on stdout
@@ -52,10 +51,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Advice.h"
-#include "core/Regrouping.h"
 #include "core/Report.h"
 #include "profile/MergeTree.h"
-#include "support/Format.h"
 #include "support/ParseNumber.h"
 #include "support/ThreadPool.h"
 
@@ -71,7 +68,6 @@ namespace {
 struct Options {
   core::AnalysisConfig Analysis;
   std::string DotObject;
-  bool Regroup = false;
   bool Contexts = false;
   bool Strict = false;
   bool Json = false;
@@ -82,8 +78,8 @@ struct Options {
 
 int usage() {
   std::cerr << "usage: structslim-report [--top=N] [--threshold=T] "
-               "[--min-unique=N] [--dot=<object>] [--regroup] [--contexts] "
-               "[--json] [--stats] [--jobs=N] [--strict] <profile files...>\n";
+               "[--min-unique=N] [--dot=<object>] [--contexts] [--json] "
+               "[--stats] [--jobs=N] [--strict] <profile files...>\n";
   return 2;
 }
 
@@ -109,8 +105,6 @@ bool parseArgs(int argc, char **argv, Options &Opts) {
         return badValue("--min-unique", Arg.substr(13));
     } else if (Arg.rfind("--dot=", 0) == 0) {
       Opts.DotObject = Arg.substr(6);
-    } else if (Arg == "--regroup") {
-      Opts.Regroup = true;
     } else if (Arg == "--contexts") {
       Opts.Contexts = true;
     } else if (Arg == "--strict") {
@@ -231,23 +225,6 @@ int main(int argc, char **argv) {
               << core::renderHotContexts(Merged, nullptr) << "\n";
   }
 
-  if (Opts.Regroup) {
-    std::cout << "=== Array-regrouping advice (extension) ===\n";
-    core::RegroupAdvice Advice =
-        core::adviseRegrouping(Merged, Opts.Analysis);
-    if (Advice.Groups.empty()) {
-      std::cout << "no profitable regrouping found\n";
-    } else {
-      for (const auto &Group : Advice.Groups) {
-        std::cout << "regroup { " << join(Group.Arrays, ", ")
-                  << " } into one array of structures (latency "
-                  << Group.LatencySum << ", strides:";
-        for (uint64_t S : Group.Strides)
-          std::cout << " " << S;
-        std::cout << ")\n";
-      }
-    }
-  }
   Stats.RenderSeconds = secondsSince(RenderBegin);
 
   if (Opts.Stats)
