@@ -7,11 +7,10 @@
 // The whole pipeline as one call: for a serial workload (ART) and a
 // parallel one (CLOMP), core::verifyWorkload profiles the original
 // program, runs the offline analyzer, converts the hot object's
-// SplitPlan into an actual rewrite — the IR-level split when the
-// allocation token permits it, the FieldMap source rebuild when the
-// splitter rejects (CLOMP's workers receive the array through a
-// mailbox, so its base pointer escapes and the splitter must refuse) —
-// and re-simulates under the identical cache hierarchy.
+// SplitPlan into an actual rewrite — the IR-level split through the
+// allocation token; CLOMP's workers receive the array through a
+// mailbox slot, which the splitter widens to one slot per group — and
+// re-simulates under the identical cache hierarchy.
 //
 // The printed verdicts show what closing the loop adds over advice
 // alone: the measured speedup next to the BenefitModel's prediction,
@@ -39,8 +38,8 @@ int main() {
   Config.Scale = 0.2; // Keep the demo under a second.
 
   std::vector<std::unique_ptr<workloads::Workload>> Workloads;
-  Workloads.push_back(workloads::makeArt());   // Serial: IR-split path.
-  Workloads.push_back(workloads::makeClomp()); // Parallel: rebuild path.
+  Workloads.push_back(workloads::makeArt());   // Serial.
+  Workloads.push_back(workloads::makeClomp()); // Parallel: mailbox base.
 
   core::VerifyReport Report = core::verifyWorkloads(Workloads, Config);
   std::cout << core::renderVerifyText(Report);

@@ -8,8 +8,6 @@
 #include "transform/StructSplitter.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
 #include <sstream>
 
 using namespace structslim;
@@ -21,8 +19,6 @@ const char *structslim::core::applyModeName(ApplyMode Mode) {
     return "none";
   case ApplyMode::IrSplit:
     return "ir-split";
-  case ApplyMode::FieldMapRebuild:
-    return "fieldmap-rebuild";
   }
   return "none";
 }
@@ -133,14 +129,9 @@ structslim::core::verifyWorkload(const workloads::Workload &W,
         "hot object '" + W.hotObjectName() + "' not significant in the profile";
   }
 
-  // 4. Apply the plan and re-simulate under the identical RunConfig.
-  if (!V.Plan.isSplit()) {
-    V.Mode = ApplyMode::None;
-    if (V.FallbackReason.empty())
-      V.FallbackReason = "advice keeps the structure whole";
-    V.After = V.Before;
-  } else {
-    // Path 1: rewrite the built IR through the allocation token.
+  // 4. Rewrite the built IR through the allocation token and re-simulate
+  // under the identical RunConfig.
+  if (V.Plan.isSplit()) {
     runtime::RunConfig DetachedCfg = Config.Run;
     DetachedCfg.AttachProfiler = false;
     runtime::ThreadedRuntime Runtime(DetachedCfg);
@@ -161,7 +152,6 @@ structslim::core::verifyWorkload(const workloads::Workload &W,
         Err = "split program failed IR verification: " + VerifyErr;
       }
 
-    runtime::RunResult After;
     if (Split) {
       // cloneProgram preserves function ids, so the original phase
       // plan drives the rewritten program unchanged.
@@ -169,18 +159,17 @@ structslim::core::verifyWorkload(const workloads::Workload &W,
       analysis::CodeMap SplitMap(*Split);
       for (const auto &Phase : Built.Phases)
         Runtime.runPhase(*Split, &SplitMap, Phase);
-      After = Runtime.finish();
+      runtime::RunResult After = Runtime.finish();
+      V.After = countersOf(After);
+      V.ResultsMatch = After.ReturnValues == V.Profiled.ReturnValues;
     } else {
-      // Path 2: the paper's manual source transformation, mechanized —
-      // rebuild the workload under the split FieldMap.
-      V.Mode = ApplyMode::FieldMapRebuild;
       V.FallbackReason = Err;
-      transform::FieldMap SplitMap(Hot, V.Plan);
-      After = workloads::runWorkload(W, SplitMap, Config, /*Attach=*/false)
-                  .Result;
     }
-    V.After = countersOf(After);
-    V.ResultsMatch = After.ReturnValues == V.Profiled.ReturnValues;
+  }
+  if (V.Mode == ApplyMode::None) {
+    if (V.FallbackReason.empty())
+      V.FallbackReason = "advice keeps the structure whole";
+    V.After = V.Before;
   }
 
   // 5. Deltas.
@@ -237,7 +226,6 @@ std::string structslim::core::renderVerifyText(const VerifyReport &Report) {
   OS << "\n"
      << Report.Workloads.size() << " workload(s): "
      << Report.countMode(ApplyMode::IrSplit) << " ir-split, "
-     << Report.countMode(ApplyMode::FieldMapRebuild) << " fieldmap-rebuild, "
      << Report.countMode(ApplyMode::None) << " unsplit; "
      << Report.countImproved() << " improved, " << Report.countRegressed()
      << " regressed, " << Report.countMismatched() << " mismatched\n";
@@ -245,55 +233,6 @@ std::string structslim::core::renderVerifyText(const VerifyReport &Report) {
 }
 
 namespace {
-
-// Deterministic JSON rendering, the structslim-report conventions:
-// %.9g numbers, never NaN/Inf, fixed key order.
-std::string jsonEscape(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size() + 2);
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-  return Out;
-}
-
-std::string jsonNumber(double Value) {
-  if (!std::isfinite(Value))
-    return "0";
-  char Buf[64];
-  std::snprintf(Buf, sizeof(Buf), "%.9g", Value);
-  return Buf;
-}
-
-std::string jsonString(const std::string &S) {
-  return "\"" + jsonEscape(S) + "\"";
-}
-
-const char *jsonBool(bool B) { return B ? "true" : "false"; }
 
 void renderCounters(std::ostream &OS, const SimCounters &C,
                     const std::string &Indent) {
@@ -318,7 +257,7 @@ structslim::core::renderVerifyJson(const VerifyReport &Report,
                                    const workloads::DriverConfig &D) {
   std::ostringstream OS;
   OS << "{\n";
-  OS << "  \"schema_version\": 3,\n";
+  OS << "  \"schema_version\": 4,\n";
   OS << "  \"generator\": \"structslim-verify\",\n";
 
   OS << "  \"config\": {\n";
@@ -381,8 +320,6 @@ structslim::core::renderVerifyJson(const VerifyReport &Report,
   OS << "  \"summary\": {\n";
   OS << "    \"workloads\": " << Report.Workloads.size() << ",\n";
   OS << "    \"ir_split\": " << Report.countMode(ApplyMode::IrSplit) << ",\n";
-  OS << "    \"fieldmap_rebuild\": "
-     << Report.countMode(ApplyMode::FieldMapRebuild) << ",\n";
   OS << "    \"unsplit\": " << Report.countMode(ApplyMode::None) << ",\n";
   OS << "    \"improved\": " << Report.countImproved() << ",\n";
   OS << "    \"regressed\": " << Report.countRegressed() << ",\n";

@@ -19,18 +19,16 @@
 /// only effect on simulated state. The split run supplies the "after"
 /// counters.
 ///
-/// Two application paths, tried in order:
-///  1. IR split: transform::splitArrayOfStructs rewrites the built
-///     program directly through its allocation token — the compiler
-///     pass the paper's conclusion envisions. Works when the hot
-///     array's base pointer never escapes the allocating function
-///     (the serial workloads: ART, libquantum, TSP, MSER).
-///  2. FieldMap rebuild: when the splitter rejects (the parallel
-///     workloads publish base pointers to worker threads through a
-///     mailbox, which is exactly the escape the splitter must refuse
-///     to rewrite), the workload is re-built from source under the
-///     split FieldMap — the paper's manual source transformation. The
-///     splitter's diagnostic is preserved as the fallback reason.
+/// One application path: transform::splitArrayOfStructs rewrites the
+/// built program directly through its allocation token — the compiler
+/// pass the paper's conclusion envisions. It covers every paper
+/// program: the serial ones keep the hot array's base in the allocating
+/// function, the parallel ones (CLOMP, Health, NN) also hand it to their
+/// workers through a constant-address mailbox slot. When the splitter
+/// refuses a program, nothing is applied: the mode is None, the
+/// diagnostic is the fallback reason and "after" equals "before". The
+/// FieldMap rebuild (the paper's manual source transformation) is kept
+/// only as the test oracle for the rewrite.
 ///
 /// Runs take the caller's RunConfig as is. Every simulation placement
 /// is bit-identical to the inline oracle, so the counters — and the
@@ -54,9 +52,8 @@ namespace core {
 
 /// How the advised plan was applied to the program.
 enum class ApplyMode : uint8_t {
-  None,            ///< Plan keeps the structure whole; nothing applied.
-  IrSplit,         ///< splitArrayOfStructs rewrote the IR in place.
-  FieldMapRebuild, ///< Splitter rejected; rebuilt under the split map.
+  None,    ///< Plan keeps the structure whole or the splitter refused.
+  IrSplit, ///< splitArrayOfStructs rewrote the IR in place.
 };
 
 /// Stable identifier used in text and JSON output.

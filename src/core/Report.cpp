@@ -5,8 +5,6 @@
 #include "support/Format.h"
 #include "support/TablePrinter.h"
 
-#include <cmath>
-#include <cstdio>
 #include <sstream>
 
 using namespace structslim;
@@ -152,60 +150,6 @@ structslim::core::renderHotContexts(const profile::Profile &Merged,
 }
 
 // --- JSON rendering ---------------------------------------------------
-
-namespace {
-
-/// Escapes \p S for use inside a JSON string literal.
-std::string jsonEscape(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size() + 2);
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-  return Out;
-}
-
-/// Deterministic JSON number rendering: shortest %.9g form, never
-/// NaN/Inf (which JSON cannot represent).
-std::string jsonNumber(double Value) {
-  if (!std::isfinite(Value))
-    return "0";
-  char Buf[64];
-  std::snprintf(Buf, sizeof(Buf), "%.9g", Value);
-  return Buf;
-}
-
-std::string jsonString(const std::string &S) {
-  return "\"" + jsonEscape(S) + "\"";
-}
-
-const char *jsonBool(bool B) { return B ? "true" : "false"; }
-
-} // namespace
 
 std::string structslim::core::renderJsonReport(
     const AnalysisResult &Result, const profile::Profile &Merged,

@@ -2,6 +2,7 @@
 
 #include "support/Format.h"
 
+#include <cmath>
 #include <cstdio>
 
 using namespace structslim;
@@ -36,4 +37,49 @@ std::string structslim::join(const std::vector<std::string> &Parts,
     Result += Parts[I];
   }
   return Result;
+}
+
+std::string structslim::jsonEscape(const std::string &S) {
+  std::string Out;
+  Out.reserve(S.size() + 2);
+  for (char C : S) {
+    switch (C) {
+    case '"':
+      Out += "\\\"";
+      break;
+    case '\\':
+      Out += "\\\\";
+      break;
+    case '\n':
+      Out += "\\n";
+      break;
+    case '\r':
+      Out += "\\r";
+      break;
+    case '\t':
+      Out += "\\t";
+      break;
+    default:
+      if (static_cast<unsigned char>(C) < 0x20) {
+        char Buf[8];
+        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
+        Out += Buf;
+      } else {
+        Out += C;
+      }
+    }
+  }
+  return Out;
+}
+
+std::string structslim::jsonString(const std::string &S) {
+  return "\"" + jsonEscape(S) + "\"";
+}
+
+std::string structslim::jsonNumber(double Value) {
+  if (!std::isfinite(Value))
+    return "0";
+  char Buf[64];
+  std::snprintf(Buf, sizeof(Buf), "%.9g", Value);
+  return Buf;
 }

@@ -6,7 +6,9 @@
 ///
 /// \file
 /// Formatting utilities shared by report rendering and the bench
-/// harnesses: fixed-precision doubles, percentages, and hex addresses.
+/// harnesses: fixed-precision doubles, percentages, hex addresses, and
+/// the JSON scalars behind structslim-report's and structslim-verify's
+/// documents.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,6 +36,18 @@ std::string formatHex(uint64_t Addr);
 /// Joins \p Parts with \p Separator.
 std::string join(const std::vector<std::string> &Parts,
                  const std::string &Separator);
+
+/// Escapes \p S for use inside a JSON string literal.
+std::string jsonEscape(const std::string &S);
+
+/// \p S as a quoted, escaped JSON string literal.
+std::string jsonString(const std::string &S);
+
+/// Deterministic JSON number rendering: shortest %.9g form, never
+/// NaN/Inf (which JSON cannot represent; they render as 0).
+std::string jsonNumber(double Value);
+
+inline const char *jsonBool(bool B) { return B ? "true" : "false"; }
 
 } // namespace structslim
 

@@ -38,7 +38,7 @@ structslim::transform::cloneProgram(const ir::Program &In) {
 
 namespace {
 
-/// Per-function rewrite state.
+/// Rewrite state: the program-wide mailbox and per-function group bases.
 struct SplitContext {
   const ir::StructLayout &Original;
   const core::SplitPlan &Plan;
@@ -53,9 +53,78 @@ struct SplitContext {
   }
 
   /// Base register of each group, keyed by the group-0 (original)
-  /// allocation register.
+  /// allocation or subscribed register.
   std::map<ir::Reg, std::vector<ir::Reg>> GroupBases;
+
+  /// The mailbox slot (valid if Publications is not empty) and the IPs
+  /// that publish or subscribe the base through it (see findMailbox).
+  uint64_t Slot = 0;
+  std::set<uint64_t> Publications, Subscriptions;
 };
+
+std::set<ir::Reg> allocRegs(const ir::Function &F, uint32_t Token) {
+  std::set<ir::Reg> Regs;
+  for (const auto &BB : F.Blocks)
+    for (const Instr &I : BB->Instrs)
+      if (I.Op == Opcode::Alloc && I.Token == Token)
+        Regs.insert(I.Dst);
+  return Regs;
+}
+
+/// Finds a base shared through a constant-address mailbox slot, as
+/// OpenMP shared variables hand an array to worker threads: published by
+/// an untokened, unindexed 8-byte store of the base to a constant
+/// address, subscribed (in any function) by such loads from it. The
+/// split uses G consecutive slots from there, as publishBases lays out a
+/// split array, so no other constant-address access may touch them, and
+/// none may be indexed (its range cannot be bounded).
+bool findMailbox(const ir::Program &P, SplitContext &Ctx) {
+  std::vector<std::pair<const Instr *, uint64_t>> Others; // With address.
+  for (const auto &F : P.functions()) {
+    // A constant address register is defined exactly once, by a ConstI.
+    std::set<ir::Reg> Defined, AllocRegs = allocRegs(*F, Ctx.Token);
+    std::map<ir::Reg, uint64_t> Consts;
+    for (const auto &BB : F->Blocks)
+      for (const Instr &I : BB->Instrs)
+        if (I.Dst != NoReg && Defined.insert(I.Dst).second &&
+            I.Op == Opcode::ConstI && I.Dst >= F->NumParams)
+          Consts[I.Dst] = static_cast<uint64_t>(I.Imm);
+        else if (I.Dst != NoReg)
+          Consts.erase(I.Dst);
+    for (const auto &BB : F->Blocks)
+      for (const Instr &I : BB->Instrs) {
+        auto Base = Consts.find(I.A);
+        if (!ir::isMemoryOp(I.Op) || Base == Consts.end())
+          continue;
+        uint64_t Addr = Base->second + static_cast<uint64_t>(I.Disp);
+        if (I.Op != Opcode::Store || I.Token != 0 || I.B != NoReg ||
+            I.Size != 8 || !AllocRegs.count(I.C)) {
+          Others.emplace_back(&I, Addr);
+          continue;
+        }
+        if (!Ctx.Publications.empty() && Ctx.Slot != Addr)
+          return Ctx.fail("store at ip " + std::to_string(I.Ip) +
+                          ": base published to a second mailbox slot");
+        Ctx.Slot = Addr;
+        Ctx.Publications.insert(I.Ip);
+      }
+  }
+  if (Ctx.Publications.empty())
+    return true;
+  uint64_t Span = 8 * uint64_t{Ctx.Map.getNumGroups()};
+  for (auto [I, Addr] : Others) {
+    if (I->B != NoReg)
+      return Ctx.fail("access at ip " + std::to_string(I->Ip) +
+                      ": indexed constant-address access beside a mailbox");
+    if (I->Op == Opcode::Load && I->Token == 0 && I->Size == 8 &&
+        Addr == Ctx.Slot)
+      Ctx.Subscriptions.insert(I->Ip);
+    else if (Addr - Ctx.Slot < Span || Ctx.Slot - Addr < I->Size) // Overlaps.
+      return Ctx.fail("access at ip " + std::to_string(I->Ip) +
+                      ": constant-address access overlaps the mailbox");
+  }
+  return true;
+}
 
 /// Safety pass over one function before any rewriting: the base
 /// register of every annotated allocation may only ever be used as the
@@ -65,20 +134,27 @@ struct SplitContext {
 /// arithmetic — means the pointer escapes the pattern the rewriter
 /// understands; and a memory access through the base that lacks the
 /// token would keep the original layout after fission, silently
-/// reading garbage. Both cases must reject, not miscompile.
+/// reading garbage. Both cases must reject, not miscompile. A mailbox
+/// publication (findMailbox) is the one store allowed; a register a
+/// subscription loads is held to the same rules, and may not be freed.
 bool checkFunction(const ir::Function &F, SplitContext &Ctx) {
-  std::set<ir::Reg> AllocRegs;
+  std::set<ir::Reg> AllocRegs = allocRegs(F, Ctx.Token), SubRegs;
   for (const auto &BB : F.Blocks)
     for (const Instr &I : BB->Instrs)
-      if (I.Op == Opcode::Alloc && I.Token == Ctx.Token)
-        AllocRegs.insert(I.Dst);
-  if (AllocRegs.empty())
-    return true;
+      if (Ctx.Subscriptions.count(I.Ip))
+        SubRegs.insert(I.Dst);
 
-  auto Escapes = [&](ir::Reg R) { return R != NoReg && AllocRegs.count(R); };
+  auto Escapes = [&](ir::Reg R) {
+    return R != NoReg && (AllocRegs.count(R) || SubRegs.count(R));
+  };
   for (const auto &BB : F.Blocks)
     for (const Instr &I : BB->Instrs) {
-      if (I.Op == Opcode::Free && Escapes(I.A))
+      if (SubRegs.count(I.Dst) && !Ctx.Subscriptions.count(I.Ip))
+        return Ctx.fail("instruction at ip " + std::to_string(I.Ip) +
+                        ": redefines a subscribed base pointer");
+      if (Ctx.Publications.count(I.Ip))
+        continue; // Republished per group by the rewrite.
+      if (I.Op == Opcode::Free && AllocRegs.count(I.A))
         continue; // Fissioned by the rewrite.
       if (ir::isMemoryOp(I.Op)) {
         if (I.Token != Ctx.Token && Escapes(I.A))
@@ -89,24 +165,33 @@ bool checkFunction(const ir::Function &F, SplitContext &Ctx) {
         // only; as index or stored value it escapes like anywhere else.
         if (Escapes(I.B) || Escapes(I.C))
           return Ctx.fail("instruction at ip " + std::to_string(I.Ip) +
-                          ": allocation base pointer escapes (stored or "
-                          "used as a value); cross-function sharing is "
-                          "not rewritable");
+                          ": base pointer escapes (stored or used as a "
+                          "value)");
         continue;
       }
       if (Escapes(I.A) || Escapes(I.B) || Escapes(I.C))
         return Ctx.fail("instruction at ip " + std::to_string(I.Ip) +
-                        ": allocation base pointer escapes (stored or "
-                        "used as a value); cross-function sharing is "
-                        "not rewritable");
+                        ": base pointer escapes (stored or used as a "
+                        "value)");
       for (ir::Reg Arg : I.Args)
         if (Escapes(Arg))
           return Ctx.fail("instruction at ip " + std::to_string(I.Ip) +
-                          ": allocation base pointer escapes into a "
-                          "call; cross-function sharing is not "
-                          "rewritable");
+                          ": base pointer escapes into a call");
     }
   return true;
+}
+
+/// Emits mailbox access \p I once per group base in \p Bases, at
+/// consecutive 8-byte slots, with \p Operand naming the base.
+void emitPerSlot(ir::Program &P, const Instr &I, ir::Reg Instr::*Operand,
+                 const std::vector<ir::Reg> &Bases, std::vector<Instr> &Out) {
+  for (size_t G = 0; G != Bases.size(); ++G) {
+    Instr Slot = I;
+    Slot.*Operand = Bases[G];
+    Slot.Disp = I.Disp + 8 * static_cast<int64_t>(G);
+    Slot.Ip = G == 0 ? I.Ip : P.nextIp();
+    Out.push_back(std::move(Slot));
+  }
 }
 
 /// Rewrites one function in place. Returns false on diagnostics.
@@ -122,6 +207,13 @@ bool rewriteFunction(ir::Program &P, ir::Function &F, SplitContext &Ctx) {
     std::vector<Instr> NewInstrs;
     NewInstrs.reserve(BB->Instrs.size());
     for (Instr &I : BB->Instrs) {
+      if (Ctx.Subscriptions.count(I.Ip)) {
+        std::vector<ir::Reg> &Bases = Ctx.GroupBases[I.Dst];
+        for (unsigned G = 0; G != NumGroups; ++G)
+          Bases.push_back(G == 0 ? I.Dst : F.NumRegs++);
+        emitPerSlot(P, I, &Instr::Dst, Bases, NewInstrs);
+        continue;
+      }
       if (I.Op != Opcode::Alloc || I.Token != Ctx.Token) {
         NewInstrs.push_back(std::move(I));
         continue;
@@ -180,6 +272,10 @@ bool rewriteFunction(ir::Program &P, ir::Function &F, SplitContext &Ctx) {
     std::vector<Instr> NewInstrs;
     NewInstrs.reserve(BB->Instrs.size());
     for (Instr &I : BB->Instrs) {
+      if (Ctx.Publications.count(I.Ip)) {
+        emitPerSlot(P, I, &Instr::C, Ctx.GroupBases[I.C], NewInstrs);
+        continue;
+      }
       bool IsTokenedMem = ir::isMemoryOp(I.Op) && I.Token == Ctx.Token;
       bool IsTokenedFree =
           I.Op == Opcode::Free && Ctx.GroupBases.count(I.A) != 0;
@@ -252,21 +348,15 @@ std::unique_ptr<ir::Program> structslim::transform::splitArrayOfStructs(
     return nullptr;
   }
 
-  // First check cross-function usage: every annotated access must live
-  // in the same function as an annotated allocation defining its base.
-  // rewriteFunction performs the precise per-register check; here we
-  // only need the per-function pairing, which pass 1/2 ordering covers.
-
   auto Out = cloneProgram(In);
   FieldMap Map(Original, Plan);
-  SplitContext Ctx{Original, Plan, Map, Token, std::string(), {}};
+  SplitContext Ctx{Original, Plan, Map, Token, {}, {}, 0, {}, {}};
+  bool Ok = findMailbox(*Out, Ctx);
   for (auto &F : Out->functions()) {
     Ctx.GroupBases.clear();
-    if (!rewriteFunction(*Out, *F, Ctx)) {
-      if (Error)
-        *Error = Ctx.Error;
-      return nullptr;
-    }
+    Ok = Ok && rewriteFunction(*Out, *F, Ctx);
   }
-  return Out;
+  if (!Ok && Error)
+    *Error = Ctx.Error;
+  return Ok ? std::move(Out) : nullptr;
 }

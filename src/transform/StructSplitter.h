@@ -12,9 +12,12 @@
 /// (base + index * structsize + fieldoffset) accesses within the same
 /// function. The allocation is fissioned into one array per advice
 /// cluster and every access is retargeted to its field's new array,
-/// scale, and offset. Programs that pass pointers across functions are
-/// rejected with a diagnostic; those use the FieldMap-driven rebuild
-/// instead (the paper's manual source transformation).
+/// scale, and offset. The base may also cross functions through a
+/// constant-address mailbox slot (an untokened 8-byte store of the base,
+/// and such loads in any function), as the parallel workloads hand their
+/// array to worker threads: the split publishes and subscribes one base
+/// per group at consecutive 8-byte slots from the original one. Any
+/// other escape of the base is rejected with a diagnostic.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -100,8 +100,7 @@ void publishBases(ir::ProgramBuilder &B, const StructArray &Array,
 /// Loads group base addresses back from the mailbox (worker side).
 /// \p Name is the object name the publisher allocated under; it binds
 /// the worker's accesses to the same token, so the split transform
-/// sees (and rejects, as a cross-function escape) the shared-pointer
-/// pattern instead of silently rewriting only the allocating function.
+/// rewrites the worker's accesses along with the allocating function.
 StructArray subscribeBases(ir::ProgramBuilder &B,
                            const transform::FieldMap &Map,
                            const std::string &Name, uint64_t MailboxAddr,

@@ -4,16 +4,19 @@
 // the one loop behind structslim-verify and the paper harnesses:
 //  - a serial workload takes the IR-split path, keeps its results, and
 //    does not regress modeled latency,
-//  - a parallel workload is rejected by the splitter (published base
-//    pointer) and falls back to the FieldMap rebuild, with the
-//    splitter's diagnostic preserved,
+//  - a parallel workload, whose base reaches its workers through a
+//    mailbox slot, takes the same IR-split path,
+//  - a program the splitter refuses is left as it is (mode none, the
+//    splitter's diagnostic, "after" equal to "before"),
 //  - verdicts and their JSON rendering are byte-identical for any
 //    STRUCTSLIM_THREADS value,
 //  - the BenefitModel's prediction and the measured speedup agree in
 //    direction (both > 1 when the split helps),
 //  - the headline qualitative claims of Tables 3 and 4 hold,
 //  - the baseline derived from the profiled run equals a real detached
-//    run, counter for counter (the oracle for skipping that run).
+//    run, counter for counter (the oracle for skipping that run), and
+//    the split run equals the FieldMap rebuild under the same plan (the
+//    oracle for the IR rewrite).
 //
 //===----------------------------------------------------------------------===//
 
@@ -21,6 +24,7 @@
 #include "core/ClosedLoop.h"
 #include "transform/FieldMap.h"
 #include "workloads/Registry.h"
+#include "workloads/Workload.h"
 
 #include <gtest/gtest.h>
 
@@ -70,17 +74,89 @@ TEST(ClosedLoop, SerialWorkloadTakesIrSplitPath) {
   EXPECT_GT(V.MissReduction[0], 0.0);
 }
 
-TEST(ClosedLoop, ParallelWorkloadFallsBackToFieldMapRebuild) {
+TEST(ClosedLoop, ParallelWorkloadTakesIrSplitPath) {
+  // CLOMP publishes the zone array's base to its workers through a
+  // mailbox slot; the splitter rewrites both sides of it.
   WorkloadVerdict V = verifyWorkload(*workloads::makeClomp(), testConfig());
-  EXPECT_EQ(V.Mode, ApplyMode::FieldMapRebuild);
-  // The splitter must refuse the published base pointer — rewriting
-  // only the allocating function would silently break the workers.
-  EXPECT_NE(V.FallbackReason.find("escapes"), std::string::npos)
-      << V.FallbackReason;
+  EXPECT_EQ(V.Mode, ApplyMode::IrSplit);
+  EXPECT_TRUE(V.FallbackReason.empty()) << V.FallbackReason;
   EXPECT_TRUE(V.Plan.isSplit());
   EXPECT_TRUE(V.ResultsMatch);
   EXPECT_FALSE(V.regressed());
   EXPECT_TRUE(V.ok());
+}
+
+namespace {
+
+/// The Fig. 1 program (a+c summed in one loop, b+d in another) whose
+/// array base then escapes into a call: the analyzer advises a split
+/// that the splitter must refuse to apply.
+class EscapingBaseWorkload : public workloads::Workload {
+public:
+  std::string name() const override { return "escaping-base"; }
+  std::string suite() const override { return "test"; }
+  bool isParallel() const override { return false; }
+  std::string hotObjectName() const override { return "s"; }
+  ir::StructLayout hotLayout() const override {
+    ir::StructLayout L("s");
+    for (const char *Field : {"a", "b", "c", "d"})
+      L.addField(Field, 8);
+    L.finalize();
+    return L;
+  }
+
+  workloads::BuiltWorkload build(runtime::Machine &,
+                                 const transform::FieldMap &Map,
+                                 double Scale) const override {
+    using ir::Reg;
+    workloads::BuiltWorkload Out;
+    Out.Program = std::make_unique<ir::Program>();
+    ir::Function &Sink = Out.Program->addFunction("sink", 1);
+    ir::ProgramBuilder(*Out.Program, Sink).ret();
+    ir::Function &Main = Out.Program->addFunction("main", 0);
+    ir::ProgramBuilder B(*Out.Program, Main);
+    int64_t N = static_cast<int64_t>(200000 * Scale);
+    workloads::StructArray S = workloads::allocStructArray(B, Map, "s", N);
+    B.forLoopI(0, N, 1, [&](Reg I) {
+      for (const char *Field : {"a", "b", "c", "d"})
+        workloads::storeField(B, S, Field, I, I);
+    });
+    Reg Acc = B.constI(0);
+    for (auto [First, Second] : {std::pair{"a", "c"}, std::pair{"b", "d"}})
+      B.forLoopI(0, 4, 1, [&](Reg) {
+        B.forLoopI(0, N, 1, [&](Reg I) {
+          B.accumulate(Acc, B.add(workloads::loadField(B, S, First, I),
+                                  workloads::loadField(B, S, Second, I)));
+        });
+      });
+    B.call(Sink, {S.Bases[0]}, /*WantResult=*/false);
+    B.ret(Acc);
+    Out.Program->setEntry(Main.Id);
+    Out.Phases.push_back({runtime::ThreadSpec{Main.Id, {}}});
+    return Out;
+  }
+};
+
+} // namespace
+
+TEST(ClosedLoop, SplitterRefusalAppliesNothing) {
+  WorkloadVerdict V = verifyWorkload(EscapingBaseWorkload(), testConfig());
+  ASSERT_TRUE(V.Plan.isSplit()) << V.FallbackReason;
+  EXPECT_EQ(V.Mode, ApplyMode::None);
+  EXPECT_NE(V.FallbackReason.find("escapes into a call"), std::string::npos)
+      << V.FallbackReason;
+  EXPECT_EQ(V.After.ElapsedCycles, V.Before.ElapsedCycles);
+  EXPECT_EQ(V.After.Instructions, V.Before.Instructions);
+  EXPECT_EQ(V.After.MemoryAccesses, V.Before.MemoryAccesses);
+  EXPECT_EQ(V.After.Accesses, V.Before.Accesses);
+  EXPECT_EQ(V.After.Misses, V.Before.Misses);
+  EXPECT_TRUE(V.ResultsMatch);
+  EXPECT_EQ(V.MeasuredSpeedup, 1.0);
+
+  VerifyReport Report;
+  Report.Workloads.push_back(std::move(V));
+  EXPECT_NE(renderVerifyText(Report).find("0 ir-split, 1 unsplit"),
+            std::string::npos);
 }
 
 TEST(ClosedLoop, PredictionAndMeasurementAgreeInDirection) {
@@ -111,8 +187,7 @@ TEST(ClosedLoop, ReportAggregatesAndRendersBothForms) {
   workloads::DriverConfig Config = testConfig();
   VerifyReport Report = verifyWorkloads(Ws, Config);
   ASSERT_EQ(Report.Workloads.size(), 2u);
-  EXPECT_EQ(Report.countMode(ApplyMode::IrSplit), 1u);
-  EXPECT_EQ(Report.countMode(ApplyMode::FieldMapRebuild), 1u);
+  EXPECT_EQ(Report.countMode(ApplyMode::IrSplit), 2u);
   EXPECT_EQ(Report.countMode(ApplyMode::None), 0u);
   EXPECT_EQ(Report.countRegressed(), 0u);
   EXPECT_EQ(Report.countMismatched(), 0u);
@@ -120,29 +195,27 @@ TEST(ClosedLoop, ReportAggregatesAndRendersBothForms) {
 
   std::string Text = renderVerifyText(Report);
   EXPECT_NE(Text.find("179.ART"), std::string::npos);
-  EXPECT_NE(Text.find("ir-split"), std::string::npos);
-  EXPECT_NE(Text.find("fieldmap-rebuild"), std::string::npos);
+  EXPECT_NE(Text.find("2 ir-split, 0 unsplit"), std::string::npos) << Text;
   EXPECT_NE(Text.find("0 regressed"), std::string::npos);
 
   std::string Json = renderVerifyJson(Report, Config);
   EXPECT_EQ(Json.rfind('{', 0), 0u);
   for (const char *Key :
-       {"\"schema_version\": 3", "\"generator\": \"structslim-verify\"",
-        "\"mode\": \"ir-split\"", "\"mode\": \"fieldmap-rebuild\"",
-        "\"plan\":", "\"clusters\":", "\"agreement\":", "\"before\":",
+       {"\"schema_version\": 4", "\"generator\": \"structslim-verify\"",
+        "\"mode\": \"ir-split\"", "\"ir_split\": 2", "\"plan\":",
+        "\"clusters\":", "\"agreement\":", "\"before\":",
         "\"after\":", "\"delta\":", "\"measured_speedup\":",
         "\"predicted_speedup\":", "\"miss_reduction\":",
         "\"all_ok\": true"})
     EXPECT_NE(Json.find(Key), std::string::npos) << Key;
-  for (const char *Gone : {"\"memory_share\"", "\"miss_rate_reduction\""})
+  for (const char *Gone :
+       {"\"memory_share\"", "\"miss_rate_reduction\"", "fieldmap"})
     EXPECT_EQ(Json.find(Gone), std::string::npos) << Gone;
 }
 
 TEST(ClosedLoop, ApplyModeNamesAreStable) {
   EXPECT_STREQ(applyModeName(ApplyMode::None), "none");
   EXPECT_STREQ(applyModeName(ApplyMode::IrSplit), "ir-split");
-  EXPECT_STREQ(applyModeName(ApplyMode::FieldMapRebuild),
-               "fieldmap-rebuild");
 }
 
 TEST(ClosedLoop, MissRateGuardsEmptyLevels) {
@@ -210,7 +283,7 @@ TEST(ClosedLoop, SplitPreservesProgramResults) {
 TEST(ClosedLoop, ParallelWorkloadsPreserveResultsToo) {
   WorkloadVerdict V =
       verifyWorkload(*workloads::makeClomp(), paperConfig(0.1));
-  EXPECT_EQ(V.Mode, ApplyMode::FieldMapRebuild);
+  EXPECT_EQ(V.Mode, ApplyMode::IrSplit);
   EXPECT_EQ(V.Profiled.ReturnValues.size(), 5u);
   EXPECT_TRUE(V.ResultsMatch);
 }
@@ -250,9 +323,11 @@ TEST(ClosedLoop, AdviceStableAcrossSamplingPeriods) {
 
 namespace {
 
-/// Runs \p W's closed loop and a real detached run of the original
-/// layout under the same config, and checks that the verdict's "before"
-/// counters — derived from the profiled run — are the detached run's.
+/// Runs \p W's closed loop and real detached runs of the original layout
+/// and of the FieldMap rebuild under the verdict's plan, all under the
+/// same config. Checks that the verdict's "before" counters — derived
+/// from the profiled run — are the detached run's, and that its "after"
+/// counters — the IR split's — are the rebuild's.
 void expectDerivedBaselineIsDetachedRun(const workloads::Workload &W,
                                         const workloads::DriverConfig &Config) {
   SCOPED_TRACE(W.name());
@@ -260,6 +335,10 @@ void expectDerivedBaselineIsDetachedRun(const workloads::Workload &W,
   transform::FieldMap Identity(W.hotLayout());
   runtime::RunResult Detached =
       workloads::runWorkload(W, Identity, Config, /*Attach=*/false).Result;
+  ASSERT_EQ(V.Mode, ApplyMode::IrSplit) << V.FallbackReason;
+  transform::FieldMap SplitMap(W.hotLayout(), V.Plan);
+  runtime::RunResult Rebuilt =
+      workloads::runWorkload(W, SplitMap, Config, /*Attach=*/false).Result;
   const runtime::RunResult &Profiled = V.Profiled;
 
   ASSERT_GT(Profiled.Samples, 0u);
@@ -284,6 +363,25 @@ void expectDerivedBaselineIsDetachedRun(const workloads::Workload &W,
     EXPECT_EQ(V.Before.Misses[Level], Detached.Misses[Level]) << Level;
   }
   EXPECT_EQ(Profiled.ReturnValues, Detached.ReturnValues);
+
+  // The FieldMap rebuild — the paper's manual source transformation —
+  // is the oracle for the IR split: same layout, so the same memory
+  // traffic and results. The rewriter keeps the allocation's original
+  // size constant and derives the element count from it (ConstI S,
+  // Div) before one MulI + Alloc per group; the rebuild emits one
+  // ConstI + Alloc per group. That is 3 more serial one-cycle
+  // instructions.
+  EXPECT_EQ(V.After.Instructions, Rebuilt.Instructions + 3);
+  EXPECT_EQ(V.After.ElapsedCycles, Rebuilt.ElapsedCycles + 3);
+  EXPECT_EQ(V.After.MemoryAccesses, Rebuilt.MemoryAccesses);
+  for (unsigned Level = 0; Level != 3; ++Level) {
+    EXPECT_EQ(V.After.Accesses[Level], Rebuilt.Accesses[Level]) << Level;
+    EXPECT_EQ(V.After.Misses[Level], Rebuilt.Misses[Level]) << Level;
+  }
+  // The split run returned the profiled run's values, which are the
+  // detached run's; the rebuild must return them too.
+  EXPECT_TRUE(V.ResultsMatch);
+  EXPECT_EQ(Rebuilt.ReturnValues, Detached.ReturnValues);
 }
 
 } // namespace
@@ -293,6 +391,8 @@ TEST(ClosedLoop, ProfilerDoesNotPerturbExecution) {
   // profiler's only effect on simulated state, so the closed loop reads
   // its baseline from the profiled run instead of simulating again.
   for (const auto &W : workloads::makePaperWorkloads())
+    expectDerivedBaselineIsDetachedRun(*W, testConfig());
+  for (const auto &W : workloads::makeExtraWorkloads())
     expectDerivedBaselineIsDetachedRun(*W, testConfig());
 
   auto Art = workloads::makeArt();

@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <set>
+
 using namespace structslim;
 using namespace structslim::transform;
 using structslim::ir::NoReg;
@@ -281,27 +284,168 @@ TEST(StructSplitter, RejectsCopiedBasePointer) {
   EXPECT_EQ(P.toString(), Before);
 }
 
-TEST(StructSplitter, RejectsPublishedBasePointer) {
-  // Storing the base pointer as a *value* (the mailbox publication the
-  // parallel workloads perform) shares it with code the rewriter
-  // cannot see; must reject, not silently rewrite one side.
-  ir::Program P;
-  uint32_t Token = P.makeToken("s");
-  ir::Function &F = P.addFunction("main", 0);
-  ir::ProgramBuilder B(P, F);
-  Reg Bytes = B.constI(320);
-  Reg Base = B.alloc(Bytes, "s", Token);
-  Reg Mailbox = B.constI(0x1000);
-  B.store(Base, Mailbox, NoReg, 1, 0, 8); // Publish: base as value.
-  B.ret();
-  std::string Before = P.toString();
-  std::string Error;
-  EXPECT_EQ(splitArrayOfStructs(P, Token, abcd(), acBdPlan(), &Error),
-            nullptr);
-  EXPECT_NE(Error.find("escapes (stored or used as a value)"),
-            std::string::npos)
-      << Error;
-  EXPECT_EQ(P.toString(), Before);
+namespace {
+
+using MailboxHook =
+    std::function<void(ir::ProgramBuilder &B, Reg Base, Reg Mailbox)>;
+
+constexpr int64_t MailboxAddr = 0x1000;
+
+/// The shape the parallel workloads share their array in: main fills
+/// the Fig. 1 array, publishes its base to a constant-address mailbox
+/// slot and calls a worker, which subscribes to the slot and returns
+/// the sum of all four fields. \p MainHook runs after the publication,
+/// \p WorkerHook after the subscription (the refusal cases).
+TokenProgram buildMailboxProgram(int64_t N, const MailboxHook &MainHook = {},
+                                 const MailboxHook &WorkerHook = {}) {
+  TokenProgram T;
+  T.P = std::make_unique<ir::Program>();
+  T.Token = T.P->makeToken("s");
+  ir::Function &Worker = T.P->addFunction("worker", 0);
+  {
+    ir::ProgramBuilder B(*T.P, Worker);
+    Reg Mailbox = B.constI(MailboxAddr);
+    Reg Base = B.load(Mailbox, NoReg, 1, 0, 8); // Subscribe.
+    if (WorkerHook)
+      WorkerHook(B, Base, Mailbox);
+    Reg Acc = B.constI(0);
+    B.forLoopI(0, N, 1, [&](Reg I) {
+      for (int64_t Disp : {0, 8, 16, 24})
+        B.accumulate(Acc, B.load(Base, I, 32, Disp, 8, T.Token));
+    });
+    B.ret(Acc);
+  }
+  ir::Function &Main = T.P->addFunction("main", 0);
+  ir::ProgramBuilder B(*T.P, Main);
+  Reg Base = B.alloc(B.constI(N * 32), "s", T.Token);
+  B.forLoopI(0, N, 1, [&](Reg I) {
+    for (int64_t Disp : {0, 8, 16, 24})
+      B.store(B.mulI(I, Disp + 1), Base, I, 32, Disp, 8, T.Token);
+  });
+  Reg Mailbox = B.constI(MailboxAddr);
+  B.store(Base, Mailbox, NoReg, 1, 0, 8); // Publish.
+  if (MainHook)
+    MainHook(B, Base, Mailbox);
+  B.ret(B.call(Worker, {}));
+  T.P->setEntry(Main.Id);
+  return T;
+}
+
+/// Untokened 8-byte accesses of \p Op through a ConstI(MailboxAddr)
+/// base in function \p Name, as (displacement, register) pairs: the
+/// stored value for Store, the loaded register for Load.
+std::vector<std::pair<int64_t, Reg>>
+mailboxAccesses(ir::Program &P, const std::string &Name, ir::Opcode Op) {
+  const ir::Function &F = *P.findFunction(Name);
+  std::set<Reg> MailboxRegs;
+  std::vector<std::pair<int64_t, Reg>> Out;
+  for (const auto &BB : F.Blocks)
+    for (const ir::Instr &I : BB->Instrs) {
+      if (I.Op == ir::Opcode::ConstI && I.Imm == MailboxAddr)
+        MailboxRegs.insert(I.Dst);
+      if (I.Op == Op && I.Token == 0 && MailboxRegs.count(I.A))
+        Out.emplace_back(I.Disp, Op == ir::Opcode::Store ? I.C : I.Dst);
+    }
+  return Out;
+}
+
+} // namespace
+
+TEST(StructSplitter, SplitsMailboxPublishedBase) {
+  // The parallel workloads' pattern: the base crosses functions through
+  // a constant-address mailbox slot. Each group's base is published to
+  // and subscribed from its own slot, consecutive from the original.
+  TokenProgram T = buildMailboxProgram(40);
+  ir::StructLayout L = abcd();
+  core::SplitPlan ThreeWay = acBdPlan();
+  ThreeWay.ClusterOffsets = {{0}, {8, 16}, {24}};
+  for (const core::SplitPlan &Plan : {acBdPlan(), ThreeWay}) {
+    size_t Groups = Plan.ClusterOffsets.size();
+    SCOPED_TRACE(Groups);
+    std::string Error;
+    auto Split = splitArrayOfStructs(*T.P, T.Token, L, Plan, &Error);
+    ASSERT_NE(Split, nullptr) << Error;
+    EXPECT_EQ(runProgram(*Split), runProgram(*T.P));
+
+    auto Stores = mailboxAccesses(*Split, "main", ir::Opcode::Store);
+    auto Loads = mailboxAccesses(*Split, "worker", ir::Opcode::Load);
+    ASSERT_EQ(Stores.size(), Groups);
+    ASSERT_EQ(Loads.size(), Groups);
+    std::vector<Reg> AllocRegs;
+    for (const auto &BB : Split->findFunction("main")->Blocks)
+      for (const ir::Instr &I : BB->Instrs)
+        if (I.Op == ir::Opcode::Alloc)
+          AllocRegs.push_back(I.Dst);
+    ASSERT_EQ(AllocRegs.size(), Groups);
+    std::set<Reg> Subscribed;
+    for (size_t G = 0; G != Groups; ++G) {
+      EXPECT_EQ(Stores[G].first, static_cast<int64_t>(8 * G));
+      EXPECT_EQ(Stores[G].second, AllocRegs[G]); // Group G's base.
+      EXPECT_EQ(Loads[G].first, static_cast<int64_t>(8 * G));
+      Subscribed.insert(Loads[G].second);
+    }
+    EXPECT_EQ(Subscribed.size(), Groups);
+  }
+}
+
+TEST(StructSplitter, RefusesUnsafeMailboxShapes) {
+  struct Case {
+    const char *Name;
+    MailboxHook Main, Worker;
+    const char *Diagnostic;
+  } Cases[] = {
+      {"base stored at a computed address",
+       [](ir::ProgramBuilder &B, Reg Base, Reg Mailbox) {
+         B.store(Base, B.addI(Mailbox, 64), NoReg, 1, 0, 8);
+       },
+       {}, "escapes (stored or used as a value)"},
+      {"constant-address access overlapping slot + 8",
+       [](ir::ProgramBuilder &B, Reg, Reg Mailbox) {
+         B.store(B.constI(7), Mailbox, NoReg, 1, 8, 8);
+       },
+       {}, "overlaps the mailbox"},
+      {"base published to two slots",
+       [](ir::ProgramBuilder &B, Reg Base, Reg Mailbox) {
+         B.store(Base, Mailbox, NoReg, 1, 32, 8);
+       },
+       {}, "published to a second mailbox slot"},
+      {"indexed constant-address access",
+       {},
+       [](ir::ProgramBuilder &B, Reg, Reg Mailbox) {
+         B.load(Mailbox, B.constI(1), 8, 0, 8);
+       },
+       "indexed constant-address access"},
+      {"subscribed register copied with Move", {},
+       [](ir::ProgramBuilder &B, Reg Base, Reg) { B.move(Base); },
+       "escapes (stored or used as a value)"},
+      {"subscribed register redefined", {},
+       [](ir::ProgramBuilder &B, Reg Base, Reg) {
+         B.moveInto(Base, B.constI(0));
+       },
+       "redefines a subscribed base pointer"},
+      // An intra-array pointer (base + i * S) stored into a field is a
+      // real pointer into the old layout, unlike Health's `forward`,
+      // which is an index; the mailbox support must not admit it.
+      {"intra-array pointer stored into a field",
+       [](ir::ProgramBuilder &B, Reg Base, Reg) {
+         uint32_t Token = B.getProgram().findToken("s");
+         B.forLoopI(0, 4, 1, [&](Reg I) {
+           Reg Ptr = B.add(Base, B.mulI(I, 32));
+           B.store(Ptr, Base, I, 32, 24, 8, Token);
+         });
+       },
+       {}, "escapes (stored or used as a value)"},
+  };
+  for (const Case &C : Cases) {
+    SCOPED_TRACE(C.Name);
+    TokenProgram T = buildMailboxProgram(10, C.Main, C.Worker);
+    std::string Before = T.P->toString();
+    std::string Error;
+    EXPECT_EQ(splitArrayOfStructs(*T.P, T.Token, abcd(), acBdPlan(), &Error),
+              nullptr);
+    EXPECT_NE(Error.find(C.Diagnostic), std::string::npos) << Error;
+    EXPECT_EQ(T.P->toString(), Before);
+  }
 }
 
 TEST(StructSplitter, RejectsBasePassedToCall) {

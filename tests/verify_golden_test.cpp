@@ -118,10 +118,10 @@ TEST(VerifyGolden, NoWorkloadRegressesAndAllResultsMatch) {
   EXPECT_NE(R.Output.find("\"regressed\": 0"), std::string::npos) << R.Output;
   EXPECT_NE(R.Output.find("\"results_mismatch\": 0"), std::string::npos);
   EXPECT_NE(R.Output.find("\"all_ok\": true"), std::string::npos);
-  // Both application paths exercised: the serial workloads split at
-  // the IR level, the parallel ones through the source rebuild.
-  EXPECT_NE(R.Output.find("\"ir_split\": 4"), std::string::npos) << R.Output;
-  EXPECT_NE(R.Output.find("\"fieldmap_rebuild\": 3"), std::string::npos);
+  // One application path: every workload, serial or parallel, splits
+  // at the IR level.
+  EXPECT_NE(R.Output.find("\"ir_split\": 7"), std::string::npos) << R.Output;
+  EXPECT_EQ(R.Output.find("fieldmap"), std::string::npos);
   // No per-workload regression flags either.
   EXPECT_EQ(R.Output.find("\"regressed\": true"), std::string::npos);
   EXPECT_EQ(R.Output.find("\"results_match\": false"), std::string::npos);
@@ -140,8 +140,8 @@ TEST(VerifyGolden, SmokeModeRunsTwoWorkloadsGreen) {
   EXPECT_EQ(R.ExitCode, 0) << R.Output;
   EXPECT_NE(R.Output.find("179.ART"), std::string::npos);
   EXPECT_NE(R.Output.find("CLOMP 1.2"), std::string::npos);
-  EXPECT_NE(R.Output.find("ir-split"), std::string::npos);
-  EXPECT_NE(R.Output.find("fieldmap-rebuild"), std::string::npos);
+  EXPECT_NE(R.Output.find("2 ir-split, 0 unsplit"), std::string::npos)
+      << R.Output;
   EXPECT_NE(R.Output.find("0 regressed"), std::string::npos) << R.Output;
 }
 

@@ -5,9 +5,9 @@
 //===----------------------------------------------------------------------===//
 //
 // Closes the paper's loop end-to-end for the evaluated benchmarks:
-// profile -> analyze -> apply the split advice (IR rewrite when the
-// splitter accepts, FieldMap source rebuild when it rejects) ->
-// re-simulate under the identical cache hierarchy, and report the
+// profile -> analyze -> apply the split advice (an IR rewrite; nothing
+// is applied when the splitter refuses) -> re-simulate under the
+// identical cache hierarchy, and report the
 // before/after deltas plus how well the BenefitModel's prediction
 // matched the measured outcome.
 //
@@ -16,9 +16,9 @@
 //     --scale=X      working-set scale factor (default 1.0)
 //     --period=N     PMU sampling period (default 10000)
 //     --json         emit the machine-readable document (schema_version
-//                    3) on stdout instead of the text table
+//                    4) on stdout instead of the text table
 //     --smoke        quick CI mode: 179.ART and CLOMP at scale 0.1
-//                    (one serial ir-split path, one parallel fallback)
+//                    (one serial and one parallel ir-split)
 //     --list         print the known workload names and exit
 //
 // Without positional names, all seven paper workloads run in Table 2
